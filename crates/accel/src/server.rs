@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::Cycle;
-use beacon_sim::engine::dense_fastpath_enabled;
 use beacon_sim::journey::{self, JStamp, Phase};
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{Histogram, StatId, Stats};
@@ -79,6 +78,9 @@ pub struct DimmServer {
     stats: Stats,
     /// Pre-resolved handle for the per-tick atomic-op fold.
     atomic_ops_id: StatId,
+    /// Dense fast path on: ticks the horizon proves no-ops return early
+    /// (see [`DimmServer::set_dense`]).
+    dense: bool,
 }
 
 impl DimmServer {
@@ -101,7 +103,16 @@ impl DimmServer {
             jny_done: Vec::new(),
             stats,
             atomic_ops_id,
+            dense: true,
         }
+    }
+
+    /// Turns the dense fast path on (the default) or off, for this
+    /// server and its DIMM. Results are bit-identical either way, so
+    /// this is wall-clock state that is never snapshotted.
+    pub fn set_dense(&mut self, on: bool) {
+        self.dense = on;
+        self.dimm.set_dense(on);
     }
 
     /// Arms an uncorrectable-error stream on the underlying DIMM (see
@@ -431,7 +442,7 @@ impl Tick for DimmServer {
         // beyond it neither pump can move, the DIMM tick is a state
         // no-op and there is nothing to drain. Only the DIMM's time
         // high-water needs maintaining for later `enqueued_at` stamps.
-        if dense_fastpath_enabled() && DimmServer::next_event(self) > now {
+        if self.dense && DimmServer::next_event(self) > now {
             self.dimm.sync_time(now);
             return;
         }

@@ -11,6 +11,7 @@ use beacon_core::mmf::build_layout;
 use beacon_core::system::BeaconSystem;
 use beacon_cxl::params::LinkParams;
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 
 fn bench_coalescing_sweep(c: &mut Criterion) {
     let scale = bench_scale();
@@ -24,7 +25,15 @@ fn bench_coalescing_sweep(c: &mut Criterion) {
         opts.multi_chip_coalescing = if chips == 1 { None } else { Some(chips) };
         let w2 = w.clone();
         g.bench_function(format!("chips_{chips}"), move |b| {
-            b.iter(|| run_beacon(BeaconVariant::D, opts, &w2, BENCH_PES))
+            b.iter(|| {
+                run_beacon(
+                    BeaconVariant::D,
+                    opts,
+                    &w2,
+                    BENCH_PES,
+                    RunOptions::default(),
+                )
+            })
         });
     }
     g.finish();
@@ -41,7 +50,7 @@ fn bench_pe_scaling(c: &mut Criterion) {
     for pes in [16usize, 64, 128] {
         let w2 = w.clone();
         g.bench_function(format!("pes_{pes}"), move |b| {
-            b.iter(|| run_beacon(BeaconVariant::D, opts, &w2, pes))
+            b.iter(|| run_beacon(BeaconVariant::D, opts, &w2, pes, RunOptions::default()))
         });
     }
     g.finish();
@@ -97,7 +106,7 @@ fn bench_bucket_cache_depth(c: &mut Criterion) {
         };
         let opts = Optimizations::full(BeaconVariant::D, AppKind::FmSeeding);
         g.bench_function(format!("cache_depth_{depth}"), move |b| {
-            b.iter(|| run_beacon(BeaconVariant::D, opts, &w, BENCH_PES))
+            b.iter(|| run_beacon(BeaconVariant::D, opts, &w, BENCH_PES, RunOptions::default()))
         });
     }
     g.finish();

@@ -5,16 +5,23 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
+use beacon_accel::result::RunResult;
 use beacon_bench::{bench_scale, BENCH_PES};
 use beacon_core::config::{BeaconVariant, Optimizations};
 use beacon_core::experiments::{
     common::{
         fm_workload, hash_workload, kmer_workload, prealign_workload, run_beacon, run_medal,
-        run_nest,
+        run_nest, AppWorkload,
     },
     fig13,
 };
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
+
+/// BEACON at bench PEs on the production engine configuration.
+fn beacon(variant: BeaconVariant, opts: Optimizations, w: &AppWorkload) -> RunResult {
+    run_beacon(variant, opts, w, BENCH_PES, RunOptions::default())
+}
 
 fn bench_fig3_baselines(c: &mut Criterion) {
     let scale = bench_scale();
@@ -46,12 +53,12 @@ fn bench_fig12_fm_seeding(c: &mut Criterion) {
     for (label, opts) in Optimizations::ladder(BeaconVariant::D, w.app) {
         let w2 = w.clone();
         g.bench_function(format!("beacon_d/{label}"), move |b| {
-            b.iter(|| run_beacon(BeaconVariant::D, opts, &w2, BENCH_PES))
+            b.iter(|| beacon(BeaconVariant::D, opts, &w2))
         });
     }
     let full_s = Optimizations::full(BeaconVariant::S, w.app);
     g.bench_function("beacon_s/full", |b| {
-        b.iter(|| run_beacon(BeaconVariant::S, full_s, &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::S, full_s, &w))
     });
     g.finish();
 }
@@ -63,7 +70,7 @@ fn bench_fig13_chip_balance(c: &mut Criterion) {
     g.warm_up_time(Duration::from_secs(1));
     g.measurement_time(Duration::from_secs(5));
     g.bench_function("both_design_points", |b| {
-        b.iter(|| fig13::run(&scale, BENCH_PES))
+        b.iter(|| fig13::run(&scale, BENCH_PES, RunOptions::default()))
     });
     g.finish();
 }
@@ -78,10 +85,10 @@ fn bench_fig14_hash_seeding(c: &mut Criterion) {
     let full_d = Optimizations::full(BeaconVariant::D, w.app);
     let full_s = Optimizations::full(BeaconVariant::S, w.app);
     g.bench_function("beacon_d/full", |b| {
-        b.iter(|| run_beacon(BeaconVariant::D, full_d, &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::D, full_d, &w))
     });
     g.bench_function("beacon_s/full", |b| {
-        b.iter(|| run_beacon(BeaconVariant::S, full_s, &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::S, full_s, &w))
     });
     g.bench_function("medal", |b| b.iter(|| run_medal(&w, false, BENCH_PES)));
     g.finish();
@@ -99,13 +106,13 @@ fn bench_fig15_kmer(c: &mut Criterion) {
     let mut multi_s = full_s;
     multi_s.single_pass_kmer = false;
     g.bench_function("beacon_d/full", |b| {
-        b.iter(|| run_beacon(BeaconVariant::D, full_d, &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::D, full_d, &w))
     });
     g.bench_function("beacon_s/single_pass", |b| {
-        b.iter(|| run_beacon(BeaconVariant::S, full_s, &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::S, full_s, &w))
     });
     g.bench_function("beacon_s/multi_pass", |b| {
-        b.iter(|| run_beacon(BeaconVariant::S, multi_s, &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::S, multi_s, &w))
     });
     g.bench_function("nest", |b| {
         b.iter(|| run_nest(&w, scale.cbf_bytes, false, BENCH_PES))
@@ -123,10 +130,10 @@ fn bench_fig16_prealign(c: &mut Criterion) {
     let full_d = Optimizations::full(BeaconVariant::D, w.app);
     let full_s = Optimizations::full(BeaconVariant::S, w.app);
     g.bench_function("beacon_d/full", |b| {
-        b.iter(|| run_beacon(BeaconVariant::D, full_d, &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::D, full_d, &w))
     });
     g.bench_function("beacon_s/full", |b| {
-        b.iter(|| run_beacon(BeaconVariant::S, full_s, &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::S, full_s, &w))
     });
     g.finish();
 }
@@ -141,12 +148,10 @@ fn bench_fig17_breakdown(c: &mut Criterion) {
     g.warm_up_time(Duration::from_secs(1));
     g.measurement_time(Duration::from_secs(5));
     g.bench_function("vanilla", |b| {
-        b.iter(|| run_beacon(BeaconVariant::D, Optimizations::vanilla(), &w, BENCH_PES))
+        b.iter(|| beacon(BeaconVariant::D, Optimizations::vanilla(), &w))
     });
     let full = Optimizations::full(BeaconVariant::D, w.app);
-    g.bench_function("full", |b| {
-        b.iter(|| run_beacon(BeaconVariant::D, full, &w, BENCH_PES))
-    });
+    g.bench_function("full", |b| b.iter(|| beacon(BeaconVariant::D, full, &w)));
     g.finish();
 }
 

@@ -59,7 +59,8 @@ use beacon_core::mmf::build_layout;
 use beacon_core::obs::{self, ObsConfig, DEFAULT_STALL_WINDOW};
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
-use beacon_pool::prelude::{run_service, ServiceSpec};
+use beacon_pool::prelude::{run_service_with, ServiceSpec};
+use beacon_sim::engine::RunOptions;
 use beacon_sim::trace::{self, TraceBuffer, TraceLevel};
 
 /// Cycles between metrics samples (quick scale).
@@ -321,8 +322,11 @@ fn main() {
         figures_scale()
     };
     let pes = if sel.quick { BENCH_PES } else { FIGURE_PES };
-    beacon_core::parallel::set_threads(sel.threads);
-    beacon_sim::engine::set_skip(!sel.no_skip);
+    let run = RunOptions {
+        threads: sel.threads,
+        skip: !sel.no_skip,
+        ..RunOptions::default()
+    };
 
     if sel.trace.is_some() {
         trace::install(TraceBuffer::new(TraceLevel::Command, TRACE_CAPACITY));
@@ -359,28 +363,30 @@ fn main() {
         section("Fig. 3", || fig3::run(&scale, pes).render());
     }
     if sel.fig12 {
-        section("Fig. 12", || fig12::run(&scale, pes).render());
+        section("Fig. 12", || fig12::run(&scale, pes, run).render());
     }
     if sel.fig13 {
-        section("Fig. 13", || fig13::run(&scale, pes).render());
+        section("Fig. 13", || fig13::run(&scale, pes, run).render());
     }
     if sel.fig14 {
-        section("Fig. 14", || fig14::run(&scale, pes).render());
+        section("Fig. 14", || fig14::run(&scale, pes, run).render());
     }
     if sel.fig15 {
-        section("Fig. 15", || fig15::run(&scale, pes).render());
+        section("Fig. 15", || fig15::run(&scale, pes, run).render());
     }
     if sel.fig16 {
-        section("Fig. 16", || fig16::run(&scale, pes).render());
+        section("Fig. 16", || fig16::run(&scale, pes, run).render());
     }
     if sel.fig17 {
-        section("Fig. 17", || fig17::run(&scale, pes).render());
+        section("Fig. 17", || fig17::run(&scale, pes, run).render());
     }
     if let Some(seed) = sel.faults {
-        section("Fault sweep", || faults::run(&scale, pes, seed).render());
+        section("Fault sweep", || {
+            faults::run(&scale, pes, seed, run).render()
+        });
     }
     if sel.report {
-        let rep = report::run(&scale, pes);
+        let rep = report::run(&scale, pes, run);
         section("Bottleneck report", || rep.render());
         if let Some(path) = &sel.report_json {
             write_or_die(path, &rep.render_json());
@@ -389,15 +395,15 @@ fn main() {
     }
     if let Some(every) = sel.snapshot_every {
         section("Checkpoint", || {
-            checkpoint_section(&scale, pes, every, &sel.snapshot_out)
+            checkpoint_section(&scale, pes, every, &sel.snapshot_out, run)
         });
     }
     if let Some(path) = &sel.resume {
-        section("Resume", || resume_section(path));
+        section("Resume", || resume_section(path, run));
     }
     if let Some(path) = &sel.service {
         section("Pool service", || {
-            service_section(path, sel.service_json.as_deref())
+            service_section(path, sel.service_json.as_deref(), run)
         });
     }
     println!("total harness time: {:?}", t0.elapsed());
@@ -437,8 +443,15 @@ fn write_or_die(path: &str, body: &str) {
 /// `every`-cycle epoch boundary to write a resumable snapshot, then
 /// finishes the run and prints a greppable `final digest:` line. The
 /// interruptions are invisible to the simulation: the digest is
-/// bit-identical to an uninterrupted run of the same workload.
-fn checkpoint_section(scale: &WorkloadScale, pes: usize, every: u64, prefix: &str) -> String {
+/// bit-identical to an uninterrupted run of the same workload. The
+/// pauses need the sequential engine, so `run.threads` does not apply.
+fn checkpoint_section(
+    scale: &WorkloadScale,
+    pes: usize,
+    every: u64,
+    prefix: &str,
+    run: RunOptions,
+) -> String {
     use std::fmt::Write as _;
     let w = fm_workload(GenomeId::Pt, scale);
     let mut cfg = BeaconConfig::paper(BeaconVariant::D, w.app)
@@ -449,7 +462,7 @@ fn checkpoint_section(scale: &WorkloadScale, pes: usize, every: u64, prefix: &st
     sys.submit_round_robin(w.traces.iter().cloned());
     let mut out = String::new();
     let mut at = every;
-    while !sys.run_to(at) {
+    while !sys.run_to(at, run) {
         let bytes = sys.snapshot();
         let path = format!("{prefix}-{:012}.snap", sys.clock().as_u64());
         if let Err(e) = std::fs::write(&path, &bytes) {
@@ -479,7 +492,7 @@ fn checkpoint_section(scale: &WorkloadScale, pes: usize, every: u64, prefix: &st
 /// completion (on the engine selected by `--threads`/`--no-skip`),
 /// printing the same greppable `final digest:` line as the checkpoint
 /// section — the two must match bit-identically.
-fn resume_section(path: &str) -> String {
+fn resume_section(path: &str, run: RunOptions) -> String {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -495,7 +508,7 @@ fn resume_section(path: &str) -> String {
         }
     };
     let from = sys.clock().as_u64();
-    let r = sys.run();
+    let r = sys.run_with(run);
     format!(
         "resumed: {path} @ cycle {from}\n\
          final digest: {:#018x} ({} tasks, {} cycles)\n",
@@ -511,7 +524,7 @@ fn resume_section(path: &str) -> String {
 /// `--threads` and `--no-skip` (enforced by `tests/service.rs`). When
 /// `json_out` is set, the machine-readable report (shape:
 /// `schemas/service.schema.json`) is written there too.
-fn service_section(path: &str, json_out: Option<&str>) -> String {
+fn service_section(path: &str, json_out: Option<&str>, run: RunOptions) -> String {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -526,7 +539,7 @@ fn service_section(path: &str, json_out: Option<&str>) -> String {
             std::process::exit(1);
         }
     };
-    let report = run_service(&spec);
+    let report = run_service_with(&spec, run);
     let mut out = report.render_text();
     if let Some(p) = json_out {
         write_or_die(p, &report.render_json());

@@ -20,6 +20,7 @@ use beacon_core::experiments::common::{fm_workload, kmer_workload};
 use beacon_core::mmf::build_layout;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 use beacon_sim::journey::{self, JourneyRecorder};
 use beacon_sim::rng::SimRng;
 
@@ -29,8 +30,6 @@ fn main() {
     let reps: u32 = args.get(1).and_then(|r| r.parse().ok()).unwrap_or(20);
     let dense = !args.iter().any(|a| a == "--dense-off");
     let attr = args.iter().any(|a| a == "--attr");
-    beacon_sim::engine::set_skip(true);
-    beacon_sim::engine::set_dense_fastpath(dense);
     let scale = bench_scale();
     let (w, variant) = match which.as_str() {
         "fm" => (fm_workload(GenomeId::Pt, &scale), BeaconVariant::D),
@@ -43,7 +42,6 @@ fn main() {
     // noise that a single timed block cannot (same scheme as simspeed).
     let mut best = [f64::INFINITY; 2];
     let run_one = |rep: u32, dense_leg: bool| -> (u64, u64, f64) {
-        beacon_sim::engine::set_dense_fastpath(dense_leg);
         let mut cfg =
             BeaconConfig::paper(variant, w.app).with_opts(Optimizations::full(variant, w.app));
         cfg.switches = 2;
@@ -56,7 +54,10 @@ fn main() {
             journey::install(JourneyRecorder::new(1, salt));
         }
         let t = Instant::now();
-        let r = sys.run();
+        let r = sys.run_with(RunOptions {
+            dense: dense_leg,
+            ..RunOptions::default()
+        });
         let wall = t.elapsed().as_secs_f64();
         if attr && rep == 0 {
             journey::uninstall().expect("recorder was installed");

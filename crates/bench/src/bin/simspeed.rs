@@ -39,7 +39,7 @@
 //! hiccup swamps the quantity being measured, but the sum is stable.
 //!
 //! A third timed leg repeats the skip-on configuration with the dense
-//! fast path disabled (`set_dense_fastpath(false)`): per-component tick
+//! fast path disabled (`RunOptions::dense` off): per-component tick
 //! gates off, so every awake cycle sweeps every component. Its digest
 //! must match bit-identically — the gates only skip provable no-ops —
 //! and the wall-time ratio against the plain skip-on leg is reported
@@ -86,7 +86,8 @@ use beacon_core::experiments::common::{
 use beacon_core::mmf::build_layout;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
-use beacon_pool::prelude::{run_service, JobKind, JobSpec, JobStatus, ServiceSpec};
+use beacon_pool::prelude::{run_service_with, JobKind, JobSpec, JobStatus, ServiceSpec};
+use beacon_sim::engine::RunOptions;
 use beacon_sim::journey::{self, JourneyRecorder};
 use beacon_sim::rng::SimRng;
 
@@ -195,9 +196,7 @@ fn build_cells(scale: &WorkloadScale) -> Vec<Cell> {
     ]
 }
 
-fn measure(cell: &Cell, skip: bool, dense: bool, attr: bool, threads: usize) -> Sample {
-    beacon_sim::engine::set_skip(skip);
-    beacon_sim::engine::set_dense_fastpath(dense);
+fn measure(cell: &Cell, run: RunOptions, attr: bool) -> Sample {
     let w = &cell.workload;
     let mut cfg = BeaconConfig::paper(cell.variant, w.app)
         .with_opts(Optimizations::full(cell.variant, w.app));
@@ -211,11 +210,7 @@ fn measure(cell: &Cell, skip: bool, dense: bool, attr: bool, threads: usize) -> 
         journey::install(JourneyRecorder::new(ATTR_SAMPLE_EVERY, salt));
     }
     let t = Instant::now();
-    let r = if threads <= 1 {
-        sys.run()
-    } else {
-        sys.run_parallel(threads)
-    };
+    let r = sys.run_with(run);
     let wall_s = t.elapsed().as_secs_f64();
     if attr {
         journey::uninstall().expect("recorder was installed");
@@ -237,14 +232,13 @@ fn measure(cell: &Cell, skip: bool, dense: bool, attr: bool, threads: usize) -> 
     }
 }
 
-/// The checkpoint/restore leg: run (skip on) to the halfway cycle on
-/// the sequential engine, serialize a full snapshot, reconstruct a new
-/// system from it, and finish the run there. The wall time includes
-/// both the serialize and the deserialize, so the ratio against the
-/// plain skip-on leg is the end-to-end cost of one checkpoint cycle.
-fn measure_snap(cell: &Cell, threads: usize, mid: u64) -> Sample {
-    beacon_sim::engine::set_skip(true);
-    beacon_sim::engine::set_dense_fastpath(true);
+/// The checkpoint/restore leg: run to the halfway cycle on the
+/// sequential engine, serialize a full snapshot, reconstruct a new
+/// system from it, and finish the run there under `run`. The wall time
+/// includes both the serialize and the deserialize, so the ratio
+/// against the plain skip-on leg is the end-to-end cost of one
+/// checkpoint cycle.
+fn measure_snap(cell: &Cell, run: RunOptions, mid: u64) -> Sample {
     let w = &cell.workload;
     let mut cfg = BeaconConfig::paper(cell.variant, w.app)
         .with_opts(Optimizations::full(cell.variant, w.app));
@@ -254,7 +248,7 @@ fn measure_snap(cell: &Cell, threads: usize, mid: u64) -> Sample {
     let mut sys = BeaconSystem::new(cfg, layout);
     sys.submit_round_robin(w.traces.iter().cloned());
     let t = Instant::now();
-    let drained = sys.run_to(mid);
+    let drained = sys.run_to(mid, run);
     assert!(
         !drained,
         "{}/{}: workload drained before the halfway checkpoint at cycle {mid}",
@@ -262,11 +256,7 @@ fn measure_snap(cell: &Cell, threads: usize, mid: u64) -> Sample {
     );
     let bytes = sys.snapshot();
     let mut resumed = BeaconSystem::resume(&bytes).expect("own snapshot must resume");
-    let r = if threads <= 1 {
-        resumed.run()
-    } else {
-        resumed.run_parallel(threads)
-    };
+    let r = resumed.run_with(run);
     let wall_s = t.elapsed().as_secs_f64();
     Sample {
         wall_s,
@@ -281,10 +271,7 @@ fn measure_snap(cell: &Cell, threads: usize, mid: u64) -> Sample {
 /// simulation round configured exactly like the plain skip-on leg —
 /// the per-job digest must match it bit-identically, so the ratio of
 /// wall times is pure service overhead.
-fn measure_service(cell: &Cell, threads: usize) -> Sample {
-    beacon_sim::engine::set_skip(true);
-    beacon_sim::engine::set_dense_fastpath(true);
-    beacon_core::parallel::set_threads(threads);
+fn measure_service(cell: &Cell, run: RunOptions) -> Sample {
     let mut spec = ServiceSpec::demo(42);
     spec.scale = cell.scale;
     spec.variant = cell.variant;
@@ -305,9 +292,8 @@ fn measure_service(cell: &Cell, threads: usize) -> Sample {
         arrival_round: 0,
     }];
     let t = Instant::now();
-    let report = run_service(&spec);
+    let report = run_service_with(&spec, run);
     let wall_s = t.elapsed().as_secs_f64();
-    beacon_core::parallel::set_threads(1);
     assert_eq!(report.jobs.len(), 1);
     assert_eq!(
         report.jobs[0].status,
@@ -352,28 +338,40 @@ fn measure_legs(
             _ => Some(r),
         }
     };
-    let warm_off = measure(cell, false, true, false, threads);
-    let warm_on = measure(cell, true, true, false, threads);
-    let warm_dense_off = measure(cell, true, false, false, threads);
+    let on_run = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
+    let off_run = RunOptions {
+        skip: false,
+        ..on_run
+    };
+    let dense_off_run = RunOptions {
+        dense: false,
+        ..on_run
+    };
+    let warm_off = measure(cell, off_run, false);
+    let warm_on = measure(cell, on_run, false);
+    let warm_dense_off = measure(cell, dense_off_run, false);
     assert_eq!(
         warm_dense_off.digest, warm_on.digest,
         "{}/{}: the dense fast path changed the run digest",
         cell.kernel, cell.genome
     );
-    let warm_attr = measure(cell, true, true, true, threads);
+    let warm_attr = measure(cell, on_run, true);
     assert_eq!(
         warm_attr.digest, warm_on.digest,
         "{}/{}: attribution changed the run digest",
         cell.kernel, cell.genome
     );
     let mid = warm_on.cycles / 2;
-    let warm_snap = measure_snap(cell, threads, mid);
+    let warm_snap = measure_snap(cell, on_run, mid);
     assert_eq!(
         warm_snap.digest, warm_on.digest,
         "{}/{}: checkpoint/restore changed the run digest",
         cell.kernel, cell.genome
     );
-    let warm_svc = measure_service(cell, threads);
+    let warm_svc = measure_service(cell, on_run);
     assert_eq!(
         warm_svc.digest, warm_on.digest,
         "{}/{}: the service frontend changed the run digest",
@@ -382,37 +380,18 @@ fn measure_legs(
     let (mut off, mut on, mut dense_off, mut attr, mut snap, mut svc) =
         (None, None, None, None, None, None);
     for _ in 0..rounds {
-        off = keep_best(
-            measure(cell, false, true, false, threads),
-            &warm_off,
-            "skip off",
-            off,
-        );
-        on = keep_best(
-            measure(cell, true, true, false, threads),
-            &warm_on,
-            "skip on",
-            on,
-        );
+        off = keep_best(measure(cell, off_run, false), &warm_off, "skip off", off);
+        on = keep_best(measure(cell, on_run, false), &warm_on, "skip on", on);
         dense_off = keep_best(
-            measure(cell, true, false, false, threads),
+            measure(cell, dense_off_run, false),
             &warm_dense_off,
             "dense off",
             dense_off,
         );
-        attr = keep_best(
-            measure(cell, true, true, true, threads),
-            &warm_attr,
-            "attr",
-            attr,
-        );
-        snap = keep_best(
-            measure_snap(cell, threads, mid),
-            &warm_snap,
-            "snapshot",
-            snap,
-        );
-        svc = keep_best(measure_service(cell, threads), &warm_svc, "service", svc);
+        attr = keep_best(measure(cell, on_run, true), &warm_attr, "attr", attr);
+        let s = measure_snap(cell, on_run, mid);
+        snap = keep_best(s, &warm_snap, "snapshot", snap);
+        svc = keep_best(measure_service(cell, on_run), &warm_svc, "service", svc);
     }
     (
         off.expect("at least one timed run"),

@@ -15,6 +15,7 @@ use beacon_genomics::prealign::PreAlignFilter;
 use beacon_genomics::prelude::FmIndex;
 use beacon_genomics::reads::ReadSampler;
 use beacon_genomics::trace::{Access, AppKind, Region, Step, TaskTrace};
+use beacon_sim::engine::RunOptions;
 use beacon_sim::rng::SimRng;
 
 use crate::config::{BeaconConfig, BeaconVariant, Optimizations};
@@ -185,13 +186,14 @@ pub fn prealign_workload(genome_id: GenomeId, scale: &WorkloadScale) -> AppWorkl
     }
 }
 
-/// Runs BEACON at an optimisation point. Small-PE variant used by tests;
-/// experiments scale PEs via `pes_per_module`.
+/// Runs BEACON at an optimisation point under `run`. Small-PE variant
+/// used by tests; experiments scale PEs via `pes_per_module`.
 pub fn run_beacon(
     variant: BeaconVariant,
     opts: Optimizations,
     workload: &AppWorkload,
     pes_per_module: usize,
+    run: RunOptions,
 ) -> RunResult {
     let mut cfg = BeaconConfig::paper(variant, workload.app).with_opts(opts);
     cfg.pes_per_module = pes_per_module;
@@ -208,7 +210,7 @@ pub fn run_beacon(
         let r1 = {
             let mut s1 = BeaconSystem::new(cfg, build_layout(&cfg, &workload.layout));
             s1.submit_round_robin(workload.traces.iter().cloned());
-            s1.run()
+            s1.run_with(run)
         };
         let merge = {
             let mut sm = BeaconSystem::new(cfg, build_layout(&cfg, &workload.layout));
@@ -219,14 +221,14 @@ pub fn run_beacon(
                 .map(|s| s.bytes)
                 .unwrap_or(0);
             sm.submit_round_robin(bulk_read_traces(Region::Bloom, cbf_bytes, 4096));
-            sm.run()
+            sm.run_with(run)
         };
         sys.submit_round_robin(workload.traces.iter().cloned());
-        let r3 = sys.run();
+        let r3 = sys.run_with(run);
         return combine(vec![r1, merge, r3], workload.traces.len());
     }
     sys.submit_round_robin(workload.traces.iter().cloned());
-    sys.run()
+    sys.run_with(run)
 }
 
 /// Bulk sequential read traces covering `bytes` of `region` (used for the
@@ -248,7 +250,9 @@ pub fn bulk_read_traces(region: Region, bytes: u64, chunk: u64) -> Vec<TaskTrace
         .collect()
 }
 
-/// Runs the MEDAL baseline on a seeding/pre-alignment workload.
+/// Runs the MEDAL baseline on a seeding/pre-alignment workload. Host-
+/// centric baselines do not take [`RunOptions`]: their engines always
+/// run with the defaults (results are identical under any options).
 pub fn run_medal(workload: &AppWorkload, ideal: bool, pes_per_dimm: usize) -> RunResult {
     let mut cfg = MedalConfig::paper(workload.app.pe_latency_cycles());
     cfg.pes_per_dimm = pes_per_dimm;
@@ -326,12 +330,8 @@ mod tests {
         let s = WorkloadScale::test();
         let w = fm_workload(GenomeId::Pt, &s);
         let m = run_medal(&w, false, 8);
-        let d = run_beacon(
-            BeaconVariant::D,
-            Optimizations::full(BeaconVariant::D, w.app),
-            &w,
-            8,
-        );
+        let opts = Optimizations::full(BeaconVariant::D, w.app);
+        let d = run_beacon(BeaconVariant::D, opts, &w, 8, RunOptions::default());
         assert_eq!(m.tasks, w.traces.len());
         assert_eq!(d.tasks, w.traces.len());
     }

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use beacon_accel::result::DegradedRun;
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 
 use crate::config::{BeaconConfig, BeaconVariant, FaultsConfig, Optimizations};
 use crate::mmf::build_layout;
@@ -64,16 +65,8 @@ fn build(w: &AppWorkload, pes: usize, faults: FaultsConfig) -> BeaconSystem {
 }
 
 /// Runs the sweep and the DIMM-loss experiment.
-pub fn run(scale: &WorkloadScale, pes: usize, seed: u64) -> FaultSweep {
-    let threads = crate::parallel::threads();
-    let run_one = |w: &AppWorkload, faults: FaultsConfig| {
-        let mut sys = build(w, pes, faults);
-        if threads > 1 {
-            sys.run_parallel(threads)
-        } else {
-            sys.run()
-        }
-    };
+pub fn run(scale: &WorkloadScale, pes: usize, seed: u64, run: RunOptions) -> FaultSweep {
+    let run_one = |w: &AppWorkload, faults: FaultsConfig| build(w, pes, faults).run_with(run);
 
     // Error-rate sweep: 0 (armed but quiet) up through rates far past
     // anything a healthy CXL link would show, to make the retry cost
@@ -175,7 +168,7 @@ mod tests {
     #[test]
     fn sweep_runs_and_degrades_monotonically_enough() {
         let scale = WorkloadScale::test();
-        let f = run(&scale, 8, 42);
+        let f = run(&scale, 8, 42, RunOptions::default());
         assert_eq!(f.sweep.len(), 4);
         assert_eq!(f.sweep[0].slowdown, 1.0, "rate 0 is the baseline");
         assert!(f.sweep[0].degraded.is_clean());

@@ -2,6 +2,7 @@
 //! energy for BEACON-D (a, b) and BEACON-S (c, d) over the five genomes.
 
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 
 use crate::config::BeaconVariant;
 use crate::energy::{EnergyModel, PeHardware};
@@ -57,7 +58,12 @@ impl Fig12 {
 }
 
 /// Runs the figure over `genomes` (paper: all five).
-pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> Fig12 {
+pub fn run_genomes(
+    scale: &WorkloadScale,
+    pes: usize,
+    genomes: &[GenomeId],
+    run: RunOptions,
+) -> Fig12 {
     let medal_energy_model = EnergyModel::ddr_baseline(PeHardware::MEDAL, 4 * pes);
     let mut d = Vec::new();
     let mut s = Vec::new();
@@ -66,31 +72,16 @@ pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> F
         let cpu = run_cpu(&w);
         let medal = run_medal(&w, false, pes);
         let medal_energy = medal_energy_model.breakdown(&medal);
-        d.push(run_ladder(
-            BeaconVariant::D,
-            g.label(),
-            &w,
-            &cpu,
-            &medal,
-            &medal_energy,
-            pes,
-        ));
-        s.push(run_ladder(
-            BeaconVariant::S,
-            g.label(),
-            &w,
-            &cpu,
-            &medal,
-            &medal_energy,
-            pes,
-        ));
+        let ladder = |v| run_ladder(v, g.label(), &w, &cpu, (&medal, &medal_energy), pes, run);
+        d.push(ladder(BeaconVariant::D));
+        s.push(ladder(BeaconVariant::S));
     }
     Fig12 { d, s }
 }
 
 /// Runs the full five-genome figure.
-pub fn run(scale: &WorkloadScale, pes: usize) -> Fig12 {
-    run_genomes(scale, pes, &GenomeId::FIVE)
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig12 {
+    run_genomes(scale, pes, &GenomeId::FIVE, run)
 }
 
 #[cfg(test)]
@@ -100,7 +91,7 @@ mod tests {
     #[test]
     fn fm_ladder_shapes_hold_on_one_genome() {
         let scale = WorkloadScale::test();
-        let fig = run_genomes(&scale, 8, &[GenomeId::Pt]);
+        let fig = run_genomes(&scale, 8, &[GenomeId::Pt], RunOptions::default());
         let d = &fig.d[0];
         let s = &fig.s[0];
 

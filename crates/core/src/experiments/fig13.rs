@@ -4,6 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 use beacon_sim::stats::Histogram;
 
 use crate::config::{BeaconConfig, BeaconVariant, Optimizations};
@@ -68,7 +69,7 @@ impl Fig13 {
 /// prefixes); its relative magnitude shrinks as the scaled index grows,
 /// so the experiment pins the genome to the size whose skew matches the
 /// full-size system (≈2-4x over the mean, as in the paper's figure).
-pub fn run(scale: &WorkloadScale, pes: usize) -> Fig13 {
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig13 {
     let mut scale = *scale;
     scale.pt_genome_len = scale.pt_genome_len.min(60_000);
     let w = fm_workload(GenomeId::Pt, &scale);
@@ -87,7 +88,7 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig13 {
         let layout = build_layout(&cfg, &w.layout);
         let mut sys = BeaconSystem::new(cfg, layout);
         sys.submit_round_robin(w.traces.iter().cloned());
-        let _ = sys.run();
+        let _ = sys.run_with(run);
         histograms.push(sys.cxlg_chip_histogram().expect("CXLG DIMMs exist"));
     }
     let with_coalescing = histograms.pop().expect("two runs");
@@ -105,7 +106,7 @@ mod tests {
     #[test]
     fn coalescing_balances_chip_load() {
         let scale = WorkloadScale::test();
-        let fig = run(&scale, 8);
+        let fig = run(&scale, 8, RunOptions::default());
         assert!(fig.without.total() > 0);
         assert!(fig.with_coalescing.total() > 0);
         // The paper's claim: coalescing evens out per-chip access.

@@ -2,6 +2,7 @@
 //! energy for BEACON-D (a, b) and BEACON-S (c, d) over the five genomes.
 
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 
 use crate::config::BeaconVariant;
 use crate::energy::{EnergyModel, PeHardware};
@@ -43,7 +44,12 @@ impl Fig14 {
 }
 
 /// Runs the figure over `genomes`.
-pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> Fig14 {
+pub fn run_genomes(
+    scale: &WorkloadScale,
+    pes: usize,
+    genomes: &[GenomeId],
+    run: RunOptions,
+) -> Fig14 {
     let medal_energy_model = EnergyModel::ddr_baseline(PeHardware::MEDAL, 4 * pes);
     let mut d = Vec::new();
     let mut s = Vec::new();
@@ -52,31 +58,16 @@ pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> F
         let cpu = run_cpu(&w);
         let medal = run_medal(&w, false, pes);
         let medal_energy = medal_energy_model.breakdown(&medal);
-        d.push(run_ladder(
-            BeaconVariant::D,
-            g.label(),
-            &w,
-            &cpu,
-            &medal,
-            &medal_energy,
-            pes,
-        ));
-        s.push(run_ladder(
-            BeaconVariant::S,
-            g.label(),
-            &w,
-            &cpu,
-            &medal,
-            &medal_energy,
-            pes,
-        ));
+        let ladder = |v| run_ladder(v, g.label(), &w, &cpu, (&medal, &medal_energy), pes, run);
+        d.push(ladder(BeaconVariant::D));
+        s.push(ladder(BeaconVariant::S));
     }
     Fig14 { d, s }
 }
 
 /// Runs the full five-genome figure.
-pub fn run(scale: &WorkloadScale, pes: usize) -> Fig14 {
-    run_genomes(scale, pes, &GenomeId::FIVE)
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig14 {
+    run_genomes(scale, pes, &GenomeId::FIVE, run)
 }
 
 #[cfg(test)]
@@ -86,7 +77,7 @@ mod tests {
     #[test]
     fn hash_ladder_shapes_hold() {
         let scale = WorkloadScale::test();
-        let fig = run_genomes(&scale, 8, &[GenomeId::Pg]);
+        let fig = run_genomes(&scale, 8, &[GenomeId::Pg], RunOptions::default());
         let d = &fig.d[0];
         let s = &fig.s[0];
         assert_eq!(d.points.len(), 4, "no coalescing step for hash seeding");

@@ -1,6 +1,8 @@
 //! Fig. 15: k-mer counting — step-by-step performance and energy for
 //! BEACON-D (a, b) and BEACON-S (c, d) against NEST.
 
+use beacon_sim::engine::RunOptions;
+
 use crate::config::BeaconVariant;
 use crate::energy::{EnergyModel, PeHardware};
 use crate::report::fmt_ratio;
@@ -35,31 +37,17 @@ impl Fig15 {
 }
 
 /// Runs the figure.
-pub fn run(scale: &WorkloadScale, pes: usize) -> Fig15 {
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig15 {
     let w = kmer_workload(scale);
     let cpu = run_cpu(&w);
     let nest = run_nest(&w, scale.cbf_bytes, false, pes);
     let nest_energy = EnergyModel::ddr_baseline(PeHardware::NEST, 4 * pes).breakdown(&nest);
 
-    let d = run_ladder(
-        BeaconVariant::D,
-        "human 50x",
-        &w,
-        &cpu,
-        &nest,
-        &nest_energy,
-        pes,
-    );
-    let s = run_ladder(
-        BeaconVariant::S,
-        "human 50x",
-        &w,
-        &cpu,
-        &nest,
-        &nest_energy,
-        pes,
-    );
-    Fig15 { d, s }
+    let ladder = |v| run_ladder(v, "human 50x", &w, &cpu, (&nest, &nest_energy), pes, run);
+    Fig15 {
+        d: ladder(BeaconVariant::D),
+        s: ladder(BeaconVariant::S),
+    }
 }
 
 #[cfg(test)]
@@ -69,7 +57,7 @@ mod tests {
     #[test]
     fn kmer_ladder_shapes_hold() {
         let scale = WorkloadScale::test();
-        let fig = run(&scale, 8);
+        let fig = run(&scale, 8, RunOptions::default());
 
         // The S ladder ends with single-pass k-mer counting.
         assert_eq!(fig.s.points.last().unwrap().label, "+single-pass k-mer");

@@ -5,6 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 
 use crate::config::{BeaconVariant, Optimizations};
 use crate::energy::EnergyModel;
@@ -55,7 +56,12 @@ impl Fig16 {
 }
 
 /// Runs the figure over `genomes`.
-pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> Fig16 {
+pub fn run_genomes(
+    scale: &WorkloadScale,
+    pes: usize,
+    genomes: &[GenomeId],
+    run: RunOptions,
+) -> Fig16 {
     let model = EnergyModel::beacon(512.min(4 * pes));
     let mut bars = Vec::new();
     for &g in genomes {
@@ -63,18 +69,9 @@ pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> F
         let cpu = run_cpu(&w);
         let cpu_pj = cpu.energy_joules * 1e12;
 
-        let d = run_beacon(
-            BeaconVariant::D,
-            Optimizations::full(BeaconVariant::D, w.app),
-            &w,
-            pes,
-        );
-        let s = run_beacon(
-            BeaconVariant::S,
-            Optimizations::full(BeaconVariant::S, w.app),
-            &w,
-            pes,
-        );
+        let full = |v| run_beacon(v, Optimizations::full(v, w.app), &w, pes, run);
+        let d = full(BeaconVariant::D);
+        let s = full(BeaconVariant::S);
         let de = model.breakdown(&d);
         let se = model.breakdown(&s);
         bars.push(Fig16Bar {
@@ -89,8 +86,8 @@ pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> F
 }
 
 /// Runs the full five-genome figure.
-pub fn run(scale: &WorkloadScale, pes: usize) -> Fig16 {
-    run_genomes(scale, pes, &GenomeId::FIVE)
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig16 {
+    run_genomes(scale, pes, &GenomeId::FIVE, run)
 }
 
 #[cfg(test)]
@@ -100,7 +97,7 @@ mod tests {
     #[test]
     fn prealign_beats_cpu_on_both_designs() {
         let scale = WorkloadScale::test();
-        let fig = run_genomes(&scale, 8, &[GenomeId::Nf]);
+        let fig = run_genomes(&scale, 8, &[GenomeId::Nf], RunOptions::default());
         let b = &fig.bars[0];
         assert!(b.d_speedup > 1.5, "D speedup {:.1}", b.d_speedup);
         assert!(b.s_speedup > 1.5, "S speedup {:.1}", b.s_speedup);

@@ -4,6 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 
 use crate::config::BeaconVariant;
 use crate::report::{fmt_pct, Table};
@@ -106,7 +107,7 @@ fn average_steps(ladders: &[LadderResult], variant: BeaconVariant) -> Fig17Half 
 
 /// Runs the figure: ladders for the three ladder apps (FM seeding, hash
 /// seeding on Pt, k-mer counting) and averages their shares per step.
-pub fn run(scale: &WorkloadScale, pes: usize) -> Fig17 {
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig17 {
     let medal_model = EnergyModel::ddr_baseline(PeHardware::MEDAL, 4 * pes);
     let nest_model = EnergyModel::ddr_baseline(PeHardware::NEST, 4 * pes);
 
@@ -123,19 +124,27 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig17 {
         let cpu = run_cpu(&w);
         let medal = run_medal(&w, false, pes);
         let me = medal_model.breakdown(&medal);
-        out.push(run_ladder(variant, "Pt", &w, &cpu, &medal, &me, pes));
+        out.push(run_ladder(variant, "Pt", &w, &cpu, (&medal, &me), pes, run));
         // Hash seeding.
         let w = hash_workload(GenomeId::Pt, scale);
         let cpu = run_cpu(&w);
         let medal = run_medal(&w, false, pes);
         let me = medal_model.breakdown(&medal);
-        out.push(run_ladder(variant, "Pt", &w, &cpu, &medal, &me, pes));
+        out.push(run_ladder(variant, "Pt", &w, &cpu, (&medal, &me), pes, run));
         // k-mer counting.
         let w = kmer_workload(scale);
         let cpu = run_cpu(&w);
         let nest = run_nest(&w, scale.cbf_bytes, false, pes);
         let ne = nest_model.breakdown(&nest);
-        out.push(run_ladder(variant, "human", &w, &cpu, &nest, &ne, pes));
+        out.push(run_ladder(
+            variant,
+            "human",
+            &w,
+            &cpu,
+            (&nest, &ne),
+            pes,
+            run,
+        ));
     }
 
     Fig17 {
@@ -151,7 +160,7 @@ mod tests {
     #[test]
     fn optimisations_shrink_communication_share() {
         let scale = WorkloadScale::test();
-        let fig = run(&scale, 4);
+        let fig = run(&scale, 4, RunOptions::default());
         for half in [&fig.d, &fig.s] {
             assert!(half.steps.len() >= 4);
             let first = &half.steps[0];

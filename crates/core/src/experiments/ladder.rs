@@ -3,6 +3,7 @@
 
 use beacon_accel::cpu_model::CpuRun;
 use beacon_accel::result::RunResult;
+use beacon_sim::engine::RunOptions;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{BeaconVariant, Optimizations};
@@ -79,20 +80,20 @@ pub fn run_ladder(
     dataset: &str,
     workload: &AppWorkload,
     cpu: &CpuRun,
-    baseline: &RunResult,
-    baseline_energy: &EnergyBreakdown,
+    (baseline, baseline_energy): (&RunResult, &EnergyBreakdown),
     pes_per_module: usize,
+    run: RunOptions,
 ) -> LadderResult {
     let total_pes = 512.min(pes_per_module * 4);
     let model = EnergyModel::beacon(total_pes);
 
     let mut points = Vec::new();
     for (label, opts) in Optimizations::ladder(variant, workload.app) {
-        let run = run_beacon(variant, opts, workload, pes_per_module);
-        let energy = model.breakdown(&run);
+        let result = run_beacon(variant, opts, workload, pes_per_module, run);
+        let energy = model.breakdown(&result);
         points.push(make_point(
             label,
-            &run,
+            &result,
             &energy,
             cpu,
             baseline,
@@ -102,7 +103,7 @@ pub fn run_ladder(
 
     // Idealised-communication reference for the "% of ideal" statistic.
     let ideal_opts = Optimizations::full_ideal(variant, workload.app);
-    let ideal = run_beacon(variant, ideal_opts, workload, pes_per_module);
+    let ideal = run_beacon(variant, ideal_opts, workload, pes_per_module, run);
     let ideal_energy = model.breakdown(&ideal);
 
     let full = points.last().expect("ladder non-empty");
@@ -203,7 +204,16 @@ mod tests {
         let cpu = run_cpu(&w);
         let medal = run_medal(&w, false, 8);
         let medal_energy = EnergyModel::ddr_baseline(PeHardware::MEDAL, 32).breakdown(&medal);
-        let l = run_ladder(BeaconVariant::D, "Pt", &w, &cpu, &medal, &medal_energy, 8);
+        let baseline = (&medal, &medal_energy);
+        let l = run_ladder(
+            BeaconVariant::D,
+            "Pt",
+            &w,
+            &cpu,
+            baseline,
+            8,
+            RunOptions::default(),
+        );
         assert_eq!(l.points.len(), 5);
         assert!(l.full().speedup_vs_cpu > 1.0, "NDP must beat the CPU");
         assert!(
@@ -224,7 +234,16 @@ mod tests {
         let cpu = run_cpu(&w);
         let medal = run_medal(&w, false, 8);
         let medal_energy = EnergyModel::ddr_baseline(PeHardware::MEDAL, 32).breakdown(&medal);
-        let l = run_ladder(BeaconVariant::D, "Pt", &w, &cpu, &medal, &medal_energy, 8);
+        let baseline = (&medal, &medal_energy);
+        let l = run_ladder(
+            BeaconVariant::D,
+            "Pt",
+            &w,
+            &cpu,
+            baseline,
+            8,
+            RunOptions::default(),
+        );
         let g = geomean(&[l.clone(), l], |x| x.optimisation_gain());
         assert!(g > 0.0);
     }

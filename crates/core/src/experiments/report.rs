@@ -7,6 +7,7 @@
 //! reported (`figures --report`).
 
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 use beacon_sim::journey::{self, Attribution, JourneyRecorder};
 use beacon_sim::rng::SimRng;
 
@@ -84,18 +85,15 @@ pub fn run_genomes(
     pes: usize,
     sample_every: u64,
     genomes: &[GenomeId],
+    run: RunOptions,
 ) -> AttributionReport {
     let mut rows = Vec::with_capacity(genomes.len());
     for &g in genomes {
         let w = fm_workload(g, scale);
         let salt = SimRng::from_seed(scale.seed).child(0xA77).below(u64::MAX);
         let prev = journey::install(JourneyRecorder::new(sample_every, salt));
-        let r = run_beacon(
-            BeaconVariant::D,
-            Optimizations::full(BeaconVariant::D, w.app),
-            &w,
-            pes,
-        );
+        let opts = Optimizations::full(BeaconVariant::D, w.app);
+        let r = run_beacon(BeaconVariant::D, opts, &w, pes, run);
         journey::uninstall();
         if let Some(prev) = prev {
             journey::install(prev);
@@ -111,8 +109,8 @@ pub fn run_genomes(
 }
 
 /// Runs the full five-genome sweep at the harness sampling period.
-pub fn run(scale: &WorkloadScale, pes: usize) -> AttributionReport {
-    run_genomes(scale, pes, REPORT_SAMPLE_EVERY, &GenomeId::FIVE)
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> AttributionReport {
+    run_genomes(scale, pes, REPORT_SAMPLE_EVERY, &GenomeId::FIVE, run)
 }
 
 #[cfg(test)]
@@ -124,7 +122,7 @@ mod tests {
     #[test]
     fn sweep_produces_populated_reports() {
         let scale = WorkloadScale::test();
-        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt]);
+        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
         assert_eq!(rep.rows.len(), 1);
         let row = &rep.rows[0];
         assert_eq!(row.genome, "Pt");
@@ -146,20 +144,11 @@ mod tests {
     fn attribution_does_not_change_the_digest() {
         let scale = WorkloadScale::test();
         let w = fm_workload(GenomeId::Pt, &scale);
-        let plain = run_beacon(
-            BeaconVariant::D,
-            Optimizations::full(BeaconVariant::D, w.app),
-            &w,
-            4,
-        );
-        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt]);
+        let opts = Optimizations::full(BeaconVariant::D, w.app);
+        let plain = run_beacon(BeaconVariant::D, opts, &w, 4, RunOptions::default());
+        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
         assert!(rep.rows[0].attribution.tracked > 0);
-        let attributed = run_beacon(
-            BeaconVariant::D,
-            Optimizations::full(BeaconVariant::D, w.app),
-            &w,
-            4,
-        );
+        let attributed = run_beacon(BeaconVariant::D, opts, &w, 4, RunOptions::default());
         assert_eq!(plain.digest(), attributed.digest());
         assert_eq!(plain.diff(&attributed), None);
     }
@@ -167,15 +156,15 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_across_runs() {
         let scale = WorkloadScale::test();
-        let a = run_genomes(&scale, 4, 2, &[GenomeId::Pt]);
-        let b = run_genomes(&scale, 4, 2, &[GenomeId::Pt]);
+        let a = run_genomes(&scale, 4, 2, &[GenomeId::Pt], RunOptions::default());
+        let b = run_genomes(&scale, 4, 2, &[GenomeId::Pt], RunOptions::default());
         assert_eq!(a.rows[0].attribution, b.rows[0].attribution);
     }
 
     #[test]
     fn json_report_is_well_formed() {
         let scale = WorkloadScale::test();
-        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt]);
+        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
         validate_json(&rep.render_json()).expect("well-formed report JSON");
         let text = rep.render();
         assert!(text.contains("=== Pt"));
@@ -194,7 +183,7 @@ mod tests {
         .expect("schemas/report.schema.json is checked in");
         let schema = JsonValue::parse(&schema_text).expect("schema parses");
         let scale = WorkloadScale::test();
-        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt]);
+        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
         let doc = JsonValue::parse(&rep.render_json()).expect("report parses");
         check_schema(&doc, &schema).expect("report conforms to the schema");
     }

@@ -49,6 +49,6 @@ pub mod prelude {
     pub use crate::energy::{EnergyBreakdown, EnergyModel};
     pub use crate::mmf::{build_layout, plan_dimm_loss, LayoutSpec, MemoryLayout, RemapPlan};
     pub use crate::obs::ObsConfig;
-    pub use crate::parallel::{set_threads, threads};
     pub use crate::system::BeaconSystem;
+    pub use beacon_sim::engine::RunOptions;
 }

@@ -102,8 +102,7 @@ pub(crate) fn commit(samples: Vec<MetricsSample>) {
 /// [`ObsConfig`] (if any). Samples land in the thread-local series for
 /// [`take`]; progress and stall reports go to stderr.
 pub fn drive<T: Tick + Probe>(engine: &mut Engine, model: &mut T) -> RunOutcome {
-    let installed = STATE.with(|s| s.borrow().as_ref().map(|st| (st.cfg, st.runs)));
-    let Some((cfg, run)) = installed else {
+    let Some((cfg, run)) = snapshot() else {
         // No harness config: plain run, but keep the stall safety net so
         // a wiring bug dies with a diagnosis instead of spinning forever.
         let mut hooks = EngineHooks {
@@ -135,29 +134,24 @@ pub fn drive<T: Tick + Probe>(engine: &mut Engine, model: &mut T) -> RunOutcome 
     }
     if cfg.progress_every > 0 {
         hooks.progress_every = cfg.progress_every;
-        hooks.on_progress = Some(Box::new(move |p: &Progress| {
-            eprintln!(
-                "[beacon run {run}] cycle {} | {} events | {:.1} Mcyc/s effective ({:.1} ticked)",
-                p.now.as_u64(),
-                p.events,
-                p.cycles_per_sec / 1e6,
-                p.ticked_per_sec / 1e6,
-            );
-        }));
+        hooks.on_progress = Some(Box::new(move |p: &Progress| print_progress(run, p)));
     }
 
     let outcome = engine.run_instrumented(model, &mut hooks);
     drop(hooks);
-
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            st.runs += 1;
-            for sample in samples {
-                st.series.push(sample);
-            }
-        }
-    });
+    commit(samples);
     outcome
+}
+
+/// Prints driven run `run`'s progress line to stderr.
+pub(crate) fn print_progress(run: u32, p: &Progress) {
+    eprintln!(
+        "[beacon run {run}] cycle {} | {} events | {:.1} Mcyc/s effective ({:.1} ticked)",
+        p.now.as_u64(),
+        p.events,
+        p.cycles_per_sec / 1e6,
+        p.ticked_per_sec / 1e6,
+    );
 }
 
 pub(crate) fn report_stall(r: &StallReport) {

@@ -19,7 +19,6 @@
 //! holds that contract down to the digest of every counter and the
 //! canonicalised trace stream.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use beacon_sim::journey::{self, Phase};
@@ -28,34 +27,14 @@ use beacon_accel::result::RunResult;
 use beacon_accel::translate::RegionMap;
 use beacon_cxl::bundle::Bundle;
 use beacon_sim::cycle::{Cycle, Duration};
-use beacon_sim::engine::Progress;
+use beacon_sim::engine::{Progress, RunOptions};
+use beacon_sim::horizon::Backoff;
 use beacon_sim::metrics::MetricsSample;
 use beacon_sim::parallel::{EpochHub, EpochShard, ParallelEngine, ParallelHooks};
 
 use crate::config::BeaconConfig;
 use crate::obs;
 use crate::system::{BeaconSystem, GaugeAcc, SwitchNode, SysCtx};
-
-thread_local! {
-    /// Ambient worker-thread count consulted by [`BeaconSystem::run`].
-    static THREADS: Cell<usize> = const { Cell::new(1) };
-}
-
-/// Sets the ambient worker-thread count for subsequent
-/// [`BeaconSystem::run`] calls on this thread. `1` (the default)
-/// selects the sequential reference engine.
-///
-/// # Panics
-/// Panics when `n` is zero.
-pub fn set_threads(n: usize) {
-    assert!(n > 0, "need at least one thread");
-    THREADS.with(|t| t.set(n));
-}
-
-/// The ambient worker-thread count installed by [`set_threads`].
-pub fn threads() -> usize {
-    THREADS.with(|t| t.get())
-}
 
 /// One host-bound bundle drained from a shard's uplink: `(arrival cycle
 /// at the uplink endpoint, source switch index, per-source drain
@@ -91,14 +70,12 @@ pub(crate) struct PoolShard<'a> {
     /// Monotone per-shard drain counter (the FIFO tiebreaker).
     seq: u64,
     index: u32,
-    /// Event-horizon fast-forwarding, captured from the spawning
-    /// thread's ambient [`beacon_sim::engine::skip_enabled`] (worker
-    /// threads have their own thread-locals).
+    /// Event-horizon fast-forwarding, from the run's [`RunOptions`].
     skip: bool,
-    /// Backs horizon probes off in dense phases (see
-    /// [`beacon_sim::engine::ProbeThrottle`]); deferred probes only tick
-    /// provably-dead cycles, so shard state stays bit-identical.
-    throttle: beacon_sim::engine::ProbeThrottle,
+    /// Backs horizon probes off in dense phases (see [`Backoff`]);
+    /// deferred probes only tick provably-dead cycles, so shard state
+    /// stays bit-identical.
+    throttle: Backoff,
     /// Cycles actually ticked (diverges from `pos` under skipping).
     ticked: u64,
 }
@@ -285,8 +262,10 @@ impl<'a> EpochHub<PoolShard<'a>> for HostHub {
 }
 
 impl BeaconSystem {
-    /// Runs until the workload drains on `threads` worker threads and
-    /// returns measurements **bit-identical** to [`BeaconSystem::run`]:
+    /// Runs until the workload drains on `run.threads` worker threads
+    /// and returns measurements **bit-identical** to the sequential
+    /// engine (the [`BeaconSystem::run_with`] route for more than one
+    /// thread):
     /// same `RunResult` digest, same per-component stats, same
     /// canonicalised trace stream, for any thread count.
     ///
@@ -297,16 +276,14 @@ impl BeaconSystem {
     /// sequential observer output.
     ///
     /// # Panics
-    /// Panics when `threads` is zero, when `host_latency` is zero (the
-    /// epoch scheme's lookahead would vanish) or when the model
-    /// deadlocks (cycle limit / stall).
-    pub fn run_parallel(&mut self, threads: usize) -> RunResult {
-        assert!(threads > 0, "need at least one thread");
+    /// Panics when `host_latency` is zero (the epoch scheme's lookahead
+    /// would vanish) or when the model deadlocks (cycle limit / stall).
+    pub(crate) fn run_parallel(&mut self, run: RunOptions) -> RunResult {
         assert!(
             self.cfg.host_latency >= 1,
             "parallel runs need host_latency >= 1 for a non-zero lookahead"
         );
-        self.refresh_journey_gates();
+        self.arm(run);
         let cfg = self.cfg;
         let start = self.clock;
         let maps = std::mem::take(&mut self.maps);
@@ -344,12 +321,12 @@ impl BeaconSystem {
                 outbox: Vec::new(),
                 seq: 0,
                 index: i as u32,
-                skip: beacon_sim::engine::skip_enabled(),
-                throttle: beacon_sim::engine::ProbeThrottle::new(),
+                skip: run.skip,
+                throttle: Backoff::new(),
                 ticked: 0,
             })
             .collect();
-        let engine = ParallelEngine::new(cfg.host_latency, threads).starting_at(start);
+        let engine = ParallelEngine::new(cfg.host_latency, run.threads).starting_at(start);
 
         // Mirror obs::drive at barrier granularity.
         let installed = obs::snapshot();
@@ -360,7 +337,7 @@ impl BeaconSystem {
         };
         match installed {
             None => hooks.stall_window = obs::DEFAULT_STALL_WINDOW,
-            Some((ocfg, run)) => {
+            Some((ocfg, index)) => {
                 hooks.stall_window = ocfg.stall_window;
                 if ocfg.metrics_every > 0 {
                     hooks.sample_every = ocfg.metrics_every;
@@ -379,7 +356,7 @@ impl BeaconSystem {
                                 shards.iter().map(|sh| sh.node.progress_counter()).sum();
                             values.push(("events".to_owned(), events as f64));
                             samples.push(MetricsSample {
-                                run,
+                                run: index,
                                 cycle: now.as_u64(),
                                 values,
                             });
@@ -387,15 +364,8 @@ impl BeaconSystem {
                 }
                 if ocfg.progress_every > 0 {
                     hooks.progress_every = ocfg.progress_every;
-                    hooks.on_progress = Some(Box::new(move |p: &Progress| {
-                        eprintln!(
-                            "[beacon run {run}] cycle {} | {} events | {:.1} Mcyc/s effective ({:.1} ticked)",
-                            p.now.as_u64(),
-                            p.events,
-                            p.cycles_per_sec / 1e6,
-                            p.ticked_per_sec / 1e6,
-                        );
-                    }));
+                    hooks.on_progress =
+                        Some(Box::new(move |p: &Progress| obs::print_progress(index, p)));
                 }
             }
         }
@@ -451,7 +421,10 @@ mod tests {
         let (traces, bytes) = fm_workload(16);
         let reference = build(BeaconVariant::D, &traces, bytes).run();
         for threads in [1, 2, 4] {
-            let got = build(BeaconVariant::D, &traces, bytes).run_parallel(threads);
+            let got = build(BeaconVariant::D, &traces, bytes).run_parallel(RunOptions {
+                threads,
+                ..RunOptions::default()
+            });
             assert_eq!(
                 got.digest(),
                 reference.digest(),
@@ -465,7 +438,10 @@ mod tests {
     fn parallel_matches_on_switch_logic_variant() {
         let (traces, bytes) = fm_workload(12);
         let reference = build(BeaconVariant::S, &traces, bytes).run();
-        let got = build(BeaconVariant::S, &traces, bytes).run_parallel(4);
+        let got = build(BeaconVariant::S, &traces, bytes).run_parallel(RunOptions {
+            threads: 4,
+            ..RunOptions::default()
+        });
         assert_eq!(
             got.digest(),
             reference.digest(),
@@ -475,12 +451,14 @@ mod tests {
     }
 
     #[test]
-    fn ambient_threads_route_run() {
+    fn run_with_routes_on_thread_count() {
         let (traces, bytes) = fm_workload(8);
         let reference = build(BeaconVariant::D, &traces, bytes).run();
-        set_threads(2);
-        let got = build(BeaconVariant::D, &traces, bytes).run();
-        set_threads(1);
+        let two = RunOptions {
+            threads: 2,
+            ..RunOptions::default()
+        };
+        let got = build(BeaconVariant::D, &traces, bytes).run_with(two);
         assert_eq!(got.digest(), reference.digest());
     }
 

@@ -394,6 +394,7 @@ mod tests {
     use beacon_genomics::prelude::FmIndex;
     use beacon_genomics::reads::ReadSampler;
     use beacon_genomics::trace::{AppKind, Region, TaskTrace};
+    use beacon_sim::engine::RunOptions;
 
     fn workload(n: usize) -> (Vec<TaskTrace>, u64) {
         let g = Genome::synthetic(GenomeId::Pt, 3000, 5);
@@ -455,7 +456,8 @@ mod tests {
     fn midrun_snapshot_resumes_bit_identically() {
         let golden = build(BeaconVariant::S).run();
         let mut sys = build(BeaconVariant::S);
-        assert!(!sys.run_to(golden.cycles / 2), "should pause mid-run");
+        let run = RunOptions::default();
+        assert!(!sys.run_to(golden.cycles / 2, run), "should pause mid-run");
         let bytes = sys.snapshot();
         let mut resumed = BeaconSystem::resume(&bytes).unwrap();
         let got = resumed.run();

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 
 use beacon_sim::component::{Probe, Tick};
 use beacon_sim::cycle::{Cycle, Duration};
-use beacon_sim::engine::{dense_fastpath_enabled, Engine, RunOutcome};
+use beacon_sim::engine::{Engine, RunOptions, RunOutcome};
 use beacon_sim::faults::{stream, FaultSchedule};
 use beacon_sim::journey::{self, ComponentUtil, JGate, JStamp, Phase, QueueAcc, QueueStat};
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
@@ -272,6 +272,10 @@ pub(crate) struct SwitchNode {
     /// access this subtree issues, summed into the report at collect.
     /// Plain field, never digested.
     jgate: Option<JGate>,
+    /// Dense fast path on: [`SwitchNode::tick_cycle`] drives only the
+    /// endpoints that can act this cycle. Set from [`RunOptions`] at run
+    /// entry; wall-clock state, never snapshotted.
+    dense: bool,
     /// Scheduled hard failure of one of this switch's DIMMs. A pending
     /// failure is a time-driven fault: `subtree_next_event` surfaces it
     /// so fast-forwarding cannot jump over the death.
@@ -441,6 +445,7 @@ impl BeaconSystem {
                     slot_h: vec![Cycle::ZERO; cfg.slots_per_switch() as usize],
                     slot_h_valid: vec![false; cfg.slots_per_switch() as usize],
                     jgate: journey::gate(),
+                    dense: true,
                     ras_fail: None,
                 }
             })
@@ -595,22 +600,30 @@ impl BeaconSystem {
         }
     }
 
-    /// Runs until the workload drains and returns the measurements.
-    ///
-    /// With an ambient thread count above one (see
-    /// [`crate::parallel::set_threads`]) this routes through the
-    /// bit-identical epoch-parallel engine; the default is the
-    /// sequential reference below.
+    /// Runs until the workload drains and returns the measurements, on
+    /// the production configuration ([`RunOptions::default`]).
     ///
     /// # Panics
-    /// Panics when the model deadlocks (cycle limit).
+    /// Panics when the model deadlocks (cycle limit / stall).
     pub fn run(&mut self) -> RunResult {
-        let threads = crate::parallel::threads();
-        if threads > 1 {
-            return self.run_parallel(threads);
+        self.run_with(RunOptions::default())
+    }
+
+    /// Runs until the workload drains under `run` and returns the
+    /// measurements — bit-identical for every option value. More than
+    /// one thread routes through the epoch-parallel engine; one thread
+    /// is the sequential reference.
+    ///
+    /// # Panics
+    /// Panics when `run.threads` is zero or the model deadlocks (cycle
+    /// limit / stall).
+    pub fn run_with(&mut self, run: RunOptions) -> RunResult {
+        assert!(run.threads > 0, "need at least one thread");
+        if run.threads > 1 {
+            return self.run_parallel(run);
         }
-        self.refresh_journey_gates();
-        let mut engine = Engine::starting_at(self.clock);
+        self.arm(run);
+        let mut engine = Engine::starting_at(self.clock).with_skip(run.skip);
         let outcome = crate::obs::drive(&mut engine, self);
         self.finished_at = outcome.finished_at();
         self.clock = self.finished_at;
@@ -619,14 +632,17 @@ impl BeaconSystem {
 
     /// Runs the sequential engine up to cycle `to` (an epoch boundary
     /// for checkpointing) or until the workload drains, whichever comes
-    /// first. Returns `true` when the run drained. The system's state
-    /// at the pause is bit-identical to an uninterrupted run passing
-    /// through `to`, so [`BeaconSystem::snapshot`] here captures a
-    /// resumable checkpoint; calling [`BeaconSystem::run`] afterwards
+    /// first, honouring `run.skip` and `run.dense` (`run.threads` does
+    /// not apply). Returns `true` when the run drained. The system's
+    /// state at the pause is bit-identical to an uninterrupted run
+    /// passing through `to`, so [`BeaconSystem::snapshot`] here captures
+    /// a resumable checkpoint; calling [`BeaconSystem::run`] afterwards
     /// continues to completion.
-    pub fn run_to(&mut self, to: u64) -> bool {
-        self.refresh_journey_gates();
-        let mut engine = Engine::starting_at(self.clock).with_limit(to);
+    pub fn run_to(&mut self, to: u64, run: RunOptions) -> bool {
+        self.arm(run);
+        let mut engine = Engine::starting_at(self.clock)
+            .with_limit(to)
+            .with_skip(run.skip);
         let outcome = engine.run(self);
         self.clock = engine.now();
         match outcome {
@@ -644,13 +660,15 @@ impl BeaconSystem {
         self.clock
     }
 
-    /// Re-arms the per-switch sampling gates from the installed
-    /// recorder. Runs at run entry: attribution may have been installed
-    /// (or swapped) after this system was built.
-    pub(crate) fn refresh_journey_gates(&mut self) {
+    /// Run entry: re-arms the per-switch sampling gates from the
+    /// installed recorder (attribution may have been installed or
+    /// swapped after this system was built) and sets every gated
+    /// component's dense fast path from `run`.
+    pub(crate) fn arm(&mut self, run: RunOptions) {
         let gate = journey::gate();
         for sw in &mut self.switches {
             sw.jgate = gate;
+            sw.set_dense(run.dense);
         }
     }
 
@@ -904,6 +922,20 @@ impl BeaconSystem {
 }
 
 impl SwitchNode {
+    /// Turns the dense fast path on or off for this subtree: the
+    /// endpoint gates in [`SwitchNode::tick_cycle`], the fabric, and
+    /// every DIMM server with its DIMM.
+    fn set_dense(&mut self, on: bool) {
+        self.dense = on;
+        self.fabric.set_dense(on);
+        for d in &mut self.dimms {
+            match d {
+                DimmSlot::Cxlg(m) => m.server.set_dense(on),
+                DimmSlot::Unmodified(u) => u.server.set_dense(on),
+            }
+        }
+    }
+
     /// Terminal attribution for a tracked request: record the residency
     /// of the final phase, the end-to-end total under `class`, and emit
     /// the closing flow event.
@@ -1758,7 +1790,7 @@ impl SwitchNode {
         // engine-level skip already trusts, plus the port's link-arrival
         // horizon — before it, the endpoint's receive pump is guaranteed
         // empty and every drive step below is a no-op.
-        let dense = dense_fastpath_enabled();
+        let dense = self.dense;
         if !dense || self.logic_horizon() <= now {
             self.drive_logic(ctx, now);
         }
@@ -2398,7 +2430,7 @@ impl Restore for SwitchNode {
         };
         // Per-tick scratch is always empty at a boundary; attribution
         // state (queue integrals, sampling gate) is digest-excluded and
-        // restores empty — `refresh_journey_gates` re-arms the gate at
+        // restores empty — `arm` re-arms the gate at
         // the next run entry.
         self.issued_scratch.clear();
         self.rmw_scratch.clear();

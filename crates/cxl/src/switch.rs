@@ -7,13 +7,13 @@
 //! through the host. The bus controller is the bandwidth arbiter
 //! modelled by `bus_bytes_per_cycle`.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::{Cycle, Duration};
-use beacon_sim::engine::dense_fastpath_enabled;
 use beacon_sim::faults::FaultStream;
-use beacon_sim::horizon::{GateThrottle, HorizonCache};
+use beacon_sim::horizon::{Backoff, HorizonCache};
 use beacon_sim::journey::{self, Phase};
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{StatId, Stats};
@@ -96,8 +96,11 @@ pub struct Switch {
     fwd_id: StatId,
     bus_bytes_id: StatId,
     horizon: HorizonCache,
+    /// Dense fast path on: ticks the horizon proves no-ops return early
+    /// (see [`Switch::set_dense`]).
+    dense: bool,
     /// Backoff for the dense-fast-path tick gate (wall-clock only).
-    gate: GateThrottle,
+    gate: Cell<Backoff>,
     /// Reusable buffer for back-pressured staged entries during a pump.
     pump_scratch: Vec<(Cycle, RouteTarget, Bundle)>,
     /// Trace-track label for switch-bus arbitration events.
@@ -175,11 +178,19 @@ impl Switch {
             fwd_id,
             bus_bytes_id,
             horizon: HorizonCache::new(),
-            gate: GateThrottle::new(),
+            dense: true,
+            gate: Cell::new(Backoff::new()),
             pump_scratch: Vec::new(),
             track: format!("switch{}", cfg.index),
             faults: None,
         }
+    }
+
+    /// Turns the dense fast path on (the default) or off. Off, every
+    /// tick ingests and pumps; results are bit-identical either way, so
+    /// this is wall-clock state that is never snapshotted.
+    pub fn set_dense(&mut self, on: bool) {
+        self.dense = on;
     }
 
     /// Installs a pre-drawn flap stream for `port`: each stamp downs
@@ -632,10 +643,10 @@ impl Tick for Switch {
         // the busy path: when traffic dirties the horizon every cycle a
         // recompute here is an O(staged + ports) sweep that always
         // answers "must tick", so failed probes back off exponentially.
-        if dense_fastpath_enabled()
+        if self.dense
             && self
-                .gate
-                .can_skip(&self.horizon, now, || self.compute_next_event())
+                .horizon
+                .gate(&self.gate, now, || self.compute_next_event())
         {
             return;
         }

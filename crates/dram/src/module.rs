@@ -30,14 +30,14 @@
 //! [`Dimm::reference_choice`] / [`Dimm::reference_next_event`] retain the
 //! original whole-queue scans for differential testing.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::{Cycle, Duration};
-use beacon_sim::engine::dense_fastpath_enabled;
 use beacon_sim::faults::FaultStream;
-use beacon_sim::horizon::{GateThrottle, HorizonCache};
+use beacon_sim::horizon::{Backoff, HorizonCache};
 use beacon_sim::queue::QueueFullError;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{Histogram, StatId, Stats};
@@ -447,8 +447,11 @@ pub struct Dimm {
     data_cycles: u64,
     ticked_cycles: u64,
     horizon: HorizonCache,
+    /// Dense fast path on: ticks the horizon proves no-ops return early
+    /// (see [`Dimm::set_dense`]).
+    dense: bool,
     /// Backoff for the dense-fast-path tick gate (wall-clock only).
-    gate: GateThrottle,
+    gate: Cell<Backoff>,
     /// Reusable buffer for the order-preserving merges on PRE/refresh.
     merge_scratch: VecDeque<u32>,
     /// Tick-local command-mix accumulators, folded into `stats` once per
@@ -523,7 +526,8 @@ impl Dimm {
             data_cycles: 0,
             ticked_cycles: 0,
             horizon: HorizonCache::new(),
-            gate: GateThrottle::new(),
+            dense: true,
+            gate: Cell::new(Backoff::new()),
             merge_scratch: VecDeque::new(),
             acc: CmdStatAcc::default(),
             cmd_ids,
@@ -594,6 +598,13 @@ impl Dimm {
         self.stats
             .add("ras.dimm_aborted", (aborted_tags.len() - before) as u64);
         self.horizon.invalidate();
+    }
+
+    /// Turns the dense fast path on (the default) or off. Off, every
+    /// tick runs the full bank sweep; results are bit-identical either
+    /// way, so this is wall-clock state that is never snapshotted.
+    pub fn set_dense(&mut self, on: bool) {
+        self.dense = on;
     }
 
     /// Sets the track label this DIMM's trace events are emitted under.
@@ -1964,10 +1975,10 @@ impl Tick for Dimm {
         // no-op — no refresh due, no issuable command, nothing retiring.
         // Failed dirty probes back off exponentially so a dense issue
         // stream never pays the O(active banks) recompute every cycle.
-        if dense_fastpath_enabled()
+        if self.dense
             && self
-                .gate
-                .can_skip(&self.horizon, now, || self.compute_next_event())
+                .horizon
+                .gate(&self.gate, now, || self.compute_next_event())
         {
             #[cfg(feature = "tick-audit")]
             {

@@ -18,22 +18,13 @@
 //!   between the batched column sweep and the scalar per-bank state
 //!   machine aborts the test. The streams here are the driver; the
 //!   assertions live next to the state they guard.
-//!
-//! The dense-fast-path switch is process-wide, so the tests that flip
-//! it serialize on a mutex (the rest of the suite never touches it).
-
-use std::sync::Mutex;
 
 use beacon_dram::address::DramCoord;
 use beacon_dram::module::{AccessMode, Dimm, DimmConfig};
 use beacon_dram::request::MemRequest;
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::Cycle;
-use beacon_sim::engine::set_dense_fastpath;
 use proptest::prelude::*;
-
-/// Guards the process-wide dense-fast-path toggle across test threads.
-static DENSE_TOGGLE: Mutex<()> = Mutex::new(());
 
 /// Everything observable about one replay: `(tag, finished_at)` per
 /// retirement in drain order, the post-tick horizon per cycle, and the
@@ -46,9 +37,11 @@ struct Observed {
 
 /// Replays `ops` (one raw 64-bit sample per cycle, same derivation as
 /// `proptest_module.rs`) against a fresh DIMM, then drains the queue
-/// with trailing ticks so every enqueued request retires.
-fn replay(cfg: DimmConfig, ops: &[u64]) -> Observed {
+/// with trailing ticks so every enqueued request retires. `dense` sets
+/// the DIMM's tick gate.
+fn replay(cfg: DimmConfig, ops: &[u64], dense: bool) -> Observed {
     let mut d = Dimm::new(cfg);
+    d.set_dense(dense);
     let groups = d.groups_per_rank() as u64;
     let banks = d.config().geometry.banks as u64;
     let ranks = d.config().geometry.ranks as u64;
@@ -104,12 +97,8 @@ fn replay(cfg: DimmConfig, ops: &[u64]) -> Observed {
 /// Replays the same stream with the dense-fast-path gate on and off and
 /// requires bit-identical observations.
 fn check_gate_equivalence(cfg: DimmConfig, ops: &[u64]) {
-    let _guard = DENSE_TOGGLE.lock().unwrap();
-    set_dense_fastpath(true);
-    let gated = replay(cfg, ops);
-    set_dense_fastpath(false);
-    let ungated = replay(cfg, ops);
-    set_dense_fastpath(true);
+    let gated = replay(cfg, ops, true);
+    let ungated = replay(cfg, ops, false);
     prop_assert_eq!(
         &gated.retired,
         &ungated.retired,

@@ -44,7 +44,7 @@ pub mod spec;
 pub mod prelude {
     pub use crate::admission::{AdmissionController, Decision, Verdict};
     pub use crate::sched::{FairScheduler, ReadyJob};
-    pub use crate::service::run_service;
+    pub use crate::service::{run_service, run_service_with};
     pub use crate::slo::{JobOutcome, JobStatus, RoundRecord, ServiceReport, TenantSlo};
     pub use crate::spec::{JobKind, JobSpec, ServiceSpec, SynthSpec, TenantSpec};
 }

@@ -18,7 +18,7 @@ use beacon_core::allocator::PoolAllocator;
 use beacon_core::experiments::common::AppWorkload;
 use beacon_core::mmf::{build_layout, reservation_plan, LayoutSpec};
 use beacon_core::system::BeaconSystem;
-use beacon_sim::engine::take_stall_events;
+use beacon_sim::engine::RunOptions;
 use beacon_sim::journey::{self, JourneyRecorder};
 use beacon_sim::rng::SimRng;
 
@@ -40,13 +40,20 @@ struct JobState {
     last_queue_reason: Option<&'static str>,
 }
 
-/// Runs the service described by `spec` to completion.
+/// Runs the service described by `spec` to completion on the
+/// production engine configuration ([`RunOptions::default`]).
 ///
 /// # Panics
 /// Panics when the spec's `max_rounds` is exceeded — with rejection of
 /// never-fitting jobs and the scheduler's progress guarantee that only
 /// happens on a service bug, not on backlog.
 pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
+    run_service_with(spec, RunOptions::default())
+}
+
+/// [`run_service`] with every round's system run under `run`. The
+/// report is identical for every option value.
+pub fn run_service_with(spec: &ServiceSpec, run: RunOptions) -> ServiceReport {
     let expanded = spec.expand_jobs();
     assert!(!expanded.is_empty(), "spec produced no jobs");
 
@@ -65,7 +72,6 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut rounds: Vec<RoundRecord> = Vec::new();
     let mut clock = 0u64;
-    let mut stall_total = 0u64;
     let mut salt_rng = SimRng::from_seed(spec.seed).child(0x510);
 
     let mut round = 0u64;
@@ -193,16 +199,13 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
             } else {
                 None
             };
-            take_stall_events();
-            let result = sys.run();
-            let stalls = take_stall_events();
+            let result = sys.run_with(run);
             if spec.sample_every > 0 {
                 journey::uninstall();
                 if let Some(prev) = prev {
                     journey::install(prev);
                 }
             }
-            stall_total += stalls;
             let degraded = result.degraded.as_ref().is_some_and(|d| !d.is_clean());
             let digest = result.digest();
 
@@ -227,7 +230,6 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
                 round,
                 jobs: picked,
                 cycles: result.cycles,
-                stall_events: stalls,
             });
             clock += result.cycles;
         }
@@ -249,7 +251,6 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
         tenants,
         decisions: admission.log.clone(),
         total_cycles: clock,
-        stall_events: stall_total,
     }
 }
 

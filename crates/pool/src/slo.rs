@@ -4,8 +4,8 @@
 //!
 //! [`ServiceReport::digest`] covers exactly the deterministic surface —
 //! admission decisions, schedule composition and per-job run digests —
-//! and excludes diagnostics (stall events, attribution presence) the
-//! same way `RunResult::digest` excludes its observability extras.
+//! and excludes diagnostics (attribution presence) the same way
+//! `RunResult::digest` excludes its observability extras.
 
 use beacon_sim::stats::percentile_of_sorted;
 
@@ -67,9 +67,6 @@ pub struct RoundRecord {
     pub jobs: Vec<u64>,
     /// Cycles the round's system simulated.
     pub cycles: u64,
-    /// Engine stall-detector firings observed during the round
-    /// (diagnostic; excluded from the digest).
-    pub stall_events: u64,
 }
 
 /// The SLO rollup for one tenant.
@@ -110,8 +107,6 @@ pub struct ServiceReport {
     pub decisions: Vec<Decision>,
     /// Total service-clock cycles.
     pub total_cycles: u64,
-    /// Total stall-detector firings (diagnostic).
-    pub stall_events: u64,
 }
 
 impl ServiceReport {
@@ -262,9 +257,6 @@ impl ServiceReport {
                 t.service_cycles,
             );
         }
-        if self.stall_events > 0 {
-            let _ = writeln!(out, "engine stall events: {}", self.stall_events);
-        }
         out
     }
 
@@ -275,8 +267,6 @@ impl ServiceReport {
         out.push_str(&self.seed.to_string());
         out.push_str(",\"total_cycles\":");
         out.push_str(&self.total_cycles.to_string());
-        out.push_str(",\"stall_events\":");
-        out.push_str(&self.stall_events.to_string());
         out.push_str(",\"digest\":\"");
         out.push_str(&format!("{:#018x}", self.digest()));
         out.push_str("\",\"tenants\":[");
@@ -332,11 +322,10 @@ impl ServiceReport {
             }
             let jobs: Vec<String> = r.jobs.iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "{{\"round\":{},\"jobs\":[{}],\"cycles\":{},\"stall_events\":{}}}",
+                "{{\"round\":{},\"jobs\":[{}],\"cycles\":{}}}",
                 r.round,
                 jobs.join(","),
                 r.cycles,
-                r.stall_events,
             ));
         }
         out.push_str("],\"decisions\":[");
@@ -423,12 +412,10 @@ mod tests {
                 round: 0,
                 jobs: vec![0, 1, 2],
                 cycles: 350,
-                stall_events: 0,
             }],
             tenants,
             decisions: Vec::new(),
             total_cycles: 350,
-            stall_events: 0,
         }
     }
 
@@ -450,11 +437,6 @@ mod tests {
         let mut r2 = r.clone();
         r2.jobs[0].digest ^= 1;
         assert_ne!(r.digest(), r2.digest());
-        // Diagnostics are excluded.
-        let mut r3 = r.clone();
-        r3.stall_events = 99;
-        r3.rounds[0].stall_events = 99;
-        assert_eq!(r.digest(), r3.digest());
     }
 
     #[test]

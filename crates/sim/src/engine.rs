@@ -11,73 +11,41 @@
 //! are conservative (never later than the true next state change), the
 //! skipped ticks would have been no-ops, so results — including
 //! [`RunOutcome::finished_at`] and every digest — are bit-identical to
-//! the every-cycle loop. [`set_skip`] disables the optimisation on the
-//! calling thread for A/B comparison.
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+//! the every-cycle loop. [`Engine::with_skip`] disables the optimisation
+//! for A/B comparison.
 
 use crate::component::{Probe, Tick};
 use crate::cycle::{Cycle, Duration};
+use crate::horizon::Backoff;
 
-thread_local! {
-    static SKIP: Cell<bool> = const { Cell::new(true) };
-    static STALL_EVENTS: Cell<u64> = const { Cell::new(0) };
+/// How a run executes. Every field is a wall-clock choice only: all
+/// combinations produce bit-identical simulated results, so the
+/// non-default settings exist for differential testing and for the
+/// baseline legs of performance measurements. Passed by value to each
+/// run entry point; nothing about a run is ambient.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Worker threads: 1 selects the sequential reference engine, more
+    /// the epoch-parallel engine.
+    pub threads: usize,
+    /// Event-horizon fast-forwarding over provably dead cycles.
+    pub skip: bool,
+    /// The per-component dense-kernel fast path: components whose
+    /// memoized horizon proves the current cycle a no-op return from
+    /// `tick` without sweeping their internal queues.
+    pub dense: bool,
 }
 
-/// Records one stall-detector firing on this thread. Called by the
-/// sequential and parallel run loops right before they report
-/// [`RunOutcome::Stalled`]; service-level harnesses (the pool job
-/// service) read the counter to attribute engine stalls to the tenants
-/// whose jobs were on the machine when it wedged.
-pub(crate) fn record_stall_event() {
-    STALL_EVENTS.with(|c| c.set(c.get() + 1));
-}
-
-/// Stall-detector firings recorded on this thread since the last
-/// [`take_stall_events`].
-pub fn stall_events() -> u64 {
-    STALL_EVENTS.with(Cell::get)
-}
-
-/// Returns and resets this thread's stall-event counter.
-pub fn take_stall_events() -> u64 {
-    STALL_EVENTS.with(|c| c.replace(0))
-}
-
-static DENSE_FASTPATH: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables event-horizon fast-forwarding for engines driven
-/// on the calling thread (ambient, mirrors how thread counts are
-/// selected). Defaults to enabled; skipping never changes simulated
-/// results, only wall-clock time, so the escape hatch exists purely for
-/// differential testing and perf measurement.
-pub fn set_skip(enabled: bool) {
-    SKIP.with(|s| s.set(enabled));
-}
-
-/// Whether event-horizon fast-forwarding is enabled on this thread.
-pub fn skip_enabled() -> bool {
-    SKIP.with(|s| s.get())
-}
-
-/// Enables or disables the per-component dense-kernel fast path: components
-/// whose memoized horizon proves the current cycle is a no-op return from
-/// `tick` without sweeping their internal queues. Like [`set_skip`], this
-/// never changes simulated results — only wall-clock time — so the escape
-/// hatch exists purely so `simspeed` can measure the on/off ratio
-/// (`dense_speedup`) in-process and assert digest equality between the legs.
-///
-/// Process-wide (not thread-local) on purpose: component ticks execute on
-/// parallel shard worker threads, which must observe the same setting as the
-/// thread that configured the run.
-pub fn set_dense_fastpath(enabled: bool) {
-    DENSE_FASTPATH.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the per-component dense-kernel fast path is enabled.
-pub fn dense_fastpath_enabled() -> bool {
-    DENSE_FASTPATH.load(Ordering::Relaxed)
+impl Default for RunOptions {
+    /// One thread, fast-forwarding and the dense fast path on: the
+    /// production configuration.
+    fn default() -> Self {
+        RunOptions {
+            threads: 1,
+            skip: true,
+            dense: true,
+        }
+    }
 }
 
 /// Computes the post-tick jump target: the model's horizon clamped to
@@ -92,76 +60,10 @@ fn horizon_jump<T: Tick + ?Sized>(model: &T, ticked: Cycle, stepped: Cycle, cap:
     }
 }
 
-/// Adaptive throttle for horizon probes in the fast-forward loops.
-///
-/// Querying the model's horizon is a full component sweep, and in a
-/// *dense* phase — an event every cycle — the answer is always `now + 1`,
-/// so the sweep buys nothing and per-cycle probing taxes exactly the
-/// kernels with the most work. The throttle backs off exponentially
-/// after failed jumps (probe again after 1 tick, then 2, 4, … up to
-/// [`ProbeThrottle::MAX_BACKOFF`]) and snaps back to probing every tick
-/// the moment a jump succeeds.
-///
-/// Correctness is unaffected: deferring a probe only means ticking
-/// cycles the horizon might have proven dead, and dead-cycle ticks are
-/// no-ops by the horizon contract, so results stay bit-identical. The
-/// cost is bounded — a dense phase amortises the sweep over up to
-/// `MAX_BACKOFF` ticks, and a dead span is entered at most
-/// `MAX_BACKOFF - 1` cheap no-op ticks late.
-///
-/// The same argument makes throttle state **snapshot-exempt**: because
-/// any probe schedule is digest-invariant, checkpoint/restore does not
-/// capture the backoff counters — a resumed run starts from a fresh
-/// throttle ([`ProbeThrottle::new`]), deterministically (see DESIGN.md
-/// §11/§14).
-#[derive(Debug, Clone)]
-pub struct ProbeThrottle {
-    /// Ticks remaining until the next horizon probe.
-    defer: u32,
-    /// Deferral to apply after the next failed probe.
-    backoff: u32,
-}
-
-impl ProbeThrottle {
-    /// Longest stretch of ticks between horizon probes.
-    pub const MAX_BACKOFF: u32 = 64;
-
-    /// A throttle that probes on the first tick.
-    pub fn new() -> Self {
-        Self {
-            defer: 0,
-            backoff: 1,
-        }
-    }
-
-    /// True when this tick should query the horizon; otherwise counts
-    /// the tick against the current deferral.
-    pub fn probe(&mut self) -> bool {
-        if self.defer == 0 {
-            true
-        } else {
-            self.defer -= 1;
-            false
-        }
-    }
-
-    /// Records a probe's outcome: a successful jump re-arms per-tick
-    /// probing, a failed one doubles the deferral (saturating).
-    pub fn observe(&mut self, jumped: bool) {
-        if jumped {
-            self.defer = 0;
-            self.backoff = 1;
-        } else {
-            self.defer = self.backoff;
-            self.backoff = (self.backoff * 2).min(Self::MAX_BACKOFF);
-        }
-    }
-}
-
-impl Default for ProbeThrottle {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The cycle right before `end`: the last one a loop bounded by `end`
+/// must still tick, so jumps never overshoot it.
+fn last_before(end: Cycle) -> Cycle {
+    Cycle::new(end.as_u64().saturating_sub(1))
 }
 
 /// Outcome of running a model to completion.
@@ -308,6 +210,7 @@ pub struct EngineHooks<'a> {
 pub struct Engine {
     now: Cycle,
     limit: Cycle,
+    skip: bool,
 }
 
 impl Default for Engine {
@@ -334,7 +237,16 @@ impl Engine {
         Engine {
             now: at,
             limit: Cycle::new(Self::DEFAULT_LIMIT),
+            skip: true,
         }
+    }
+
+    /// Turns event-horizon fast-forwarding on (the default) or off. The
+    /// reported outcome and all model state are identical either way;
+    /// off exists for differential tests and per-cycle baselines.
+    pub fn with_skip(mut self, skip: bool) -> Self {
+        self.skip = skip;
+        self
     }
 
     /// Replaces the deadlock-guard cycle limit.
@@ -350,33 +262,20 @@ impl Engine {
 
     /// Runs `model` until it reports idle or the limit is reached.
     ///
-    /// When fast-forwarding is enabled (the default, see [`set_skip`])
-    /// the clock jumps over spans the model's [`Tick::next_event`]
-    /// horizon proves dead; the reported `finished_at` and all model
-    /// state stay bit-identical either way. The jump is applied only
-    /// while the model is still busy, so a model that drains on its last
-    /// event tick finishes at exactly the same cycle as the every-cycle
-    /// loop.
+    /// When fast-forwarding is enabled (the default, see
+    /// [`Engine::with_skip`]) the clock jumps over spans the model's
+    /// [`Tick::next_event`] horizon proves dead; the reported
+    /// `finished_at` and all model state stay bit-identical either way.
     pub fn run<T: Tick + ?Sized>(&mut self, model: &mut T) -> RunOutcome {
-        let skip = skip_enabled();
-        let mut throttle = ProbeThrottle::new();
+        let mut throttle = Backoff::new();
+        // The guard cycle right before the limit is ticked like in the
+        // per-cycle loop.
+        let last = last_before(self.limit);
         while !model.is_idle() {
             if self.now >= self.limit {
                 return RunOutcome::LimitReached { limit: self.limit };
             }
-            model.tick(self.now);
-            let stepped = self.now.next();
-            self.now = if skip && !model.is_idle() && throttle.probe() {
-                // `limit - 1` (not `limit`) caps the jump so the guard
-                // cycle right before the limit is ticked like in the
-                // per-cycle loop.
-                let cap = Cycle::new(self.limit.as_u64().saturating_sub(1)).max(stepped);
-                let next = horizon_jump(model, self.now, stepped, cap);
-                throttle.observe(next > stepped);
-                next
-            } else {
-                stepped
-            };
+            self.step(model, &mut throttle, last, true);
         }
         RunOutcome::Drained {
             finished_at: self.now,
@@ -392,24 +291,39 @@ impl Engine {
     /// cycle.
     pub fn run_for<T: Tick + ?Sized>(&mut self, model: &mut T, cycles: u64) {
         let end = (self.now + Duration::new(cycles)).min(self.limit);
-        let skip = skip_enabled();
-        let mut throttle = ProbeThrottle::new();
+        let mut throttle = Backoff::new();
+        // The window's last cycle is always ticked: models that keep an
+        // internal time high-water (timestamping later enqueues) end the
+        // window in exactly the per-cycle-loop state.
+        let last = last_before(end);
         while self.now < end {
-            model.tick(self.now);
-            let stepped = self.now.next();
-            self.now = if skip && throttle.probe() {
-                // Cap jumps at `end - 1` so the window's last cycle is
-                // always ticked: models that keep an internal time
-                // high-water (timestamping later enqueues) end the
-                // window in exactly the per-cycle-loop state.
-                let cap = Cycle::new(end.as_u64().saturating_sub(1)).max(stepped);
-                let next = horizon_jump(model, self.now, stepped, cap);
-                throttle.observe(next > stepped);
-                next
-            } else {
-                stepped
-            };
+            self.step(model, &mut throttle, last, false);
         }
+    }
+
+    /// The loop body every run shares: ticks `model` at the current
+    /// cycle, then advances the clock one cycle — or, when
+    /// fast-forwarding and `throttle` allows a probe, to the model's
+    /// horizon, clamped so that `last` is still ticked. With
+    /// `idle_stops` a model that went idle on this tick is never
+    /// jumped, so it drains at exactly the per-cycle loop's cycle.
+    #[inline]
+    fn step<T: Tick + ?Sized>(
+        &mut self,
+        model: &mut T,
+        throttle: &mut Backoff,
+        last: Cycle,
+        idle_stops: bool,
+    ) {
+        model.tick(self.now);
+        let stepped = self.now.next();
+        self.now = if self.skip && !(idle_stops && model.is_idle()) && throttle.probe() {
+            let next = horizon_jump(model, self.now, stepped, last.max(stepped));
+            throttle.observe(next > stepped);
+            next
+        } else {
+            stepped
+        };
     }
 
     /// Runs `model` until it reports idle, like [`Engine::run`], while
@@ -462,8 +376,7 @@ impl Engine {
         }
         let mut last_progress_count = model.progress_counter();
         let mut last_progress_at = self.now;
-        let skip = skip_enabled();
-        let mut throttle = ProbeThrottle::new();
+        let mut throttle = Backoff::new();
         let mut ticked: u64 = 0;
 
         let outcome = loop {
@@ -476,27 +389,17 @@ impl Engine {
                 break RunOutcome::LimitReached { limit: self.limit };
             }
 
-            model.tick(self.now);
+            // Clamp jumps at every pending hook deadline so samples,
+            // progress reports and stall checks fire at exactly the
+            // cycles they would in an every-cycle run — a fast-forwarded
+            // span can therefore never be misread as a stall, and
+            // metrics series line up sample for sample.
+            let last = last_before(self.limit)
+                .min(next_sample)
+                .min(next_progress)
+                .min(next_stall_check);
+            self.step(model, &mut throttle, last, true);
             ticked += 1;
-            let stepped = self.now.next();
-            self.now = if skip && !model.is_idle() && throttle.probe() {
-                // Clamp the jump at every pending hook deadline so
-                // samples, progress reports and stall checks fire at
-                // exactly the cycles they would in an every-cycle run —
-                // a fast-forwarded span can therefore never be misread
-                // as a stall, and metrics series line up sample for
-                // sample.
-                let cap = Cycle::new(self.limit.as_u64().saturating_sub(1))
-                    .max(stepped)
-                    .min(next_sample)
-                    .min(next_progress)
-                    .min(next_stall_check);
-                let next = horizon_jump(model, self.now, stepped, cap);
-                throttle.observe(next > stepped);
-                next
-            } else {
-                stepped
-            };
 
             if self.now >= next_sample {
                 if let Some(cb) = hooks.on_sample.as_mut() {
@@ -541,7 +444,6 @@ impl Engine {
                         events: count,
                         snapshot: model.state_snapshot(),
                     };
-                    record_stall_event();
                     if let Some(cb) = hooks.on_stall.as_mut() {
                         cb(&report);
                     }
@@ -566,6 +468,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     struct Countdown {
         n: u64,
@@ -754,14 +657,6 @@ mod tests {
         assert_eq!(out.finished_at(), Cycle::new(10));
     }
 
-    /// Restores the ambient skip flag even if a test panics.
-    struct SkipGuard;
-    impl Drop for SkipGuard {
-        fn drop(&mut self) {
-            set_skip(true);
-        }
-    }
-
     /// Fires at fixed cycles, dead in between; counts its ticks so tests
     /// can prove spans were (or were not) skipped.
     struct Sparse {
@@ -806,11 +701,8 @@ mod tests {
 
     #[test]
     fn fast_forward_skips_dead_cycles_bit_identically() {
-        let _guard = SkipGuard;
-        set_skip(false);
         let mut slow = Sparse::at(&[5, 100, 10_000]);
-        let slow_out = Engine::new().run(&mut slow);
-        set_skip(true);
+        let slow_out = Engine::new().with_skip(false).run(&mut slow);
         let mut fast = Sparse::at(&[5, 100, 10_000]);
         let fast_out = Engine::new().run(&mut fast);
 
@@ -891,8 +783,6 @@ mod tests {
     #[test]
     fn instrumented_hooks_fire_at_identical_cycles_under_skip() {
         let run = |skip: bool| {
-            let _guard = SkipGuard;
-            set_skip(skip);
             let mut samples: Vec<u64> = Vec::new();
             let mut progress: Vec<(u64, u64, u64)> = Vec::new();
             let out = {
@@ -908,7 +798,9 @@ mod tests {
                     stall_window: 200,
                     ..EngineHooks::default()
                 };
-                Engine::new().run_instrumented(&mut Sparse::at(&[5, 100, 700]), &mut hooks)
+                Engine::new()
+                    .with_skip(skip)
+                    .run_instrumented(&mut Sparse::at(&[5, 100, 700]), &mut hooks)
             };
             (out, samples, progress)
         };
@@ -924,39 +816,28 @@ mod tests {
         // engine must declare the *same* stall at the *same* cycle — and
         // conversely must never invent one on a span the every-cycle
         // engine survives.
-        let run = |skip: bool| {
-            let _guard = SkipGuard;
-            set_skip(skip);
+        let run = |skip: bool, events: &[u64]| {
             let mut hooks = EngineHooks {
                 stall_window: 200,
                 ..EngineHooks::default()
             };
-            Engine::new().run_instrumented(&mut Sparse::at(&[5, 100, 10_000]), &mut hooks)
+            Engine::new()
+                .with_skip(skip)
+                .run_instrumented(&mut Sparse::at(events), &mut hooks)
         };
-        let slow = run(false);
-        let fast = run(true);
+        let slow = run(false, &[5, 100, 10_000]);
+        let fast = run(true, &[5, 100, 10_000]);
         assert_eq!(slow, fast);
         assert!(matches!(slow, RunOutcome::Stalled { .. }));
 
-        let survive = |skip: bool| {
-            let _guard = SkipGuard;
-            set_skip(skip);
-            let mut hooks = EngineHooks {
-                stall_window: 200,
-                ..EngineHooks::default()
-            };
-            Engine::new().run_instrumented(&mut Sparse::at(&[5, 100, 150]), &mut hooks)
-        };
-        let slow_ok = survive(false);
-        let fast_ok = survive(true);
+        let slow_ok = run(false, &[5, 100, 150]);
+        let fast_ok = run(true, &[5, 100, 150]);
         assert_eq!(slow_ok, fast_ok);
         assert!(slow_ok.drained());
     }
 
     #[test]
     fn progress_reports_raw_and_effective_rates() {
-        let _guard = SkipGuard;
-        set_skip(true);
         let mut reports: Vec<(u64, u64)> = Vec::new();
         {
             let mut hooks = EngineHooks {
@@ -1001,8 +882,6 @@ mod tests {
 
     #[test]
     fn dense_runs_throttle_horizon_probes() {
-        let _guard = SkipGuard;
-        set_skip(true);
         let mut m = Dense {
             n: 10_000,
             done: 0,
@@ -1011,18 +890,18 @@ mod tests {
         let out = Engine::new().run(&mut m);
         assert_eq!(out.finished_at(), Cycle::new(10_000));
         // Every probe fails (the horizon is always `now + 1`), so the
-        // throttle backs off to MAX_BACKOFF and steady state probes only
-        // once per MAX_BACKOFF + 1 ticks.
+        // throttle backs off to `Backoff::MAX` and steady state probes
+        // only once per `Backoff::MAX + 1` ticks.
         let probes = m.probes.get();
         assert!(
-            probes < 10_000 / u64::from(ProbeThrottle::MAX_BACKOFF) * 2,
+            probes < 10_000 / u64::from(Backoff::MAX) * 2,
             "dense run probed the horizon {probes} times over 10_000 ticks"
         );
     }
 
     #[test]
     fn probe_throttle_backs_off_and_rearms() {
-        let mut t = ProbeThrottle::new();
+        let mut t = Backoff::new();
         assert!(t.probe());
         t.observe(false); // defer 1 tick
         assert!(!t.probe());
@@ -1037,25 +916,12 @@ mod tests {
             t.observe(false);
             while !t.probe() {}
         }
-        // Saturated: exactly MAX_BACKOFF deferred ticks per probe.
+        // Saturated: exactly `Backoff::MAX` deferred ticks per probe.
         t.observe(false);
         let mut deferred = 0;
         while !t.probe() {
             deferred += 1;
         }
-        assert_eq!(deferred, ProbeThrottle::MAX_BACKOFF);
-    }
-
-    #[test]
-    fn set_skip_is_thread_local() {
-        let _guard = SkipGuard;
-        assert!(skip_enabled());
-        set_skip(false);
-        assert!(!skip_enabled());
-        std::thread::spawn(|| assert!(skip_enabled()))
-            .join()
-            .unwrap();
-        set_skip(true);
-        assert!(skip_enabled());
+        assert_eq!(deferred, Backoff::MAX);
     }
 }

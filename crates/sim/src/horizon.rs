@@ -77,89 +77,108 @@ impl HorizonCache {
         }
         self.cached.get()
     }
-}
 
-/// Largest cooldown window a [`GateThrottle`] backs off to, in ticks.
-const GATE_BACKOFF_CAP: u8 = 6; // 2^6 - 1 = 63 ticks
-
-/// Adaptive throttle for dense-fast-path tick gates.
-///
-/// A tick gate skips a component's sweep when its memoized horizon
-/// proves the cycle is a no-op. A *clean* [`HorizonCache`] makes the
-/// probe a load-and-compare; a *dirty* one forces the from-scratch
-/// recompute — and in a dense phase, where a mutation dirties the cache
-/// every cycle and the recompute always answers "must tick", per-cycle
-/// probing taxes exactly the busiest components. (The engine-level
-/// probe throttle exists for the same reason; this is the per-component
-/// analogue.) After each failed dirty probe the throttle doubles a
-/// cooldown window during which the gate ticks unconditionally instead
-/// of recomputing; any successful skip resets it. Ticking when a probe
-/// would have skipped is always safe — the tick is a state no-op — so
-/// the throttle trades a bounded number of no-op sweeps on phase
-/// transitions for never paying O(component) recomputes every cycle of
-/// a dense phase. Pure wall-clock state: simulated results are
-/// bit-identical with or without it, and it is never snapshotted.
-#[derive(Debug, Clone)]
-pub struct GateThrottle {
-    /// Consecutive failed (must-tick) dirty probes, capped.
-    fails: Cell<u8>,
-    /// Ticks remaining before the next dirty-cache probe.
-    cooldown: Cell<u16>,
-}
-
-impl Default for GateThrottle {
-    fn default() -> Self {
-        GateThrottle::new()
-    }
-}
-
-impl GateThrottle {
-    /// A throttle with no backoff accumulated: the first dirty probe
-    /// recomputes immediately.
-    pub const fn new() -> Self {
-        GateThrottle {
-            fails: Cell::new(0),
-            cooldown: Cell::new(0),
-        }
-    }
-
-    /// True when the component's tick at `now` is provably a no-op and
-    /// can be skipped. `horizon` is the component's memoized horizon
-    /// cache and `recompute` its from-scratch fallback (only invoked on
-    /// a dirty cache outside the cooldown window).
+    /// The dense-fast-path tick gate: true when the component's tick at
+    /// `now` is provably a no-op and can be skipped. Skipping is
+    /// conservative-exact for the same reason engine-level jumps are,
+    /// and ticking when a skip was possible is always safe, so the
+    /// gate is pure wall-clock state: results are bit-identical with
+    /// or without it, and neither it nor `backoff` is snapshotted.
+    ///
+    /// A clean cache makes the probe a load and compare, taken every
+    /// cycle. A dirty one forces `recompute` — and in a dense phase,
+    /// where a mutation dirties the cache every cycle and the answer is
+    /// always "must tick", per-cycle recomputes tax exactly the busiest
+    /// components. So dirty probes go through `backoff`: each failure
+    /// doubles the ticks until the next one, and any skip re-arms it.
     #[inline]
-    pub fn can_skip(
+    pub fn gate(
         &self,
-        horizon: &HorizonCache,
+        backoff: &Cell<Backoff>,
         now: Cycle,
         recompute: impl FnOnce() -> Cycle,
     ) -> bool {
-        if !horizon.is_dirty() {
-            // Clean probes are free: take them every cycle, and let a
-            // successful skip clear any backoff left over from a dense
-            // phase so the next dirty probe is prompt again.
-            if horizon.get_or(|| unreachable!("cache is clean")) > now {
-                self.fails.set(0);
-                return true;
-            }
+        if !self.dirty.get() && self.cached.get() <= now {
+            // A clean "must tick" is free and leaves the backoff alone.
             return false;
         }
-        let cd = self.cooldown.get();
-        if cd > 0 {
-            // Inside the backoff window: tick unconditionally rather
-            // than recompute (the tick is safe either way).
-            self.cooldown.set(cd - 1);
+        let mut b = backoff.get();
+        if self.dirty.get() && !b.probe() {
+            // Inside the backoff window: tick rather than recompute.
+            backoff.set(b);
             return false;
         }
-        if horizon.get_or(recompute) > now {
-            self.fails.set(0);
+        let skip = self.get_or(recompute) > now;
+        b.observe(skip);
+        backoff.set(b);
+        skip
+    }
+}
+
+/// Exponential backoff for horizon probes that keep failing.
+///
+/// A horizon probe — the engine's jump query, or a component's tick
+/// gate — pays for itself only when it finds dead cycles. In a *dense*
+/// phase, with an event every cycle, it never does, so probing every
+/// cycle taxes exactly the busiest work. After each failed probe the
+/// next one is deferred by 1 cycle, then 2, 4, … up to [`Backoff::MAX`];
+/// the first success re-arms per-cycle probing.
+///
+/// Correctness is unaffected: a deferred probe only means ticking
+/// cycles a probe might have proven dead, and those ticks are no-ops by
+/// the horizon contract. The cost is bounded — a dense phase amortises
+/// the probe over up to `MAX` ticks, and a dead span is entered at most
+/// `MAX - 1` no-op ticks late. The same argument makes backoff state
+/// **snapshot-exempt**: a resumed run starts from [`Backoff::new`],
+/// deterministically.
+#[derive(Debug, Clone, Copy)]
+pub struct Backoff {
+    /// Ticks remaining until the next probe.
+    defer: u32,
+    /// Deferral to apply after the next failed probe.
+    backoff: u32,
+}
+
+impl Backoff {
+    /// Longest stretch of ticks between probes.
+    pub const MAX: u32 = 64;
+
+    /// A backoff that probes on the first tick.
+    pub const fn new() -> Self {
+        Backoff {
+            defer: 0,
+            backoff: 1,
+        }
+    }
+
+    /// True when this tick should probe; otherwise counts the tick
+    /// against the current deferral.
+    #[inline]
+    pub fn probe(&mut self) -> bool {
+        if self.defer == 0 {
             true
         } else {
-            let f = self.fails.get().min(GATE_BACKOFF_CAP - 1) + 1;
-            self.fails.set(f);
-            self.cooldown.set((1u16 << f) - 1);
+            self.defer -= 1;
             false
         }
+    }
+
+    /// Records a probe's outcome: a success re-arms per-tick probing, a
+    /// failure doubles the deferral (saturating at [`Backoff::MAX`]).
+    #[inline]
+    pub fn observe(&mut self, success: bool) {
+        if success {
+            *self = Backoff::new();
+        } else {
+            self.defer = self.backoff;
+            self.backoff = (self.backoff * 2).min(Self::MAX);
+        }
+    }
+}
+
+impl Default for Backoff {
+    fn default() -> Self {
+        Backoff::new()
     }
 }
 

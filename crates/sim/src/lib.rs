@@ -42,9 +42,9 @@ pub mod trace;
 pub mod prelude {
     pub use crate::component::{Probe, Tick};
     pub use crate::cycle::{Cycle, Duration};
-    pub use crate::engine::{Engine, EngineHooks, ProbeThrottle};
+    pub use crate::engine::{Engine, EngineHooks, RunOptions};
     pub use crate::faults::{FaultSchedule, FaultStream};
-    pub use crate::horizon::HorizonCache;
+    pub use crate::horizon::{Backoff, HorizonCache};
     pub use crate::journey::{Attribution, JStamp, JourneyRecorder, LatencyHistogram, Phase};
     pub use crate::metrics::{MetricsSample, MetricsSeries};
     pub use crate::parallel::{EpochHub, EpochShard, ParallelEngine};

@@ -345,7 +345,6 @@ impl ParallelEngine {
                         events: count,
                         snapshot,
                     };
-                    crate::engine::record_stall_event();
                     if let Some(cb) = hooks.on_stall.as_mut() {
                         cb(&report);
                     }

@@ -31,12 +31,17 @@
 //! and deterministically reset on restore. The same rule covers the
 //! two caching structures on the hot path: a [`HorizonCache`] restores
 //! to *dirty* (forcing one recompute — bit-identical by its own
-//! contract) and a [`ProbeThrottle`] restores to its initial backoff
+//! contract) and a [`Backoff`] — the engine's probe throttle and every
+//! component's tick-gate backoff alike — restores to [`Backoff::new`]
 //! (deterministic because every resumed run resets it the same way).
+//! Nor are the [`RunOptions`] a run executes under: a component's
+//! dense-fast-path flag is set at run entry, never restored.
 //!
 //! [`RunResult` digest]: https://docs.rs/beacon-accel
 //! [`HorizonCache`]: crate::horizon::HorizonCache
-//! [`ProbeThrottle`]: crate::engine::ProbeThrottle
+//! [`Backoff`]: crate::horizon::Backoff
+//! [`Backoff::new`]: crate::horizon::Backoff::new
+//! [`RunOptions`]: crate::engine::RunOptions
 
 use std::fmt;
 

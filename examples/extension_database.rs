@@ -17,6 +17,7 @@ use beacon_core::config::{BeaconVariant, Optimizations};
 use beacon_core::experiments::common::{run_beacon, run_cpu, AppWorkload};
 use beacon_core::mmf::LayoutSpec;
 use beacon_genomics::trace::{Access, AppKind, Region, Step, TaskTrace};
+use beacon_sim::engine::RunOptions;
 use beacon_sim::rng::SimRng;
 
 /// One probe batch: walk `probes` hash buckets, each with a header read
@@ -71,18 +72,17 @@ fn main() {
 
     let pes = 64;
     let cpu = run_cpu(&workload);
-    let d = run_beacon(
-        BeaconVariant::D,
-        Optimizations::full(BeaconVariant::D, workload.app),
-        &workload,
-        pes,
-    );
-    let s = run_beacon(
-        BeaconVariant::S,
-        Optimizations::full(BeaconVariant::S, workload.app),
-        &workload,
-        pes,
-    );
+    let full = |v| {
+        run_beacon(
+            v,
+            Optimizations::full(v, workload.app),
+            &workload,
+            pes,
+            RunOptions::default(),
+        )
+    };
+    let d = full(BeaconVariant::D);
+    let s = full(BeaconVariant::S);
 
     println!("database hash-join probe on BEACON (paper §V extension):");
     println!(

@@ -12,6 +12,7 @@ use beacon_core::experiments::common::{
 };
 use beacon_genomics::kmer::{canonical_kmers, KmerCounter};
 use beacon_genomics::prelude::*;
+use beacon_sim::engine::RunOptions;
 
 fn main() {
     // ---- functional layer: count k-mers and validate the filter -------
@@ -58,21 +59,18 @@ fn main() {
     let w = kmer_workload(&scale);
     let cpu = run_cpu(&w);
     let nest = run_nest(&w, scale.cbf_bytes, false, pes);
-    let d = run_beacon(
+    let beacon = |v, opts| run_beacon(v, opts, &w, pes, RunOptions::default());
+    let d = beacon(
         BeaconVariant::D,
         Optimizations::full(BeaconVariant::D, w.app),
-        &w,
-        pes,
     );
-    let s_single = run_beacon(
+    let s_single = beacon(
         BeaconVariant::S,
         Optimizations::full(BeaconVariant::S, w.app),
-        &w,
-        pes,
     );
     let mut multi = Optimizations::full(BeaconVariant::S, w.app);
     multi.single_pass_kmer = false;
-    let s_multi = run_beacon(BeaconVariant::S, multi, &w, pes);
+    let s_multi = beacon(BeaconVariant::S, multi);
 
     println!(
         "\n{} reads of k-mer counting (k=28, CBF {} KiB):",

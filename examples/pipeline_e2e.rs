@@ -18,6 +18,7 @@ use beacon_core::mmf::LayoutSpec;
 use beacon_genomics::io::{read_fasta, reads_to_fastq, write_fasta, write_fastq, FastaRecord};
 use beacon_genomics::prelude::*;
 use beacon_genomics::trace::Region;
+use beacon_sim::engine::RunOptions;
 
 fn main() {
     // ---- reference: from file or generated --------------------------------
@@ -105,6 +106,7 @@ fn main() {
         Optimizations::full(BeaconVariant::D, AppKind::FmSeeding),
         &workload,
         64,
+        RunOptions::default(),
     );
     println!("  BEACON-D seeding: {} cycles", run.cycles);
 

@@ -10,6 +10,7 @@ use beacon_core::config::{BeaconVariant, Optimizations};
 use beacon_core::experiments::common::{prealign_workload, run_beacon, run_cpu, WorkloadScale};
 use beacon_genomics::prealign::PreAlignFilter;
 use beacon_genomics::prelude::*;
+use beacon_sim::engine::RunOptions;
 use beacon_sim::rng::SimRng;
 
 fn main() {
@@ -53,18 +54,17 @@ fn main() {
     let pes = 64;
     let w = prealign_workload(GenomeId::Nf, &scale);
     let cpu = run_cpu(&w);
-    let d = run_beacon(
-        BeaconVariant::D,
-        Optimizations::full(BeaconVariant::D, w.app),
-        &w,
-        pes,
-    );
-    let s = run_beacon(
-        BeaconVariant::S,
-        Optimizations::full(BeaconVariant::S, w.app),
-        &w,
-        pes,
-    );
+    let full = |v| {
+        run_beacon(
+            v,
+            Optimizations::full(v, w.app),
+            &w,
+            pes,
+            RunOptions::default(),
+        )
+    };
+    let d = full(BeaconVariant::D);
+    let s = full(BeaconVariant::S);
     println!("\n{} candidates filtered on hardware:", w.traces.len());
     println!("  CPU (Shouji roofline): {:>9} cycles", cpu.dram_cycles);
     println!(

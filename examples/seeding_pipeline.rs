@@ -12,6 +12,7 @@ use beacon_core::experiments::common::{
 };
 use beacon_core::report::{fmt_ratio, Table};
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::engine::RunOptions;
 
 fn run_app(name: &str, scale: &WorkloadScale, pes: usize, build: &dyn Fn(GenomeId) -> AppWorkload) {
     let _ = scale;
@@ -30,18 +31,17 @@ fn run_app(name: &str, scale: &WorkloadScale, pes: usize, build: &dyn Fn(GenomeI
         let w = build(g);
         let cpu = run_cpu(&w);
         let medal = run_medal(&w, false, pes);
-        let d = run_beacon(
-            BeaconVariant::D,
-            Optimizations::full(BeaconVariant::D, w.app),
-            &w,
-            pes,
-        );
-        let s = run_beacon(
-            BeaconVariant::S,
-            Optimizations::full(BeaconVariant::S, w.app),
-            &w,
-            pes,
-        );
+        let full = |v| {
+            run_beacon(
+                v,
+                Optimizations::full(v, w.app),
+                &w,
+                pes,
+                RunOptions::default(),
+            )
+        };
+        let d = full(BeaconVariant::D);
+        let s = full(BeaconVariant::S);
         t.row(&[
             g.label().to_string(),
             format!("{} cyc", cpu.dram_cycles),

@@ -1,5 +1,6 @@
-//! Differential conformance suite: `run_parallel(t)` must be
-//! **bit-identical** to the sequential `run()` for every thread count.
+//! Differential conformance suite: `run_with` must be
+//! **bit-identical** to the sequential `run()` for every thread count
+//! and fast-forwarding mode.
 //!
 //! Each cell of the matrix (switch count × kernel × genome × threads)
 //! runs the same workload through the sequential reference engine and
@@ -12,26 +13,20 @@
 //! `BEACON_THREADS` (a comma-separated list, e.g. `BEACON_THREADS=4`)
 //! restricts the thread axis — CI fans the suite out as a matrix job.
 
+mod common;
+
 use beacon_core::config::{BeaconConfig, BeaconVariant, Optimizations};
 use beacon_core::experiments::common::{
     fm_workload, kmer_workload, prealign_workload, AppWorkload, WorkloadScale,
 };
 use beacon_core::mmf::build_layout;
+use beacon_core::prelude::RunOptions;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::journey::{self, JourneyRecorder};
 use beacon_sim::rng::SimRng;
 use beacon_sim::trace::{self, TraceBuffer, TraceEvent, TraceLevel};
-
-fn thread_matrix() -> Vec<usize> {
-    match std::env::var("BEACON_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("BEACON_THREADS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
+use common::{on_threads, run_matrix, thread_matrix};
 
 fn build_system(
     variant: BeaconVariant,
@@ -56,7 +51,7 @@ fn assert_cell(variant: BeaconVariant, w: &AppWorkload, switches: u32, refresh: 
     let golden = build_system(variant, w, switches, refresh).run();
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     for threads in thread_matrix() {
-        let got = build_system(variant, w, switches, refresh).run_parallel(threads);
+        let got = build_system(variant, w, switches, refresh).run_with(on_threads(threads));
         assert_eq!(
             got.digest(),
             golden.digest(),
@@ -120,11 +115,7 @@ fn parallel_speedup_on_multi_switch_pool() {
     let time_run = |threads: usize| {
         let mut sys = build_system(BeaconVariant::D, &w, 4, true);
         let t = std::time::Instant::now();
-        let r = if threads == 1 {
-            sys.run()
-        } else {
-            sys.run_parallel(threads)
-        };
+        let r = sys.run_with(on_threads(threads));
         (t.elapsed(), r.digest())
     };
     let (seq, d1) = time_run(1);
@@ -139,17 +130,14 @@ fn parallel_speedup_on_multi_switch_pool() {
 }
 
 /// Event-horizon fast-forwarding must be invisible: for every golden
-/// genome, skip-on runs (sequential and every parallel thread count)
-/// produce the same digest as the per-cycle skip-off reference.
+/// genome, every thread count with skipping on or off produces the
+/// same digest as the sequential per-cycle reference.
 #[test]
 fn fast_forwarding_matches_per_cycle_ticking() {
-    struct SkipGuard;
-    impl Drop for SkipGuard {
-        fn drop(&mut self) {
-            beacon_sim::engine::set_skip(true);
-        }
-    }
-    let _guard = SkipGuard;
+    let per_cycle = RunOptions {
+        skip: false,
+        ..RunOptions::default()
+    };
     let scale = WorkloadScale::test();
     for genome in [
         GenomeId::Pt,
@@ -159,23 +147,14 @@ fn fast_forwarding_matches_per_cycle_ticking() {
         GenomeId::Nf,
     ] {
         let w = fm_workload(genome, &scale);
-        beacon_sim::engine::set_skip(false);
-        let golden = build_system(BeaconVariant::D, &w, 2, true).run();
+        let golden = build_system(BeaconVariant::D, &w, 2, true).run_with(per_cycle);
         assert!(golden.tasks > 0, "cell must do work to be meaningful");
-        beacon_sim::engine::set_skip(true);
-        let fast = build_system(BeaconVariant::D, &w, 2, true).run();
-        assert_eq!(
-            fast.digest(),
-            golden.digest(),
-            "{genome:?}: fast-forwarded sequential run diverged from per-cycle run:\n{}",
-            fast.diff(&golden).unwrap_or_default(),
-        );
-        for threads in thread_matrix() {
-            let got = build_system(BeaconVariant::D, &w, 2, true).run_parallel(threads);
+        for run in run_matrix() {
+            let got = build_system(BeaconVariant::D, &w, 2, true).run_with(run);
             assert_eq!(
                 got.digest(),
                 golden.digest(),
-                "{genome:?}: fast-forwarded {threads}-thread run diverged from per-cycle run:\n{}",
+                "{genome:?}: {run:?} diverged from the per-cycle run:\n{}",
                 got.diff(&golden).unwrap_or_default(),
             );
         }
@@ -189,27 +168,23 @@ fn fast_forwarding_matches_per_cycle_ticking() {
 /// reports agree on what they measured.
 #[test]
 fn attribution_leaves_digests_bit_identical() {
-    struct SkipGuard;
-    impl Drop for SkipGuard {
-        fn drop(&mut self) {
-            beacon_sim::engine::set_skip(true);
-        }
-    }
     struct JnyGuard;
     impl Drop for JnyGuard {
         fn drop(&mut self) {
             journey::uninstall();
         }
     }
-    let _skip = SkipGuard;
     let _jny = JnyGuard;
     let scale = WorkloadScale::test();
     let salt = SimRng::from_seed(scale.seed).child(0xA77).below(u64::MAX);
     let w = fm_workload(GenomeId::Pt, &scale);
     for skip in [true, false] {
-        beacon_sim::engine::set_skip(skip);
+        let sequential = RunOptions {
+            skip,
+            ..RunOptions::default()
+        };
         journey::uninstall();
-        let golden = build_system(BeaconVariant::D, &w, 2, true).run();
+        let golden = build_system(BeaconVariant::D, &w, 2, true).run_with(sequential);
         assert!(golden.tasks > 0, "cell must do work to be meaningful");
         assert!(
             golden.attribution.is_none(),
@@ -217,7 +192,7 @@ fn attribution_leaves_digests_bit_identical() {
         );
 
         journey::install(JourneyRecorder::new(1, salt));
-        let seq = build_system(BeaconVariant::D, &w, 2, true).run();
+        let seq = build_system(BeaconVariant::D, &w, 2, true).run_with(sequential);
         assert_eq!(
             seq.digest(),
             golden.digest(),
@@ -232,7 +207,12 @@ fn attribution_leaves_digests_bit_identical() {
 
         for threads in thread_matrix() {
             journey::install(JourneyRecorder::new(1, salt));
-            let got = build_system(BeaconVariant::D, &w, 2, true).run_parallel(threads);
+            let run = RunOptions {
+                skip,
+                threads,
+                ..RunOptions::default()
+            };
+            let got = build_system(BeaconVariant::D, &w, 2, true).run_with(run);
             assert_eq!(
                 got.digest(),
                 golden.digest(),
@@ -263,20 +243,16 @@ fn attribution_leaves_digests_bit_identical() {
 #[test]
 fn trace_streams_identical_with_and_without_fast_forwarding() {
     const CAPACITY: usize = 1 << 20;
-    struct SkipGuard;
-    impl Drop for SkipGuard {
-        fn drop(&mut self) {
-            beacon_sim::engine::set_skip(true);
-        }
-    }
-    let _guard = SkipGuard;
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
 
     let run_traced = |skip: bool| -> Vec<(String, TraceEvent)> {
-        beacon_sim::engine::set_skip(skip);
         trace::install(TraceBuffer::new(TraceLevel::Flit, CAPACITY));
-        build_system(BeaconVariant::D, &w, 2, true).run();
+        let run = RunOptions {
+            skip,
+            ..RunOptions::default()
+        };
+        build_system(BeaconVariant::D, &w, 2, true).run_with(run);
         let events = trace::uninstall()
             .expect("sink installed")
             .canonical_events();
@@ -312,12 +288,7 @@ fn trace_streams_merge_canonically() {
 
     let run_traced = |threads: usize| -> Vec<(String, TraceEvent)> {
         trace::install(TraceBuffer::new(TraceLevel::Flit, CAPACITY));
-        let mut sys = build_system(BeaconVariant::D, &w, 2, true);
-        if threads == 1 {
-            sys.run();
-        } else {
-            sys.run_parallel(threads);
-        }
+        build_system(BeaconVariant::D, &w, 2, true).run_with(on_threads(threads));
         let events = trace::uninstall()
             .expect("sink installed")
             .canonical_events();

@@ -15,39 +15,21 @@
 //!    mid-flight completes the workload (no panic, no wedge) and
 //!    reports a populated `DegradedRun`.
 //!
-//! `BEACON_THREADS` (comma-separated) restricts the thread axis, as in
-//! `tests/differential.rs` — CI fans this suite out as a matrix job.
+//! `BEACON_THREADS` (comma-separated) restricts the thread axis and
+//! `BEACON_FAULT_SEED` picks the fault history (see `tests/common`) —
+//! CI fans this suite out as a matrix job.
+
+mod common;
 
 use beacon_core::config::{BeaconConfig, BeaconVariant, FaultsConfig, Optimizations};
 use beacon_core::experiments::common::{
     fm_workload, prealign_workload, AppWorkload, WorkloadScale,
 };
 use beacon_core::mmf::build_layout;
+use beacon_core::prelude::RunOptions;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
-
-fn thread_matrix() -> Vec<usize> {
-    match std::env::var("BEACON_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("BEACON_THREADS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-/// The fault seed under test. CI sweeps this via `BEACON_FAULT_SEED`
-/// so several independent fault histories get the same determinism
-/// scrutiny; locally it defaults to 42.
-fn fault_seed() -> u64 {
-    match std::env::var("BEACON_FAULT_SEED") {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .expect("BEACON_FAULT_SEED must be an integer"),
-        Err(_) => 42,
-    }
-}
+use common::{fault_seed, on_threads, run_matrix, thread_matrix};
 
 /// Mirrors `run_beacon` from the experiment drivers (PEs = 8, refresh
 /// off, paper topology) so the quiet-schedule digests line up with the
@@ -98,19 +80,15 @@ Nf:0xdc6b83b827e6084c
 /// actually fires (a silent schedule would make the test vacuous).
 #[test]
 fn noisy_schedule_is_deterministic_across_engines() {
-    struct SkipGuard;
-    impl Drop for SkipGuard {
-        fn drop(&mut self) {
-            beacon_sim::engine::set_skip(true);
-        }
-    }
-    let _guard = SkipGuard;
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
     let faults = FaultsConfig::noisy(fault_seed(), 400.0);
 
-    beacon_sim::engine::set_skip(false);
-    let golden = build_system(&w, Some(faults)).run();
+    let per_cycle = RunOptions {
+        skip: false,
+        ..RunOptions::default()
+    };
+    let golden = build_system(&w, Some(faults)).run_with(per_cycle);
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     let d = golden.degraded.expect("armed run must carry a RAS report");
     assert!(
@@ -119,30 +97,17 @@ fn noisy_schedule_is_deterministic_across_engines() {
     );
     assert!(d.retry_cycles > 0, "CRC retries must cost link cycles");
 
-    beacon_sim::engine::set_skip(true);
-    let fast = build_system(&w, Some(faults)).run();
-    assert_eq!(
-        fast.digest(),
-        golden.digest(),
-        "fast-forwarded faulty run diverged from per-cycle run:\n{}",
-        fast.diff(&golden).unwrap_or_default(),
-    );
-    assert_eq!(
-        fast.degraded, golden.degraded,
-        "RAS report diverged under skip"
-    );
-
-    for threads in thread_matrix() {
-        let got = build_system(&w, Some(faults)).run_parallel(threads);
+    for run in run_matrix() {
+        let got = build_system(&w, Some(faults)).run_with(run);
         assert_eq!(
             got.digest(),
             golden.digest(),
-            "faulty run diverged at {threads} threads:\n{}",
+            "faulty run diverged under {run:?}:\n{}",
             got.diff(&golden).unwrap_or_default(),
         );
         assert_eq!(
             got.degraded, golden.degraded,
-            "RAS report diverged at {threads} threads"
+            "RAS report diverged under {run:?}"
         );
     }
 }
@@ -210,7 +175,7 @@ fn dimm_loss_degrades_gracefully() {
     );
 
     for threads in thread_matrix() {
-        let got = build_system(&w, Some(faults)).run_parallel(threads);
+        let got = build_system(&w, Some(faults)).run_with(on_threads(threads));
         assert_eq!(
             got.digest(),
             golden.digest(),

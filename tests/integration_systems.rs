@@ -1,6 +1,7 @@
 //! Integration tests spanning the whole crate stack: genomics kernels →
 //! task traces → BEACON/MEDAL/NEST system simulations.
 
+use beacon_accel::result::RunResult;
 use beacon_core::config::{BeaconConfig, BeaconVariant, Optimizations};
 use beacon_core::energy::EnergyModel;
 use beacon_core::experiments::common::{
@@ -8,6 +9,7 @@ use beacon_core::experiments::common::{
     run_nest, AppWorkload, WorkloadScale,
 };
 use beacon_core::mmf::{build_layout, LayoutSpec};
+use beacon_core::prelude::RunOptions;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::{Genome, GenomeId};
 use beacon_genomics::kmer::KmerCounter;
@@ -15,6 +17,11 @@ use beacon_genomics::reads::ReadSampler;
 use beacon_genomics::trace::{AppKind, Region};
 
 const PES: usize = 8;
+
+/// BEACON at `PES` on the production engine configuration.
+fn beacon(variant: BeaconVariant, opts: Optimizations, w: &AppWorkload) -> RunResult {
+    run_beacon(variant, opts, w, PES, RunOptions::default())
+}
 
 fn scale() -> WorkloadScale {
     WorkloadScale::test()
@@ -33,7 +40,7 @@ fn all_workloads() -> Vec<AppWorkload> {
 fn every_app_drains_on_every_system() {
     for w in all_workloads() {
         for variant in [BeaconVariant::D, BeaconVariant::S] {
-            let r = run_beacon(variant, Optimizations::full(variant, w.app), &w, PES);
+            let r = beacon(variant, Optimizations::full(variant, w.app), &w);
             assert_eq!(r.tasks, w.traces.len(), "{variant:?} {:?}", w.app);
             assert!(r.cycles > 0);
             assert!(r.dram.sum_prefix("dram.cmd") > 0, "{variant:?} {:?}", w.app);
@@ -45,7 +52,7 @@ fn every_app_drains_on_every_system() {
 fn every_app_drains_on_vanilla_too() {
     for w in all_workloads() {
         for variant in [BeaconVariant::D, BeaconVariant::S] {
-            let r = run_beacon(variant, Optimizations::vanilla(), &w, PES);
+            let r = beacon(variant, Optimizations::vanilla(), &w);
             assert_eq!(r.tasks, w.traces.len(), "{variant:?} {:?}", w.app);
         }
     }
@@ -73,8 +80,8 @@ fn idealized_communication_never_loses_badly() {
     // noise) on every app and variant.
     for w in all_workloads() {
         for variant in [BeaconVariant::D, BeaconVariant::S] {
-            let real = run_beacon(variant, Optimizations::full(variant, w.app), &w, PES);
-            let ideal = run_beacon(variant, Optimizations::full_ideal(variant, w.app), &w, PES);
+            let real = beacon(variant, Optimizations::full(variant, w.app), &w);
+            let ideal = beacon(variant, Optimizations::full_ideal(variant, w.app), &w);
             assert!(
                 (ideal.cycles as f64) < real.cycles as f64 * 1.08,
                 "{variant:?} {:?}: ideal {} vs real {}",
@@ -89,11 +96,10 @@ fn idealized_communication_never_loses_badly() {
 #[test]
 fn energy_breakdowns_are_sane() {
     for w in all_workloads() {
-        let r = run_beacon(
+        let r = beacon(
             BeaconVariant::D,
             Optimizations::full(BeaconVariant::D, w.app),
             &w,
-            PES,
         );
         let e = EnergyModel::beacon(4 * PES).breakdown(&r);
         assert!(e.total_pj() > 0.0);
@@ -108,7 +114,7 @@ fn cpu_baseline_loses_to_both_designs_on_every_app() {
     for w in all_workloads() {
         let cpu = run_cpu(&w);
         for variant in [BeaconVariant::D, BeaconVariant::S] {
-            let r = run_beacon(variant, Optimizations::full(variant, w.app), &w, PES);
+            let r = beacon(variant, Optimizations::full(variant, w.app), &w);
             assert!(
                 cpu.dram_cycles > r.cycles,
                 "{variant:?} {:?}: CPU {} vs {}",
@@ -195,8 +201,8 @@ fn memory_expansion_with_unmodified_dimms_scales() {
 fn determinism_same_seed_same_cycles() {
     let w = fm_workload(GenomeId::Pt, &scale());
     let opts = Optimizations::full(BeaconVariant::D, w.app);
-    let a = run_beacon(BeaconVariant::D, opts, &w, PES);
-    let b = run_beacon(BeaconVariant::D, opts, &w, PES);
+    let a = beacon(BeaconVariant::D, opts, &w);
+    let b = beacon(BeaconVariant::D, opts, &w);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.dram.get("dram.cmd.read"), b.dram.get("dram.cmd.read"));
 }
@@ -207,8 +213,8 @@ fn single_pass_kmer_beats_multipass_on_s() {
     let single = Optimizations::full(BeaconVariant::S, w.app);
     let mut multi = single;
     multi.single_pass_kmer = false;
-    let rs = run_beacon(BeaconVariant::S, single, &w, PES);
-    let rm = run_beacon(BeaconVariant::S, multi, &w, PES);
+    let rs = beacon(BeaconVariant::S, single, &w);
+    let rm = beacon(BeaconVariant::S, multi, &w);
     assert!(
         rs.cycles < rm.cycles,
         "single-pass {} vs multi-pass {}",
@@ -226,8 +232,8 @@ fn host_bias_costs_more_than_device_bias() {
     no_opt.data_packing = true;
     let mut with_opt = no_opt;
     with_opt.mem_access_opt = true;
-    let a = run_beacon(BeaconVariant::S, no_opt, &w, PES);
-    let b = run_beacon(BeaconVariant::S, with_opt, &w, PES);
+    let a = beacon(BeaconVariant::S, no_opt, &w);
+    let b = beacon(BeaconVariant::S, with_opt, &w);
     assert!(
         b.cycles < a.cycles,
         "device bias {} vs host bias {}",
@@ -243,10 +249,10 @@ fn data_packing_reduces_wire_bytes() {
     // The Data Packer shares flit slots between fine-grained payloads;
     // with packing on, the same workload moves fewer wire bytes.
     let w = fm_workload(GenomeId::Pt, &scale());
-    let unpacked = run_beacon(BeaconVariant::D, Optimizations::vanilla(), &w, PES);
+    let unpacked = beacon(BeaconVariant::D, Optimizations::vanilla(), &w);
     let mut packed_opts = Optimizations::vanilla();
     packed_opts.data_packing = true;
-    let packed = run_beacon(BeaconVariant::D, packed_opts, &w, PES);
+    let packed = beacon(BeaconVariant::D, packed_opts, &w);
     assert!(
         packed.comm.get("cxl.wire_bytes") < unpacked.comm.get("cxl.wire_bytes"),
         "packing must shrink wire traffic ({} vs {})",
@@ -297,11 +303,10 @@ fn multi_app_colocation_drains_and_is_no_slower_than_serial() {
 #[test]
 fn run_results_account_every_region_of_traffic() {
     let w = fm_workload(GenomeId::Pt, &scale());
-    let r = run_beacon(
+    let r = beacon(
         BeaconVariant::D,
         Optimizations::full(BeaconVariant::D, w.app),
         &w,
-        PES,
     );
     // Useful bytes on the wire never exceed wire bytes.
     assert!(r.comm.get("cxl.useful_bytes") <= r.comm.get("cxl.wire_bytes"));

@@ -6,13 +6,21 @@
 //! `cargo run -p beacon-bench --bin figures --release` and recorded in
 //! EXPERIMENTS.md.
 
+use beacon_accel::result::RunResult;
 use beacon_core::config::{BeaconVariant, Optimizations};
 use beacon_core::experiments::common::{
-    fm_workload, kmer_workload, run_beacon, run_cpu, run_medal, run_nest, WorkloadScale,
+    fm_workload, kmer_workload, run_beacon, run_cpu, run_medal, run_nest, AppWorkload,
+    WorkloadScale,
 };
+use beacon_core::prelude::RunOptions;
 use beacon_genomics::genome::GenomeId;
 
 const PES: usize = 64;
+
+/// BEACON at `PES` on the production engine configuration.
+fn beacon(variant: BeaconVariant, opts: Optimizations, w: &AppWorkload) -> RunResult {
+    run_beacon(variant, opts, w, PES, RunOptions::default())
+}
 
 fn saturation_scale() -> WorkloadScale {
     WorkloadScale {
@@ -34,24 +42,21 @@ fn fm_seeding_headline_shape() {
     let cpu = run_cpu(&w);
     let medal = run_medal(&w, false, PES);
 
-    let vanilla = run_beacon(BeaconVariant::D, Optimizations::vanilla(), &w, PES);
-    let full_d = run_beacon(
+    let vanilla = beacon(BeaconVariant::D, Optimizations::vanilla(), &w);
+    let full_d = beacon(
         BeaconVariant::D,
         Optimizations::full(BeaconVariant::D, w.app),
         &w,
-        PES,
     );
-    let ideal_d = run_beacon(
+    let ideal_d = beacon(
         BeaconVariant::D,
         Optimizations::full_ideal(BeaconVariant::D, w.app),
         &w,
-        PES,
     );
-    let full_s = run_beacon(
+    let full_s = beacon(
         BeaconVariant::S,
         Optimizations::full(BeaconVariant::S, w.app),
         &w,
-        PES,
     );
 
     // Who wins, in order: BEACON-D ≥ BEACON-S > MEDAL (paper: 4.36x / 2.42x).
@@ -91,17 +96,15 @@ fn kmer_counting_headline_shape() {
     let cpu = run_cpu(&w);
     let nest = run_nest(&w, scale.cbf_bytes, false, PES);
 
-    let full_d = run_beacon(
+    let full_d = beacon(
         BeaconVariant::D,
         Optimizations::full(BeaconVariant::D, w.app),
         &w,
-        PES,
     );
-    let full_s = run_beacon(
+    let full_s = beacon(
         BeaconVariant::S,
         Optimizations::full(BeaconVariant::S, w.app),
         &w,
-        PES,
     );
 
     // Both designs beat NEST (paper: 5.19x and 6.19x).
@@ -137,12 +140,8 @@ fn fm_golden_digests_are_seed_stable() {
     let mut got = String::new();
     for genome in GenomeId::FIVE {
         let w = fm_workload(genome, &scale);
-        let r = run_beacon(
-            BeaconVariant::D,
-            Optimizations::full(BeaconVariant::D, w.app),
-            &w,
-            8,
-        );
+        let opts = Optimizations::full(BeaconVariant::D, w.app);
+        let r = run_beacon(BeaconVariant::D, opts, &w, 8, RunOptions::default());
         got.push_str(&format!("{genome:?}:{:#018x}\n", r.digest()));
     }
     // Sanity-pin the config knobs the digests depend on, so a drifting

@@ -6,24 +6,17 @@
 //!    queueing and reporting, never simulation behaviour.
 //! 2. The whole `ServiceReport` digest (admission decisions, schedule
 //!    composition, per-job digests) is identical across thread counts
-//!    (`BEACON_THREADS`) and engine skip modes.
+//!    (`BEACON_THREADS`, see `tests/common`) and engine skip modes.
 //! 3. Shifting fair-share weights demonstrably shifts completion order
 //!    on a contended two-tenant spec (the QoS acceptance criterion).
+
+mod common;
 
 use beacon_core::mmf::build_layout;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
 use beacon_pool::prelude::*;
-
-fn thread_matrix() -> Vec<usize> {
-    match std::env::var("BEACON_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("BEACON_THREADS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
+use common::run_matrix;
 
 /// A one-tenant, one-job spec for the differential gate.
 fn single_job_spec(kind: JobKind, genome: GenomeId) -> ServiceSpec {
@@ -107,29 +100,23 @@ fn service_digest_is_identical_across_threads_and_skip() {
         golden.jobs.iter().all(|j| j.status == JobStatus::Completed),
         "contended spec must drain"
     );
-    for &threads in &thread_matrix() {
-        for skip in [true, false] {
-            beacon_core::parallel::set_threads(threads);
-            beacon_sim::engine::set_skip(skip);
-            let got = run_service(&spec);
-            beacon_core::parallel::set_threads(1);
-            beacon_sim::engine::set_skip(true);
-            assert_eq!(
-                got.digest(),
-                golden.digest(),
-                "service digest diverged at {threads} threads, skip={skip}"
-            );
-            assert_eq!(
-                got.decisions, golden.decisions,
-                "admission decision stream diverged at {threads} threads, skip={skip}"
-            );
-            let gold_rounds: Vec<_> = golden.rounds.iter().map(|r| &r.jobs).collect();
-            let got_rounds: Vec<_> = got.rounds.iter().map(|r| &r.jobs).collect();
-            assert_eq!(
-                got_rounds, gold_rounds,
-                "schedule composition diverged at {threads} threads, skip={skip}"
-            );
-        }
+    for run in run_matrix() {
+        let got = run_service_with(&spec, run);
+        assert_eq!(
+            got.digest(),
+            golden.digest(),
+            "service digest diverged under {run:?}"
+        );
+        assert_eq!(
+            got.decisions, golden.decisions,
+            "admission decision stream diverged under {run:?}"
+        );
+        let gold_rounds: Vec<_> = golden.rounds.iter().map(|r| &r.jobs).collect();
+        let got_rounds: Vec<_> = got.rounds.iter().map(|r| &r.jobs).collect();
+        assert_eq!(
+            got_rounds, gold_rounds,
+            "schedule composition diverged under {run:?}"
+        );
     }
 }
 

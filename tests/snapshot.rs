@@ -22,48 +22,22 @@
 //!    resumes to the straight-run digest.
 //!
 //! `BEACON_THREADS` (comma-separated) restricts the thread axis and
-//! `BEACON_FAULT_SEED` picks the fault history, exactly as in
-//! `tests/differential.rs` / `tests/faults.rs` — CI fans this suite
-//! out as a matrix job.
+//! `BEACON_FAULT_SEED` picks the fault history (see `tests/common`) —
+//! CI fans this suite out as a matrix job.
+
+mod common;
 
 use beacon_core::config::{BeaconConfig, BeaconVariant, FaultsConfig, Optimizations};
 use beacon_core::experiments::common::{
     fm_workload, kmer_workload, prealign_workload, AppWorkload, WorkloadScale,
 };
 use beacon_core::mmf::build_layout;
+use beacon_core::prelude::RunOptions;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::snap::SnapError;
+use common::{fault_seed, on_threads, run_matrix, thread_matrix};
 use proptest::prelude::*;
-
-fn thread_matrix() -> Vec<usize> {
-    match std::env::var("BEACON_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("BEACON_THREADS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-fn fault_seed() -> u64 {
-    match std::env::var("BEACON_FAULT_SEED") {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .expect("BEACON_FAULT_SEED must be an integer"),
-        Err(_) => 42,
-    }
-}
-
-/// Restores event-horizon fast-forwarding (the global default) when a
-/// test that toggles it unwinds.
-struct SkipGuard;
-impl Drop for SkipGuard {
-    fn drop(&mut self) {
-        beacon_sim::engine::set_skip(true);
-    }
-}
 
 fn build_system(
     variant: BeaconVariant,
@@ -94,8 +68,17 @@ fn capture_at(
     faults: Option<FaultsConfig>,
     at: u64,
 ) -> Vec<u8> {
-    let mut sys = build_system(variant, w, refresh, faults);
-    let drained = sys.run_to(at);
+    capture_with(
+        build_system(variant, w, refresh, faults),
+        at,
+        RunOptions::default(),
+    )
+}
+
+/// Runs `sys` to cycle `at` under `run`, snapshots, and returns the
+/// bytes (see [`capture_at`]).
+fn capture_with(mut sys: BeaconSystem, at: u64, run: RunOptions) -> Vec<u8> {
+    let drained = sys.run_to(at, run);
     assert!(!drained, "workload drained before the capture epoch {at}");
     assert_eq!(
         sys.clock().as_u64(),
@@ -117,17 +100,13 @@ fn assert_cell_resumes(
     let golden = build_system(variant, w, refresh, faults).run();
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     let bytes = capture_at(variant, w, refresh, faults, golden.cycles / 2);
-    for threads in thread_matrix() {
+    for run in run_matrix() {
         let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
-        let got = if threads == 1 {
-            resumed.run()
-        } else {
-            resumed.run_parallel(threads)
-        };
+        let got = resumed.run_with(run);
         assert_eq!(
             got.digest(),
             golden.digest(),
-            "{variant:?}/{:?} resumed at cycle {} diverged at {threads} thread(s):\n{}",
+            "{variant:?}/{:?} resumed at cycle {} diverged under {run:?}:\n{}",
             w.app,
             golden.cycles / 2,
             got.diff(&golden).unwrap_or_default(),
@@ -164,19 +143,20 @@ fn prealignment_resumes_bit_identically() {
 /// event-horizon machinery (horizon caches restore invalidated).
 #[test]
 fn skip_modes_mix_freely_across_the_checkpoint() {
-    let _guard = SkipGuard;
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
-    beacon_sim::engine::set_skip(false);
-    let golden = build_system(BeaconVariant::D, &w, true, None).run();
+    let skip = |skip| RunOptions {
+        skip,
+        ..RunOptions::default()
+    };
+    let golden = build_system(BeaconVariant::D, &w, true, None).run_with(skip(false));
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     for capture_skip in [false, true] {
-        beacon_sim::engine::set_skip(capture_skip);
-        let bytes = capture_at(BeaconVariant::D, &w, true, None, golden.cycles / 2);
+        let sys = build_system(BeaconVariant::D, &w, true, None);
+        let bytes = capture_with(sys, golden.cycles / 2, skip(capture_skip));
         for resume_skip in [false, true] {
-            beacon_sim::engine::set_skip(resume_skip);
             let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
-            let got = resumed.run();
+            let got = resumed.run_with(skip(resume_skip));
             assert_eq!(
                 got.digest(),
                 golden.digest(),
@@ -226,11 +206,7 @@ fn scheduled_dimm_loss_fires_after_resume() {
     );
     for threads in thread_matrix() {
         let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
-        let got = if threads == 1 {
-            resumed.run()
-        } else {
-            resumed.run_parallel(threads)
-        };
+        let got = resumed.run_with(on_threads(threads));
         assert_eq!(
             got.digest(),
             golden.digest(),
@@ -424,7 +400,7 @@ proptest! {
         prop_assume!(at_a < at_b);
         let first = capture_at(BeaconVariant::D, &w, true, None, at_a);
         let mut mid = BeaconSystem::resume(&first).expect("first snapshot must resume");
-        let drained = mid.run_to(at_b);
+        let drained = mid.run_to(at_b, RunOptions::default());
         prop_assert!(!drained, "drained before the second epoch");
         let second = mid.snapshot();
         let mut resumed = BeaconSystem::resume(&second).expect("second snapshot must resume");
