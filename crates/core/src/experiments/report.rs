@@ -9,6 +9,7 @@
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
 use beacon_sim::journey::{self, Attribution, JourneyRecorder};
+use beacon_sim::json::Writer;
 use beacon_sim::rng::SimRng;
 
 use crate::config::{BeaconVariant, Optimizations};
@@ -53,24 +54,19 @@ impl AttributionReport {
         out
     }
 
-    /// Renders the machine-readable report: one JSON object keyed by
-    /// genome label (hand-rolled — the offline build bans `serde_json`).
+    /// Renders the machine-readable report
+    /// (`schemas/report.schema.json`): one JSON object per genome.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"report\":\"journey-attribution\",\"genomes\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"genome\":\"");
-            out.push_str(row.genome);
-            out.push_str("\",\"cycles\":");
-            out.push_str(&row.cycles.to_string());
-            out.push_str(",\"attribution\":");
-            out.push_str(&row.attribution.render_json());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let mut w = Writer::new();
+        w.object(|w| {
+            w.key("report").str("journey-attribution");
+            w.key("genomes").objects(&self.rows, |w, row| {
+                w.key("genome").str(row.genome);
+                w.key("cycles").u64(row.cycles);
+                row.attribution.write_json(w.key("attribution"));
+            });
+        });
+        w.finish()
     }
 }
 
@@ -115,7 +111,7 @@ pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> AttributionRep
 
 #[cfg(test)]
 mod tests {
-    use beacon_sim::trace::validate_json;
+    use beacon_sim::json::JsonValue;
 
     use super::*;
 
@@ -165,7 +161,7 @@ mod tests {
     fn json_report_is_well_formed() {
         let scale = WorkloadScale::test();
         let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
-        validate_json(&rep.render_json()).expect("well-formed report JSON");
+        JsonValue::parse(&rep.render_json()).expect("well-formed report JSON");
         let text = rep.render();
         assert!(text.contains("=== Pt"));
         assert!(text.contains("phase"));
@@ -175,7 +171,7 @@ mod tests {
     /// downstream tooling (CI, dashboards) consumes.
     #[test]
     fn json_report_matches_checked_in_schema() {
-        use beacon_sim::json::{check_schema, JsonValue};
+        use beacon_sim::json::check_schema;
         let schema_text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../schemas/report.schema.json"

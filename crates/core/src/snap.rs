@@ -26,7 +26,7 @@
 //! deterministically reset), exactly as DESIGN.md §14 specifies.
 
 use beacon_sim::cycle::Cycle;
-use beacon_sim::json::JsonValue;
+use beacon_sim::json::{JsonValue, Writer};
 use beacon_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use beacon_accel::translate::RegionMap;
@@ -186,29 +186,27 @@ pub fn get_config(r: &mut SnapReader<'_>) -> Result<BeaconConfig, SnapError> {
 // ----- container ------------------------------------------------------
 
 fn header_line(cfg: &BeaconConfig, cycle: Cycle, body_bytes: usize) -> String {
-    // Hand-formatted with a fixed key order so the header bytes are a
-    // pure function of (config, cycle, body): golden-file stable.
-    format!(
-        concat!(
-            "{{\"magic\":\"{}\",\"format\":{},\"cycle\":{},",
-            "\"variant\":\"{}\",\"switches\":{},\"cxlg_per_switch\":{},",
-            "\"unmodified_per_switch\":{},\"pes_per_module\":{},",
-            "\"fault_seed\":{},\"body_bytes\":{}}}\n"
-        ),
-        MAGIC,
-        FORMAT_VERSION,
-        cycle.as_u64(),
-        match cfg.variant {
+    // Fixed key order: the header bytes are a pure function of
+    // (config, cycle, body), so they are golden-file stable.
+    let mut w = Writer::new();
+    w.object(|w| {
+        w.key("magic").str(MAGIC);
+        w.key("format").u64(u64::from(FORMAT_VERSION));
+        w.key("cycle").u64(cycle.as_u64());
+        w.key("variant").str(match cfg.variant {
             BeaconVariant::D => "D",
             BeaconVariant::S => "S",
-        },
-        cfg.switches,
-        cfg.cxlg_per_switch,
-        cfg.unmodified_per_switch,
-        cfg.pes_per_module,
-        cfg.faults.as_ref().map_or(0, |f| f.seed),
-        body_bytes,
-    )
+        });
+        w.key("switches").u64(u64::from(cfg.switches));
+        w.key("cxlg_per_switch").u64(u64::from(cfg.cxlg_per_switch));
+        w.key("unmodified_per_switch")
+            .u64(u64::from(cfg.unmodified_per_switch));
+        w.key("pes_per_module").u64(cfg.pes_per_module as u64);
+        w.key("fault_seed")
+            .u64(cfg.faults.as_ref().map_or(0, |f| f.seed));
+        w.key("body_bytes").u64(body_bytes as u64);
+    });
+    format!("{}\n", w.finish())
 }
 
 fn header_u64(h: &JsonValue, key: &str) -> Result<u64, SnapError> {
@@ -514,6 +512,13 @@ mod tests {
         ));
         assert!(matches!(
             BeaconSystem::resume(b"not a snapshot"),
+            Err(SnapError::Header(_))
+        ));
+        // Nesting past the parser's depth bound is a header error, not
+        // a stack overflow.
+        let deep = format!("{{\"magic\":\"BEACONSNAP\",\"x\":{}\n", "[".repeat(100_000));
+        assert!(matches!(
+            BeaconSystem::resume(deep.as_bytes()),
             Err(SnapError::Header(_))
         ));
         assert!(matches!(

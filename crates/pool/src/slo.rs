@@ -7,6 +7,7 @@
 //! and excludes diagnostics (attribution presence) the same way
 //! `RunResult::digest` excludes its observability extras.
 
+use beacon_sim::json::Writer;
 use beacon_sim::stats::percentile_of_sorted;
 
 use crate::admission::{Decision, Verdict};
@@ -260,92 +261,61 @@ impl ServiceReport {
         out
     }
 
-    /// JSON form conforming to `schemas/service.schema.json`
-    /// (hand-rolled — the offline build bans `serde_json`).
+    /// JSON form conforming to `schemas/service.schema.json`.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"report\":\"pool-service\",\"seed\":");
-        out.push_str(&self.seed.to_string());
-        out.push_str(",\"total_cycles\":");
-        out.push_str(&self.total_cycles.to_string());
-        out.push_str(",\"digest\":\"");
-        out.push_str(&format!("{:#018x}", self.digest()));
-        out.push_str("\",\"tenants\":[");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"tenant\":\"{}\",\"weight\":{},\"completed\":{},\"rejected\":{},\
-                 \"degraded_jobs\":{},\"p50_latency_cycles\":{},\"p99_latency_cycles\":{},\
-                 \"queue_wait_cycles\":{},\"service_cycles\":{}}}",
-                t.tenant,
-                t.weight,
-                t.completed,
-                t.rejected,
-                t.degraded_jobs,
-                t.p50_latency_cycles,
-                t.p99_latency_cycles,
-                t.queue_wait_cycles,
-                t.service_cycles,
-            ));
-        }
-        out.push_str("],\"jobs\":[");
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let status = match &j.status {
-                JobStatus::Completed => "\"completed\"".to_owned(),
-                JobStatus::Rejected(r) => format!("\"rejected: {r}\""),
-            };
-            out.push_str(&format!(
-                "{{\"id\":{},\"tenant\":\"{}\",\"kind\":\"{}\",\"genome\":\"{}\",\
-                 \"arrival_round\":{},\"run_round\":{},\"status\":{status},\
-                 \"queue_wait_cycles\":{},\"service_cycles\":{},\"degraded\":{},\
-                 \"digest\":\"{:#018x}\"}}",
-                j.id,
-                j.tenant,
-                j.kind,
-                j.genome,
-                j.arrival_round,
-                j.run_round,
-                j.queue_wait_cycles,
-                j.service_cycles,
-                j.degraded,
-                j.digest,
-            ));
-        }
-        out.push_str("],\"rounds\":[");
-        for (i, r) in self.rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let jobs: Vec<String> = r.jobs.iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                "{{\"round\":{},\"jobs\":[{}],\"cycles\":{}}}",
-                r.round,
-                jobs.join(","),
-                r.cycles,
-            ));
-        }
-        out.push_str("],\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (verdict, reason) = match &d.verdict {
-                Verdict::Admitted => ("admitted", ""),
-                Verdict::Queued(r) => ("queued", *r),
-                Verdict::Rejected(r) => ("rejected", *r),
-            };
-            out.push_str(&format!(
-                "{{\"round\":{},\"job\":{},\"tenant\":\"{}\",\"verdict\":\"{verdict}\",\
-                 \"reason\":\"{reason}\"}}",
-                d.round, d.job, d.tenant,
-            ));
-        }
-        out.push_str("]}");
-        out
+        let mut w = Writer::new();
+        w.object(|w| {
+            w.key("report").str("pool-service");
+            w.key("seed").u64(self.seed);
+            w.key("total_cycles").u64(self.total_cycles);
+            w.key("digest").str(&format!("{:#018x}", self.digest()));
+            w.key("tenants").objects(&self.tenants, |w, t| {
+                w.key("tenant").str(&t.tenant);
+                w.key("weight").u64(t.weight);
+                w.key("completed").u64(t.completed);
+                w.key("rejected").u64(t.rejected);
+                w.key("degraded_jobs").u64(t.degraded_jobs);
+                w.key("p50_latency_cycles").u64(t.p50_latency_cycles);
+                w.key("p99_latency_cycles").u64(t.p99_latency_cycles);
+                w.key("queue_wait_cycles").u64(t.queue_wait_cycles);
+                w.key("service_cycles").u64(t.service_cycles);
+            });
+            w.key("jobs").objects(&self.jobs, |w, j| {
+                w.key("id").u64(j.id);
+                w.key("tenant").str(&j.tenant);
+                w.key("kind").str(j.kind);
+                w.key("genome").str(j.genome);
+                w.key("arrival_round").u64(j.arrival_round);
+                w.key("run_round").u64(j.run_round);
+                match &j.status {
+                    JobStatus::Completed => w.key("status").str("completed"),
+                    JobStatus::Rejected(r) => w.key("status").str(&format!("rejected: {r}")),
+                }
+                w.key("queue_wait_cycles").u64(j.queue_wait_cycles);
+                w.key("service_cycles").u64(j.service_cycles);
+                w.key("degraded").bool(j.degraded);
+                w.key("digest").str(&format!("{:#018x}", j.digest));
+            });
+            w.key("rounds").objects(&self.rounds, |w, r| {
+                w.key("round").u64(r.round);
+                w.key("jobs")
+                    .array(|w| r.jobs.iter().for_each(|&id| w.u64(id)));
+                w.key("cycles").u64(r.cycles);
+            });
+            w.key("decisions").objects(&self.decisions, |w, d| {
+                let (verdict, reason) = match &d.verdict {
+                    Verdict::Admitted => ("admitted", ""),
+                    Verdict::Queued(r) => ("queued", *r),
+                    Verdict::Rejected(r) => ("rejected", *r),
+                };
+                w.key("round").u64(d.round);
+                w.key("job").u64(d.job);
+                w.key("tenant").str(&d.tenant);
+                w.key("verdict").str(verdict);
+                w.key("reason").str(reason);
+            });
+        });
+        w.finish()
     }
 }
 
@@ -448,12 +418,18 @@ mod tests {
 
     #[test]
     fn json_report_parses() {
-        let r = report();
-        let doc = beacon_sim::json::JsonValue::parse(&r.render_json()).expect("valid JSON");
-        assert_eq!(
-            doc.get("report").and_then(|v| v.as_str()),
-            Some("pool-service")
-        );
-        assert_eq!(doc.get("jobs").and_then(|v| v.as_array()).unwrap().len(), 3);
+        for tenant in ["a", "a\"b\\c"] {
+            let mut r = report();
+            r.tenants[0].tenant = tenant.into();
+            r.jobs[0].tenant = tenant.into();
+            let doc = beacon_sim::json::JsonValue::parse(&r.render_json()).expect("valid JSON");
+            assert_eq!(
+                doc.get("report").and_then(|v| v.as_str()),
+                Some("pool-service")
+            );
+            let jobs = doc.get("jobs").and_then(|v| v.as_array()).unwrap();
+            assert_eq!(jobs.len(), 3);
+            assert_eq!(jobs[0].get("tenant").and_then(|v| v.as_str()), Some(tenant));
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Service specifications: tenants, jobs and the knobs of one service
 //! run, parsed from (and rendered back to) a replayable JSON file.
 //!
-//! The offline build bans `serde_json`, so reading goes through the
-//! repo's own [`beacon_sim::json::JsonValue`] parser and writing is
-//! hand-rolled — both ends are exercised by the round-trip test below.
+//! Both ends go through the repo's one JSON layer
+//! ([`beacon_sim::json`]) and are exercised by the round-trip test
+//! below.
 
 use beacon_core::config::{BeaconConfig, BeaconVariant, FaultsConfig, Optimizations};
 use beacon_core::experiments::common::{
@@ -11,7 +11,7 @@ use beacon_core::experiments::common::{
 };
 use beacon_genomics::genome::GenomeId;
 use beacon_genomics::trace::{AppKind, Region};
-use beacon_sim::json::JsonValue;
+use beacon_sim::json::{JsonValue, Writer};
 use beacon_sim::rng::SimRng;
 
 /// The job types the service admits — one per BEACON kernel family,
@@ -332,7 +332,7 @@ impl ServiceSpec {
                 spec.variant = match v {
                     "D" => BeaconVariant::D,
                     "S" => BeaconVariant::S,
-                    other => return Err(format!("unknown variant {other:?} (want \"D\"/\"S\")")),
+                    other => return Err(format!(r#"unknown variant {other:?} (want "D"/"S")"#)),
                 };
             }
             if let Some(b) = get_bool(s, "placement") {
@@ -477,159 +477,73 @@ impl ServiceSpec {
     /// Renders the spec back to its JSON file form (the replay file of
     /// a programmatically built spec). `parse_json(render_json(s)) == s`.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        push_kv(&mut out, "seed", &self.seed.to_string());
-        out.push_str(",\"scale\":{");
-        push_kv(
-            &mut out,
-            "pt_genome_len",
-            &self.scale.pt_genome_len.to_string(),
-        );
-        out.push(',');
-        push_kv(&mut out, "reads", &self.scale.reads.to_string());
-        out.push(',');
-        push_kv(&mut out, "read_len", &self.scale.read_len.to_string());
-        out.push(',');
-        push_kv(&mut out, "error_rate", &fmt_f64(self.scale.error_rate));
-        out.push(',');
-        push_kv(&mut out, "kmer_k", &self.scale.kmer_k.to_string());
-        out.push(',');
-        push_kv(&mut out, "kmer_reads", &self.scale.kmer_reads.to_string());
-        out.push(',');
-        push_kv(&mut out, "cbf_bytes", &self.scale.cbf_bytes.to_string());
-        out.push(',');
-        push_kv(&mut out, "seed", &self.scale.seed.to_string());
-        out.push_str("},\"system\":{");
-        push_kv(
-            &mut out,
-            "variant",
-            &format!(
-                "\"{}\"",
-                match self.variant {
+        let mut w = Writer::new();
+        w.object(|w| {
+            w.key("seed").u64(self.seed);
+            w.key("scale").object(|w| {
+                let sc = &self.scale;
+                w.key("pt_genome_len").u64(sc.pt_genome_len as u64);
+                w.key("reads").u64(sc.reads as u64);
+                w.key("read_len").u64(sc.read_len as u64);
+                w.key("error_rate").f64(sc.error_rate);
+                w.key("kmer_k").u64(sc.kmer_k as u64);
+                w.key("kmer_reads").u64(sc.kmer_reads as u64);
+                w.key("cbf_bytes").u64(sc.cbf_bytes);
+                w.key("seed").u64(sc.seed);
+            });
+            w.key("system").object(|w| {
+                w.key("variant").str(match self.variant {
                     BeaconVariant::D => "D",
                     BeaconVariant::S => "S",
-                }
-            ),
-        );
-        out.push(',');
-        push_kv(
-            &mut out,
-            "placement",
-            if self.placement { "true" } else { "false" },
-        );
-        out.push(',');
-        push_kv(&mut out, "switches", &self.switches.to_string());
-        out.push(',');
-        push_kv(&mut out, "pes_per_module", &self.pes_per_module.to_string());
-        out.push(',');
-        push_kv(
-            &mut out,
-            "refresh",
-            if self.refresh { "true" } else { "false" },
-        );
-        out.push_str("},\"service\":{");
-        push_kv(&mut out, "max_corun", &self.max_corun.to_string());
-        out.push(',');
-        push_kv(&mut out, "quantum", &self.quantum.to_string());
-        out.push(',');
-        push_kv(
-            &mut out,
-            "starvation_rounds",
-            &self.starvation_rounds.to_string(),
-        );
-        out.push(',');
-        push_kv(&mut out, "max_rounds", &self.max_rounds.to_string());
-        out.push(',');
-        push_kv(&mut out, "sample_every", &self.sample_every.to_string());
-        out.push('}');
-        if let Some(f) = &self.faults {
-            out.push_str(",\"faults\":{");
-            push_kv(&mut out, "seed", &f.seed.to_string());
-            out.push(',');
-            push_kv(
-                &mut out,
-                "link_crc_per_mcycle",
-                &fmt_f64(f.link_crc_per_mcycle),
-            );
-            out.push(',');
-            push_kv(
-                &mut out,
-                "dimm_ue_per_mcycle",
-                &fmt_f64(f.dimm_ue_per_mcycle),
-            );
-            out.push(',');
-            push_kv(&mut out, "dimm_fail_at", &f.dimm_fail_at.to_string());
-            out.push(',');
-            push_kv(
-                &mut out,
-                "dimm_fail_switch",
-                &f.dimm_fail_switch.to_string(),
-            );
-            out.push(',');
-            push_kv(&mut out, "dimm_fail_slot", &f.dimm_fail_slot.to_string());
-            out.push('}');
-        }
-        out.push_str(",\"tenants\":[");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+                });
+                w.key("placement").bool(self.placement);
+                w.key("switches").u64(u64::from(self.switches));
+                w.key("pes_per_module").u64(self.pes_per_module as u64);
+                w.key("refresh").bool(self.refresh);
+            });
+            w.key("service").object(|w| {
+                w.key("max_corun").u64(self.max_corun as u64);
+                w.key("quantum").u64(self.quantum);
+                w.key("starvation_rounds").u64(self.starvation_rounds);
+                w.key("max_rounds").u64(self.max_rounds);
+                w.key("sample_every").u64(self.sample_every);
+            });
+            if let Some(f) = &self.faults {
+                w.key("faults").object(|w| {
+                    w.key("seed").u64(f.seed);
+                    w.key("link_crc_per_mcycle").f64(f.link_crc_per_mcycle);
+                    w.key("dimm_ue_per_mcycle").f64(f.dimm_ue_per_mcycle);
+                    w.key("dimm_fail_at").u64(f.dimm_fail_at);
+                    w.key("dimm_fail_switch").u64(u64::from(f.dimm_fail_switch));
+                    w.key("dimm_fail_slot").u64(u64::from(f.dimm_fail_slot));
+                });
             }
-            out.push('{');
-            push_kv(&mut out, "name", &format!("\"{}\"", t.name));
-            out.push(',');
-            push_kv(&mut out, "weight", &t.weight.to_string());
-            out.push(',');
-            push_kv(&mut out, "quota_pct", &t.quota_pct.to_string());
-            out.push('}');
-        }
-        out.push(']');
-        if !self.jobs.is_empty() {
-            out.push_str(",\"jobs\":[");
-            for (i, j) in self.jobs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                push_kv(&mut out, "tenant", &format!("\"{}\"", j.tenant));
-                out.push(',');
-                push_kv(&mut out, "kind", &format!("\"{}\"", j.kind.name()));
-                out.push(',');
-                push_kv(&mut out, "genome", &format!("\"{}\"", j.genome.label()));
-                out.push(',');
-                push_kv(&mut out, "arrival_round", &j.arrival_round.to_string());
-                out.push('}');
+            w.key("tenants").objects(&self.tenants, |w, t| {
+                w.key("name").str(&t.name);
+                w.key("weight").u64(t.weight);
+                w.key("quota_pct").u64(t.quota_pct);
+            });
+            if !self.jobs.is_empty() {
+                w.key("jobs").objects(&self.jobs, |w, j| {
+                    w.key("tenant").str(&j.tenant);
+                    w.key("kind").str(j.kind.name());
+                    w.key("genome").str(j.genome.label());
+                    w.key("arrival_round").u64(j.arrival_round);
+                });
             }
-            out.push(']');
-        }
-        if let Some(s) = &self.synth {
-            out.push_str(",\"synth\":{");
-            push_kv(&mut out, "jobs_per_tenant", &s.jobs_per_tenant.to_string());
-            out.push_str(",\"kinds\":[");
-            for (i, k) in s.kinds.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(k.name());
-                out.push('"');
+            if let Some(s) = &self.synth {
+                w.key("synth").object(|w| {
+                    w.key("jobs_per_tenant").u64(s.jobs_per_tenant);
+                    w.key("kinds")
+                        .array(|w| s.kinds.iter().for_each(|k| w.str(k.name())));
+                    w.key("genomes")
+                        .array(|w| s.genomes.iter().for_each(|g| w.str(g.label())));
+                    w.key("max_gap_rounds").u64(s.max_gap_rounds);
+                    w.key("continue_p").f64(s.continue_p);
+                });
             }
-            out.push_str("],\"genomes\":[");
-            for (i, g) in s.genomes.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(g.label());
-                out.push('"');
-            }
-            out.push_str("],");
-            push_kv(&mut out, "max_gap_rounds", &s.max_gap_rounds.to_string());
-            out.push(',');
-            push_kv(&mut out, "continue_p", &fmt_f64(s.continue_p));
-            out.push('}');
-        }
-        out.push('}');
-        out
+        });
+        w.finish()
     }
 }
 
@@ -641,23 +555,6 @@ fn get_bool(v: &JsonValue, key: &str) -> Option<bool> {
     match v.get(key) {
         Some(JsonValue::Bool(b)) => Some(*b),
         _ => None,
-    }
-}
-
-fn push_kv(out: &mut String, key: &str, rendered: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(rendered);
-}
-
-/// Renders an `f64` so the JSON parser reads the same value back.
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 
@@ -677,17 +574,20 @@ mod tests {
 
     #[test]
     fn spec_round_trips_through_json() {
-        let mut spec = ServiceSpec::demo(7);
-        spec.jobs.push(JobSpec {
-            id: 0,
-            tenant: "broad".into(),
-            kind: JobKind::PreAlignment,
-            genome: GenomeId::Ss,
-            arrival_round: 2,
-        });
-        spec.faults = Some(FaultsConfig::quiet(9));
-        let back = ServiceSpec::parse_json(&spec.render_json()).expect("round trip");
-        assert_eq!(back, spec);
+        for name in ["broad", "a\"b\\c"] {
+            let mut spec = ServiceSpec::demo(7);
+            spec.tenants[0].name = name.into();
+            spec.jobs.push(JobSpec {
+                id: 0,
+                tenant: name.into(),
+                kind: JobKind::PreAlignment,
+                genome: GenomeId::Ss,
+                arrival_round: 2,
+            });
+            spec.faults = Some(FaultsConfig::quiet(9));
+            let back = ServiceSpec::parse_json(&spec.render_json()).expect("round trip");
+            assert_eq!(back, spec);
+        }
     }
 
     #[test]
@@ -727,6 +627,13 @@ mod tests {
     fn parse_rejects_missing_tenants() {
         let e = ServiceSpec::parse_json("{\"seed\":1}").unwrap_err();
         assert!(e.contains("tenants"), "{e}");
+    }
+
+    #[test]
+    fn parse_rejects_hostile_nesting() {
+        let text = format!("{{\"seed\":1,\"tenants\":{}", "[".repeat(100_000));
+        let e = ServiceSpec::parse_json(&text).unwrap_err();
+        assert!(e.contains("nesting"), "{e}");
     }
 
     #[test]

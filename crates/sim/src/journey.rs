@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::cycle::{Cycle, Duration};
+use crate::json::Writer;
 use crate::stats::Fnv64;
 
 /// Phases of a request journey, in pipeline order.
@@ -800,101 +801,48 @@ impl Attribution {
         out
     }
 
-    /// JSON report (hand-rolled — the offline build bans `serde_json`;
-    /// validated well-formed by `trace::validate_json` in tests).
-    pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"sample_every\":");
-        out.push_str(&self.sample_every.to_string());
-        out.push_str(",\"seen\":");
-        out.push_str(&self.seen.to_string());
-        out.push_str(",\"tracked\":");
-        out.push_str(&self.tracked.to_string());
-        out.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"phase\":\"");
-            out.push_str(p.phase);
-            out.push_str("\",\"count\":");
-            out.push_str(&p.count.to_string());
-            out.push_str(",\"mean\":");
-            push_f64(&mut out, p.mean);
-            out.push_str(",\"p50\":");
-            out.push_str(&p.p50.to_string());
-            out.push_str(",\"p95\":");
-            out.push_str(&p.p95.to_string());
-            out.push_str(",\"p99\":");
-            out.push_str(&p.p99.to_string());
-            out.push_str(",\"max\":");
-            out.push_str(&p.max.to_string());
-            out.push('}');
-        }
-        out.push_str("],\"utilization\":[");
-        for (i, u) in self.utilization.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"component\":\"");
-            crate::trace::push_escaped(&mut out, &u.component);
-            out.push_str("\",\"utilization\":");
-            push_f64(&mut out, u.utilization());
-            out.push_str(",\"busy_cycles\":");
-            out.push_str(&u.busy_cycles.to_string());
-            out.push_str(",\"total_cycles\":");
-            out.push_str(&u.total_cycles.to_string());
-            out.push_str(",\"blocked_events\":");
-            out.push_str(&u.blocked_events.to_string());
-            out.push('}');
-        }
-        out.push_str("],\"queues\":[");
-        for (i, q) in self.queues.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"component\":\"");
-            crate::trace::push_escaped(&mut out, &q.component);
-            out.push_str("\",\"mean_depth\":");
-            push_f64(&mut out, q.mean_depth);
-            out.push_str(",\"peak_depth\":");
-            out.push_str(&q.peak_depth.to_string());
-            out.push('}');
-        }
-        out.push_str("],\"classes\":[");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"class\":\"");
-            crate::trace::push_escaped(&mut out, &c.class);
-            out.push_str("\",\"count\":");
-            out.push_str(&c.count.to_string());
-            out.push_str(",\"mean\":");
-            push_f64(&mut out, c.mean);
-            out.push_str(",\"p95\":");
-            out.push_str(&c.p95.to_string());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Writes a finite decimal rendering of `v` (non-finite values become
-/// 0, keeping the output valid JSON).
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.6}"));
-    } else {
-        out.push_str("0.000000");
+    /// Writes the report as one JSON object (nested by the five-genome
+    /// bottleneck report, `schemas/report.schema.json`).
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("sample_every").u64(self.sample_every);
+            w.key("seen").u64(self.seen);
+            w.key("tracked").u64(self.tracked);
+            w.key("phases").objects(&self.phases, |w, p| {
+                w.key("phase").str(p.phase);
+                w.key("count").u64(p.count);
+                w.key("mean").f64(p.mean);
+                w.key("p50").u64(p.p50);
+                w.key("p95").u64(p.p95);
+                w.key("p99").u64(p.p99);
+                w.key("max").u64(p.max);
+            });
+            w.key("utilization").objects(&self.utilization, |w, u| {
+                w.key("component").str(&u.component);
+                w.key("utilization").f64(u.utilization());
+                w.key("busy_cycles").u64(u.busy_cycles);
+                w.key("total_cycles").u64(u.total_cycles);
+                w.key("blocked_events").u64(u.blocked_events);
+            });
+            w.key("queues").objects(&self.queues, |w, q| {
+                w.key("component").str(&q.component);
+                w.key("mean_depth").f64(q.mean_depth);
+                w.key("peak_depth").u64(q.peak_depth);
+            });
+            w.key("classes").objects(&self.classes, |w, c| {
+                w.key("class").str(&c.class);
+                w.key("count").u64(c.count);
+                w.key("mean").f64(c.mean);
+                w.key("p95").u64(c.p95);
+            });
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::validate_json;
+    use crate::json::JsonValue;
 
     fn dur(n: u64) -> Duration {
         Duration::new(n)
@@ -1078,8 +1026,10 @@ mod tests {
             mean_depth: 1.25,
             peak_depth: 7,
         });
-        let json = att.render_json();
-        validate_json(&json).expect("report must be valid JSON");
+        let mut w = Writer::new();
+        att.write_json(&mut w);
+        let json = w.finish();
+        JsonValue::parse(&json).expect("report must be valid JSON");
         assert!(json.contains("\"phase\":\"pack\""));
         assert!(json.contains("\"component\":\"sw0.bus\""));
         assert!(json.contains("\\\"odd\\\""));

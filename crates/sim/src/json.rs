@@ -1,14 +1,24 @@
-//! A minimal JSON value parser for test harnesses.
+//! The repo's one JSON layer: a parser, a streaming writer and a
+//! structural schema checker.
 //!
-//! The offline build bans `serde_json`, but the exporter golden tests
-//! and the CI report-schema check need to *read* JSON back, not just
-//! validate it ([`crate::trace::validate_json`]). This module parses a
-//! JSON document into a [`JsonValue`] tree (objects keep key order in a
-//! `BTreeMap`, numbers stay `f64`) and offers a small structural schema
-//! checker covering the subset of JSON Schema the repo's checked-in
-//! schemas use: `type`, `required`, `properties` and `items`.
+//! The offline build has no `serde_json`. [`JsonValue::parse`] reads a
+//! document into a tree (objects sort their keys in a `BTreeMap`,
+//! numbers stay `f64`, nesting is bounded by [`MAX_DEPTH`]).
+//! [`Writer`] emits one: it owns commas, quoting, string escaping and
+//! number spelling, writes keys in call order and integers exactly, so
+//! every emitter's bytes are a pure function of its calls.
+//! [`check_schema`] covers the subset of JSON Schema the repo's
+//! checked-in schemas use: `type`, `required`, `properties` and
+//! `items`.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// repo's own documents nest at most 11 levels (the report schema); the
+/// bound keeps a hostile spec or snapshot header from overflowing the
+/// stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +43,7 @@ impl JsonValue {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -83,6 +93,145 @@ impl JsonValue {
             JsonValue::Array(_) => "array",
             JsonValue::Object(_) => "object",
         }
+    }
+}
+
+/// A streaming JSON emitter.
+///
+/// Containers are written through closures, so every document it
+/// produces is balanced; inside an object each value follows a
+/// [`Writer::key`]. There are no options: keys come out in call order,
+/// integers exactly, a finite `f64` in Rust's shortest round-trip `{}`
+/// form and a non-finite one as `null`; strings escape `"`, `\` and
+/// control characters (as `\u00XX`) and pass everything else through.
+///
+/// ```
+/// use beacon_sim::json::Writer;
+///
+/// let mut w = Writer::new();
+/// w.object(|w| {
+///     w.key("name").str("a\"b");
+///     w.key("runs").objects([3, 5], |w, n| w.key("n").u64(n));
+///     w.key("empty").array(|_| {});
+///     w.key("mean").f64(f64::NAN);
+/// });
+/// let json = r#"{"name":"a\"b","runs":[{"n":3},{"n":5}],"empty":[],"mean":null}"#;
+/// assert_eq!(w.finish(), json);
+/// ```
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// The next value or key needs a separating comma.
+    comma: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// The written document.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Writes an object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Writer)) {
+        self.container('{', '}', body);
+    }
+
+    /// Writes an array whose elements `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Writer)) {
+        self.container('[', ']', body);
+    }
+
+    /// Writes an array of one object per item; `members` writes each
+    /// object's members.
+    pub fn objects<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut members: impl FnMut(&mut Writer, T),
+    ) {
+        self.array(|w| {
+            for item in items {
+                w.object(|w| members(w, item));
+            }
+        });
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Writer)) {
+        self.sep();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+    }
+
+    /// Writes an object member's key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.str(key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes a string.
+    pub fn str(&mut self, v: &str) {
+        self.sep();
+        self.out.push('"');
+        let mut start = 0;
+        // The escaped bytes are ASCII, so every cut is a char boundary.
+        for (i, b) in v.bytes().enumerate() {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                self.out.push_str(&v[start..i]);
+                match b {
+                    b'"' => self.out.push_str("\\\""),
+                    b'\\' => self.out.push_str("\\\\"),
+                    _ => self.out.push_str(&format!("\\u{b:04x}")),
+                }
+                start = i + 1;
+            }
+        }
+        self.out.push_str(&v[start..]);
+        self.out.push('"');
+    }
+
+    /// Writes an unsigned integer exactly.
+    pub fn u64(&mut self, v: u64) {
+        self.sep();
+        let _ = write!(self.out, "{v}");
+    }
+
+    /// Writes a signed integer exactly.
+    pub fn i64(&mut self, v: i64) {
+        self.sep();
+        let _ = write!(self.out, "{v}");
+    }
+
+    /// Writes a finite float in shortest round-trip form, anything else
+    /// as `null`.
+    pub fn f64(&mut self, v: f64) {
+        self.sep();
+        if v.is_finite() {
+            let _ = write!(self.out, "{v}");
+        } else {
+            self.out.push_str("null");
+        }
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, v: bool) {
+        self.sep();
+        self.out.push_str(if v { "true" } else { "false" });
     }
 }
 
@@ -144,10 +293,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    if depth >= MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at offset {pos}",
+            pos = *pos
+        ));
+    }
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => parse_string(b, pos).map(JsonValue::String),
         Some(b't') => parse_literal(b, pos, "true").map(|()| JsonValue::Bool(true)),
         Some(b'f') => parse_literal(b, pos, "false").map(|()| JsonValue::Bool(false)),
@@ -161,7 +316,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -181,7 +336,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         }
         *pos += 1;
         skip_ws(b, pos);
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -195,7 +350,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '['
     let mut elems = Vec::new();
     skip_ws(b, pos);
@@ -205,7 +360,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(b, pos);
-        elems.push(parse_value(b, pos)?);
+        elems.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -329,6 +484,7 @@ fn parse_literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_documents() {
@@ -352,24 +508,77 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{", "[1,]", "\"open", "{\"a\" 1}", "01", "{} x", "nul"] {
+        for bad in [
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "\"open",
+            "{\"a\" 1}",
+            "01",
+            "01x",
+            "{} x",
+            "nul",
+            "{\"a\":\"\\q\"}",
+        ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
     #[test]
-    fn agrees_with_the_validator() {
-        // Everything the parser accepts, validate_json accepts too.
-        for text in [
-            "{}",
-            "[]",
-            "42",
-            "-0.5e3",
-            r#"{"k":[{"x":null}]}"#,
-            r#""☃""#,
-        ] {
-            assert!(JsonValue::parse(text).is_ok());
-            crate::trace::validate_json(text).expect("validator must agree");
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Deep enough to overflow the stack of an unbounded parser.
+        assert!(JsonValue::parse(&"[".repeat(100_000)).is_err());
+        assert!(JsonValue::parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    /// A string of low code points (ASCII, controls, Latin-1) followed
+    /// by arbitrary scalar values up to U+10FFFF.
+    fn text(low: Vec<u32>, high: Vec<u32>) -> String {
+        low.into_iter()
+            .chain(high)
+            .map(|c| char::from_u32(c).unwrap_or('\u{fffd}'))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn writer_round_trips_through_the_parser(
+            low in prop::collection::vec(0u32..0x100, 0..24),
+            high in prop::collection::vec(0x100u32..0x11_0000, 0..8),
+            u in 0u64..=(1 << 53),
+            i in -(1i64 << 53)..=(1 << 53),
+            bits in 0u64..=u64::MAX,
+        ) {
+            let s = text(low, high);
+            let f = f64::from_bits(bits);
+            let mut w = Writer::new();
+            w.array(|w| {
+                w.str(&s);
+                w.object(|w| w.key(&s).bool(true));
+                w.u64(u);
+                w.i64(i);
+                for v in [f, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    w.f64(v);
+                }
+            });
+            let number = |v: f64| if v.is_finite() { JsonValue::Number(v) } else { JsonValue::Null };
+            let want = JsonValue::Array(vec![
+                JsonValue::String(s.clone()),
+                JsonValue::Object(BTreeMap::from([(s, JsonValue::Bool(true))])),
+                JsonValue::Number(u as f64),
+                JsonValue::Number(i as f64),
+                number(f),
+                JsonValue::Null,
+                JsonValue::Null,
+                JsonValue::Null,
+            ]);
+            prop_assert_eq!(JsonValue::parse(&w.finish()), Ok(want));
         }
     }
 

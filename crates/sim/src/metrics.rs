@@ -9,6 +9,8 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use crate::json::Writer;
+
 /// One snapshot of gauge values at a point in simulated time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSample {
@@ -70,14 +72,16 @@ impl MetricsSeries {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.samples.len() * 96);
         for s in &self.samples {
-            let _ = write!(out, "{{\"run\":{},\"cycle\":{}", s.run, s.cycle);
-            for (k, v) in &s.values {
-                out.push_str(",\"");
-                push_escaped(&mut out, k);
-                out.push_str("\":");
-                push_f64(&mut out, Some(*v));
-            }
-            out.push_str("}\n");
+            let mut w = Writer::new();
+            w.object(|w| {
+                w.key("run").u64(u64::from(s.run));
+                w.key("cycle").u64(s.cycle);
+                for (k, v) in &s.values {
+                    w.key(k).f64(*v);
+                }
+            });
+            out.push_str(&w.finish());
+            out.push('\n');
         }
         out
     }
@@ -114,32 +118,10 @@ impl MetricsSeries {
     }
 }
 
-fn push_f64(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) if v.is_finite() => {
-            let _ = write!(out, "{v}");
-        }
-        _ => out.push_str("null"),
-    }
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::validate_json;
+    use crate::json::JsonValue;
 
     fn sample(run: u32, cycle: u64, pairs: &[(&str, f64)]) -> MetricsSample {
         MetricsSample {
@@ -162,7 +144,7 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in &lines {
-            validate_json(line).unwrap_or_else(|e| panic!("bad JSONL line {line}: {e}"));
+            JsonValue::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line}: {e}"));
         }
         assert!(lines[0].contains("\"cycle\":0"));
         assert!(lines[1].contains("\"pe_busy\":null"));

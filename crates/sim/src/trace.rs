@@ -17,6 +17,8 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::json::Writer;
+
 /// Verbosity of a trace event, coarsest first.
 ///
 /// A buffer installed at level `L` records every event whose level is
@@ -267,68 +269,57 @@ impl TraceBuffer {
     /// to one microsecond of trace time; tracks become named threads of
     /// process 0.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.tracks.len() * 96 + self.events.len() * 112);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for (tid, name) in self.tracks.iter().enumerate() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"ph\":\"M\",\"pid\":0,\"tid\":");
-            out.push_str(&tid.to_string());
-            out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
-            push_escaped(&mut out, name);
-            out.push_str("\"}}");
-        }
-        for (tid, ev) in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            if ev.category == TraceCategory::Journey {
-                // Chrome flow events: one "s"/"t".."t"/"f" chain per
-                // journey id, drawing the request's path in Perfetto.
-                let ph = match ev.name {
-                    "jny.begin" => "s",
-                    "jny.end" => "f",
-                    _ => "t",
-                };
-                out.push_str("{\"ph\":\"");
-                out.push_str(ph);
-                out.push('"');
-                if ph == "f" {
-                    out.push_str(",\"bp\":\"e\"");
+        let mut w = Writer::new();
+        w.object(|w| {
+            w.key("displayTimeUnit").str("ms");
+            w.key("traceEvents").array(|w| {
+                for (tid, name) in self.tracks.iter().enumerate() {
+                    w.object(|w| {
+                        w.key("ph").str("M");
+                        w.key("pid").u64(0);
+                        w.key("tid").u64(tid as u64);
+                        w.key("name").str("thread_name");
+                        w.key("args").object(|w| w.key("name").str(name));
+                    });
                 }
-                out.push_str(",\"pid\":0,\"tid\":");
-                out.push_str(&tid.to_string());
-                out.push_str(",\"ts\":");
-                out.push_str(&ev.cycle.to_string());
-                out.push_str(",\"cat\":\"journey\",\"name\":\"journey\",\"id\":");
-                out.push_str(&ev.arg.to_string());
-                out.push('}');
-                continue;
-            }
-            if ev.dur > 0 {
-                out.push_str("{\"ph\":\"X\",\"dur\":");
-                out.push_str(&ev.dur.to_string());
-            } else {
-                out.push_str("{\"ph\":\"i\",\"s\":\"t\"");
-            }
-            out.push_str(",\"pid\":0,\"tid\":");
-            out.push_str(&tid.to_string());
-            out.push_str(",\"ts\":");
-            out.push_str(&ev.cycle.to_string());
-            out.push_str(",\"cat\":\"");
-            out.push_str(ev.category.as_str());
-            out.push_str("\",\"name\":\"");
-            push_escaped(&mut out, ev.name);
-            out.push_str("\",\"args\":{\"v\":");
-            out.push_str(&ev.arg.to_string());
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+                for (tid, ev) in &self.events {
+                    w.object(|w| write_event(w, *tid, ev));
+                }
+            });
+        });
+        w.finish()
+    }
+}
+
+/// One Chrome trace event's members.
+fn write_event(w: &mut Writer, tid: u32, ev: &TraceEvent) {
+    let journey = ev.category == TraceCategory::Journey;
+    // Journey events become Chrome flow events: one "s"/"t".."t"/"f"
+    // chain per journey id, drawing the request's path in Perfetto.
+    let ph = match (journey, ev.name) {
+        (true, "jny.begin") => "s",
+        (true, "jny.end") => "f",
+        (true, _) => "t",
+        (false, _) if ev.dur > 0 => "X",
+        (false, _) => "i",
+    };
+    w.key("ph").str(ph);
+    match ph {
+        "f" => w.key("bp").str("e"),
+        "X" => w.key("dur").u64(ev.dur),
+        "i" => w.key("s").str("t"),
+        _ => {}
+    }
+    w.key("pid").u64(0);
+    w.key("tid").u64(u64::from(tid));
+    w.key("ts").u64(ev.cycle);
+    w.key("cat").str(ev.category.as_str());
+    if journey {
+        w.key("name").str("journey");
+        w.key("id").u64(ev.arg);
+    } else {
+        w.key("name").str(ev.name);
+        w.key("args").object(|w| w.key("v").u64(ev.arg));
     }
 }
 
@@ -347,19 +338,6 @@ fn canonical_key(
         ev.dur,
         ev.arg,
     )
-}
-
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 thread_local! {
@@ -413,188 +391,10 @@ pub fn absorb(buffers: Vec<TraceBuffer>) {
     });
 }
 
-/// Validates that `text` is one well-formed JSON value.
-///
-/// A dependency-free recursive-descent checker (the offline build bans
-/// `serde_json`); used by the exporter's tests and by external harnesses
-/// to sanity-check written trace/metrics files.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_literal(b, pos, "true"),
-        Some(b'f') => parse_literal(b, pos, "false"),
-        Some(b'n') => parse_literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!(
-            "unexpected byte {c:#04x} at offset {pos}",
-            pos = *pos
-        )),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at offset {pos}", pos = *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at offset {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => {
-                                    return Err(format!(
-                                        "bad \\u escape at offset {pos}",
-                                        pos = *pos
-                                    ))
-                                }
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}", pos = *pos)),
-                }
-            }
-            c if c < 0x20 => {
-                return Err(format!(
-                    "raw control byte in string at offset {pos}",
-                    pos = *pos
-                ))
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_digits = eat_digits(b, pos);
-    if int_digits == 0 {
-        return Err(format!("malformed number at offset {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if eat_digits(b, pos) == 0 {
-            return Err(format!("malformed fraction at offset {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if eat_digits(b, pos) == 0 {
-            return Err(format!("malformed exponent at offset {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn eat_digits(b: &[u8], pos: &mut usize) -> usize {
-    let start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    *pos - start
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at offset {pos}", pos = *pos))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
     use proptest::prelude::*;
 
     fn ev(cycle: u64, level: TraceLevel) -> TraceEvent {
@@ -664,7 +464,7 @@ mod tests {
             TraceEvent::span(10, 4, TraceLevel::Flit, TraceCategory::Cxl, "cxl.send", 68),
         );
         let json = buf.to_chrome_json();
-        validate_json(&json).expect("exporter output must be valid JSON");
+        JsonValue::parse(&json).expect("exporter output must be valid JSON");
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"thread_name\""));
@@ -725,10 +525,7 @@ mod tests {
 
     #[test]
     fn chrome_json_round_trips_through_a_parser() {
-        // Flow events, track ids and escaping must survive a real JSON
-        // parse, not just the validator (the offline build bans
-        // serde_json; crate::json is its stand-in).
-        use crate::json::JsonValue;
+        // Flow events, track ids and escaping must survive a parse.
         let mut buf = TraceBuffer::new(TraceLevel::Command, 16);
         buf.record(
             "sw0.\"quoted\"\\track",
@@ -785,7 +582,7 @@ mod tests {
     fn empty_buffer_exports_valid_json() {
         let buf = TraceBuffer::new(TraceLevel::Command, 4);
         let json = buf.to_chrome_json();
-        validate_json(&json).expect("empty export must be valid JSON");
+        JsonValue::parse(&json).expect("empty export must be valid JSON");
         assert!(json.contains("\"traceEvents\":[]"));
     }
 
@@ -802,7 +599,7 @@ mod tests {
             "{\"a\":\"\\q\"}",
         ] {
             assert!(
-                validate_json(bad).is_err(),
+                JsonValue::parse(bad).is_err(),
                 "accepted malformed input: {bad}"
             );
         }
@@ -812,7 +609,7 @@ mod tests {
             "{\"a\":[1,2.5,-3e2,true,false,null,\"s\\n\"]}",
             "42",
         ] {
-            validate_json(good).unwrap_or_else(|e| panic!("rejected {good}: {e}"));
+            JsonValue::parse(good).unwrap_or_else(|e| panic!("rejected {good}: {e}"));
         }
     }
 

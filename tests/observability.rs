@@ -9,7 +9,7 @@ use beacon_genomics::genome::{Genome, GenomeId};
 use beacon_genomics::prelude::FmIndex;
 use beacon_genomics::reads::ReadSampler;
 use beacon_genomics::trace::{AppKind, Region, TaskTrace};
-use beacon_sim::trace::{self, validate_json, TraceBuffer, TraceCategory, TraceLevel};
+use beacon_sim::trace::{self, TraceBuffer, TraceCategory, TraceLevel};
 
 fn workload(n: usize) -> (Vec<TaskTrace>, u64) {
     let g = Genome::synthetic(GenomeId::Pt, 3000, 5);
@@ -64,7 +64,7 @@ fn traced_run_covers_every_layer_and_exports_valid_json() {
     );
 
     let json = buf.to_chrome_json();
-    validate_json(&json).expect("chrome trace must be valid JSON");
+    beacon_sim::json::JsonValue::parse(&json).expect("chrome trace must be valid JSON");
     assert!(json.contains("\"traceEvents\":["));
     // Topology-labelled tracks, not anonymous defaults.
     assert!(json.contains("sw0.dimm0.dram"));
@@ -116,7 +116,7 @@ fn metrics_series_samples_the_run() {
     assert_eq!(completed, 12.0);
 
     for line in series.to_jsonl().lines() {
-        validate_json(line).expect("every JSONL line must be valid JSON");
+        beacon_sim::json::JsonValue::parse(line).expect("every JSONL line must be valid JSON");
     }
     assert!(series.to_csv().starts_with("run,cycle,"));
 }
