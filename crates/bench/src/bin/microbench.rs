@@ -21,8 +21,8 @@
 //! Built with `--features audit` (forwarding beacon-dram's and
 //! beacon-accel's `tick-audit` features), the DIMM and engine sections
 //! also report *work-budget* columns from
-//! the deterministic per-tick counters: FR-FCFS choice-pass list-head
-//! inspections and horizon-recompute terms per iteration. Hardware
+//! the deterministic per-tick counters: banks inspected by the FR-FCFS
+//! scan and horizon-recompute terms per iteration. Hardware
 //! instruction/branch counters are not available in every environment
 //! this runs in, so these deterministic iteration counts are the
 //! budget proxy: they bound the branchy inner-loop work of
@@ -95,7 +95,7 @@ struct Report {
     iters: u64,
     ns_per_iter: f64,
     allocs: u64,
-    /// FR-FCFS choice-pass scans per iteration (`audit` builds only).
+    /// FR-FCFS bank inspections per iteration (`audit` builds only).
     choice_per_iter: Option<f64>,
     /// Horizon-recompute terms per iteration (`audit` builds only).
     horizon_per_iter: Option<f64>,
@@ -105,16 +105,15 @@ struct Report {
     comp_per_iter: Option<f64>,
 }
 
-/// Per-tick budget for `Dimm::tick_banks` choice-pass scans, asserted
-/// by the DIMM section in `audit` builds. The mixed hit/conflict
-/// traffic below keeps every bank group active, so the FR-FCFS sweep
-/// inspects each non-empty per-bank list head a small constant number
-/// of times per tick (once per choice pass, at most two passes — the
-/// column pass and the ACT/PRE rehoming pass). 16 active banks * 2
-/// passes = 32; 48 leaves headroom for the occasional extra pass after
-/// a retirement without letting per-entry rescans (O(queue) per tick)
-/// slip through.
-const DIMM_CHOICE_SCAN_BUDGET: f64 = 48.0;
+/// Per-tick budget for `Dimm::tick_banks` FR-FCFS bank inspections,
+/// asserted by the DIMM section in `audit` builds. The traffic below
+/// keeps up to 16 banks of rank 0 active, and the scheduler inspects
+/// each active bank once per ungated tick, whatever the number of
+/// commands it issues: 4.5 per iteration here. Choosing again after
+/// every issued command runs up to (buses + 1) × 2 passes per tick,
+/// 11.0 per iteration on this traffic, and a per-entry rescan (O(queue)
+/// per tick) costs more still, so both fail this budget.
+const DIMM_CHOICE_SCAN_BUDGET: f64 = 8.0;
 
 /// Per-tick budget for horizon-recompute terms: one term per active
 /// bank list plus refresh/completion terms, only on dirty recomputes.

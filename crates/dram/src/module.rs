@@ -288,6 +288,23 @@ impl BankSched {
     }
 }
 
+/// One command bus's FR-FCFS candidate for the current cycle. Picks
+/// order by `(miss, id)`: any row hit before any ACT/PRE, then age.
+#[derive(Debug, Clone, Copy)]
+struct BusPick {
+    /// The command is an ACT or PRE rather than a row-hit column command.
+    miss: bool,
+    id: ReqId,
+    slot: u32,
+    kind: CmdKind,
+}
+
+impl BusPick {
+    fn key(&self) -> (bool, ReqId) {
+        (self.miss, self.id)
+    }
+}
+
 /// Deterministic per-tick work counters (`tick-audit` feature): a
 /// retired-work proxy for the microbench budget columns. Pure
 /// observation — never snapshotted, never digested, identical across
@@ -299,7 +316,7 @@ pub struct TickAudit {
     ticks: u64,
     /// Ticks short-circuited by the horizon gate (no sweep performed).
     gated_ticks: u64,
-    /// Active-bank list-head inspections across the FR-FCFS choice passes.
+    /// Active-bank inspections by the FR-FCFS scan.
     choice_scans: std::cell::Cell<u64>,
     /// Active-bank terms folded during horizon recomputes.
     horizon_scans: std::cell::Cell<u64>,
@@ -313,13 +330,13 @@ pub struct TickAuditCounters {
     pub ticks: u64,
     /// Ticks short-circuited by the horizon gate (no sweep performed).
     pub gated_ticks: u64,
-    /// Active-bank list-head inspections across the FR-FCFS choice passes.
+    /// Active-bank inspections by the FR-FCFS scan.
     pub choice_scans: u64,
     /// Active-bank terms folded during horizon recomputes.
     pub horizon_scans: u64,
 }
 
-/// Tick-local command-mix accumulators (DESIGN.md §15.5): `issue_one`
+/// Tick-local command-mix accumulators (DESIGN.md §15.5): `apply_command`
 /// bumps plain integers and `tick_banks` folds them into `Stats` once
 /// per sweep, so the sorted-array/hint-cache machinery is hit
 /// O(counters) per tick instead of O(commands). `Stats::add` ignores
@@ -454,6 +471,12 @@ pub struct Dimm {
     gate: Cell<Backoff>,
     /// Reusable buffer for the order-preserving merges on PRE/refresh.
     merge_scratch: VecDeque<u32>,
+    /// Per-command-bus FR-FCFS picks of the current sweep. Scratch:
+    /// rebuilt every `tick_banks`, never snapshotted.
+    picks: Vec<Option<BusPick>>,
+    /// `(id, slot)` of the requests retiring in the current sweep.
+    /// Scratch: empty between sweeps, never snapshotted.
+    due: Vec<(ReqId, u32)>,
     /// Tick-local command-mix accumulators, folded into `stats` once per
     /// `tick_banks` sweep. Always zero between sweeps — never
     /// snapshotted (DESIGN.md §15.5).
@@ -529,6 +552,8 @@ impl Dimm {
             dense: true,
             gate: Cell::new(Backoff::new()),
             merge_scratch: VecDeque::new(),
+            picks: Vec::new(),
+            due: Vec::with_capacity(cfg.queue_depth),
             acc: CmdStatAcc::default(),
             cmd_ids,
             trace_id: None,
@@ -1088,51 +1113,56 @@ impl Dimm {
             Some(&Reverse((at, _))) if at <= now => {}
             _ => return,
         }
-        // Sweep the age-ordered queue so completions keep their original
-        // age order; requests retire out of order with respect to queue
-        // age, but the completion list must not be reordered among those
-        // due in the same cycle.
-        let mut i = 0;
-        while i < self.order.len() {
-            let slot = self.order[i];
-            let p = self.entry(slot);
-            if p.finished() && p.last_data_end <= now {
-                self.order.remove(i).expect("index valid");
-                let done = self.free_slot(slot);
-                // UE stream: retirement cycles are identical whether the
-                // engine fast-forwards or not, so consuming a stamp here
-                // poisons the same read in every execution mode.
-                let poisoned = match &mut self.faults {
-                    Some(f) if done.req.kind == ReqKind::Read => f.ue.pop_due(now).is_some(),
-                    _ => false,
-                };
-                if poisoned {
-                    self.stats.incr("ras.dimm_ue");
-                }
-                self.completed.push(CompletedAccess {
-                    id: done.id,
-                    request: done.req,
-                    finished_at: done.last_data_end,
-                    enqueued_at: done.enqueued_at,
-                    service_started_at: if done.first_cmd_at == Cycle::NEVER {
-                        done.enqueued_at
-                    } else {
-                        done.first_cmd_at
-                    },
-                    poisoned,
-                });
-            } else {
-                i += 1;
-            }
-        }
-        // Drop the heap entries that just retired (exactly those <= now).
-        while let Some(&Reverse((at, _))) = self.finishing.peek() {
+        // `finishing` holds exactly the finished, unretired entries, so
+        // the due ones pop straight off the heap. Requests retire out of
+        // order with respect to queue age, but completions due in the
+        // same cycle keep age order, which is `ReqId` order.
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(&Reverse((at, slot))) = self.finishing.peek() {
             if at > now {
                 break;
             }
             self.finishing.pop();
+            due.push((self.entry(slot).id, slot));
         }
+        due.sort_unstable();
+        for &(_, slot) in &due {
+            self.complete(slot, now);
+        }
+        // `order` is age-ordered too, so one merge walk unlinks them.
+        let mut next = due.iter().map(|&(_, slot)| slot).peekable();
+        self.order.retain(|&slot| next.next_if_eq(&slot).is_none());
+        due.clear();
+        self.due = due;
         self.horizon.invalidate();
+    }
+
+    /// Frees a finished entry's slot and appends its completion. Does
+    /// not touch `order` or `finishing`; the caller unlinks the slot.
+    fn complete(&mut self, slot: u32, now: Cycle) {
+        let done = self.free_slot(slot);
+        // UE stream: retirement cycles are identical whether the engine
+        // fast-forwards or not, so consuming a stamp here poisons the
+        // same read in every execution mode.
+        let poisoned = match &mut self.faults {
+            Some(f) if done.req.kind == ReqKind::Read => f.ue.pop_due(now).is_some(),
+            _ => false,
+        };
+        if poisoned {
+            self.stats.incr("ras.dimm_ue");
+        }
+        self.completed.push(CompletedAccess {
+            id: done.id,
+            request: done.req,
+            finished_at: done.last_data_end,
+            enqueued_at: done.enqueued_at,
+            service_started_at: if done.first_cmd_at == Cycle::NEVER {
+                done.enqueued_at
+            } else {
+                done.first_cmd_at
+            },
+            poisoned,
+        });
     }
 
     /// True when an ACT to `(rank, group)` would violate tRRD or tFAW at
@@ -1239,22 +1269,14 @@ impl Dimm {
         self.merge_scratch = mi;
     }
 
-    /// The scheduling decision at `now`: the slab slot and command the
-    /// controller issues next, or `None` when nothing can issue. Exactly
-    /// equivalent to the linear two-pass scan ([`Dimm::reference_choice`]).
-    fn choose(&self, now: Cycle) -> Option<(u32, CmdKind)> {
-        match self.cfg.policy {
-            SchedPolicy::FrFcfs => self.choose_frfcfs(now),
-            SchedPolicy::Fcfs => self.choose_fcfs(now),
-        }
-    }
-
-    fn choose_frfcfs(&self, now: Cycle) -> Option<(u32, CmdKind)> {
+    /// The FR-FCFS scan: one pass over the active banks that leaves in
+    /// `picks[bus]` that command bus's oldest issuable row hit, failing
+    /// that its oldest issuable ACT/PRE. Every entry of one per-bank
+    /// list shares the same readiness condition (bank timers, rank,
+    /// bus, data lane, CAS lead), so the oldest issuable request of a
+    /// list is its head when the head can issue, and none otherwise.
+    fn scan_frfcfs(&self, now: Cycle, picks: &mut [Option<BusPick>]) {
         let t = self.cfg.timing;
-        // Pass 1 (row hits first): every entry of one hit list shares the
-        // same readiness condition, so the oldest ready request with an
-        // issuable column command is the oldest ready *head*.
-        let mut best: Option<(ReqId, u32, CmdKind)> = None;
         for &b in &self.active_banks {
             let bidx = b as usize;
             #[cfg(feature = "tick-audit")]
@@ -1262,13 +1284,13 @@ impl Dimm {
                 .choice_scans
                 .set(self.audit.choice_scans.get() + 1);
             let rank = self.rank_of_bank(bidx);
-            if now < self.rank_busy[rank as usize]
-                || now < self.cmd_bus_free[self.bank_cbus[bidx] as usize]
-            {
+            let bus = self.bank_cbus[bidx] as usize;
+            if now < self.rank_busy[rank as usize] || now < self.cmd_bus_free[bus] {
                 continue;
             }
             let sched = &self.sched[bidx];
             let lane = self.lane_of_bank(bidx);
+            let best = &mut picks[bus];
             for (list, kind, lead) in [
                 (&sched.hit_read, CmdKind::Read, t.cl),
                 (&sched.hit_write, CmdKind::Write, t.cwl),
@@ -1284,32 +1306,19 @@ impl Dimm {
                     continue;
                 }
                 let id = self.entry(slot).id;
-                if best.is_none_or(|(b, ..)| id < b) {
-                    best = Some((id, slot, kind));
+                if best.is_none_or(|p| p.key() > (false, id)) {
+                    *best = Some(BusPick {
+                        miss: false,
+                        id,
+                        slot,
+                        kind,
+                    });
                 }
             }
-        }
-        if let Some((_, slot, kind)) = best {
-            return Some((slot, kind));
-        }
-
-        // Pass 2: oldest request that needs an ACT or PRE it can issue
-        // now. All misses of one bank need the same command and share its
-        // readiness, so heads again suffice.
-        let mut best: Option<(ReqId, u32, CmdKind)> = None;
-        for &b in &self.active_banks {
-            let bidx = b as usize;
-            #[cfg(feature = "tick-audit")]
-            self.audit
-                .choice_scans
-                .set(self.audit.choice_scans.get() + 1);
-            let rank = self.rank_of_bank(bidx);
-            if now < self.rank_busy[rank as usize]
-                || now < self.cmd_bus_free[self.bank_cbus[bidx] as usize]
-            {
+            // A row hit on this bus outranks every ACT/PRE.
+            if best.is_some_and(|p| !p.miss) {
                 continue;
             }
-            let sched = &self.sched[bidx];
             let Some(&slot) = sched.miss.front() else {
                 continue;
             };
@@ -1319,7 +1328,6 @@ impl Dimm {
                 CmdKind::Activate
             };
             if need == CmdKind::Activate {
-                let lane = self.lane_of_bank(bidx);
                 let group = lane as u32 % self.groups_per_rank;
                 if self.act_blocked(rank, group, now) {
                     continue;
@@ -1329,11 +1337,36 @@ impl Dimm {
                 continue;
             }
             let id = self.entry(slot).id;
-            if best.is_none_or(|(b, ..)| id < b) {
-                best = Some((id, slot, need));
+            if best.is_none_or(|p| id < p.id) {
+                *best = Some(BusPick {
+                    miss: true,
+                    id,
+                    slot,
+                    kind: need,
+                });
             }
         }
-        best.map(|(_, slot, kind)| (slot, kind))
+    }
+
+    /// Issues this cycle's FR-FCFS commands: one scan, then every bus's
+    /// pick in `(miss, id)` order. An issue changes only state local to
+    /// its command bus's rank (the bank, its lists, the bus, the rank's
+    /// data lanes and ACT windows), so no other bus's pick goes stale.
+    /// The order reproduces re-choosing after every issue: the oldest
+    /// remaining hit while any bus has one, then the oldest miss.
+    fn issue_frfcfs(&mut self, now: Cycle) {
+        if self.active_banks.is_empty() {
+            return;
+        }
+        let mut picks = std::mem::take(&mut self.picks);
+        picks.clear();
+        picks.resize(self.cmd_bus_free.len(), None);
+        self.scan_frfcfs(now, &mut picks);
+        picks.sort_unstable_by_key(|p| p.map(|p| p.key()));
+        for p in picks.iter().flatten() {
+            self.apply_command(p.slot, p.kind, now);
+        }
+        self.picks = picks;
     }
 
     fn choose_fcfs(&self, now: Cycle) -> Option<(u32, CmdKind)> {
@@ -1380,13 +1413,25 @@ impl Dimm {
         }
     }
 
-    /// The scheduling decision of the per-bank index at `now` as a
+    /// The first command the per-bank index would issue at `now` as a
     /// `(request id, command)` pair, for differential testing against
     /// [`Dimm::reference_choice`].
     #[doc(hidden)]
     pub fn indexed_choice(&self, now: Cycle) -> Option<(ReqId, CmdKind)> {
-        self.choose(now)
-            .map(|(slot, kind)| (self.entry(slot).id, kind))
+        match self.cfg.policy {
+            SchedPolicy::FrFcfs => {
+                let mut picks = vec![None; self.cmd_bus_free.len()];
+                self.scan_frfcfs(now, &mut picks);
+                picks
+                    .into_iter()
+                    .flatten()
+                    .min_by_key(BusPick::key)
+                    .map(|p| (p.id, p.kind))
+            }
+            SchedPolicy::Fcfs => self
+                .choose_fcfs(now)
+                .map(|(slot, kind)| (self.entry(slot).id, kind)),
+        }
     }
 
     /// The original linear two-pass FR-FCFS scan (including the
@@ -1466,14 +1511,11 @@ impl Dimm {
         None
     }
 
-    /// FR-FCFS issue: one command per cycle per command bus. Returns
-    /// whether a command issued; once it returns `false` at a given `now`
-    /// the controller state is unchanged, so further calls would also
-    /// return `false` and the caller may stop early.
-    fn issue_one(&mut self, now: Cycle) -> bool {
-        let Some((slot, kind)) = self.choose(now) else {
-            return false;
-        };
+    /// Issues `kind` for the request in `slot` at `now`: bank, command
+    /// bus, data lane and ACT-window state, the scheduling index, the
+    /// command-mix accumulators and the trace. The caller has checked
+    /// that the command can issue.
+    fn apply_command(&mut self, slot: u32, kind: CmdKind, now: Cycle) {
         let t = self.cfg.timing;
         let chips_per_group = self.cfg.access_mode.chips_per_group(&self.cfg.geometry) as u64;
 
@@ -1612,7 +1654,6 @@ impl Dimm {
             }
             CmdKind::Refresh => unreachable!("refresh issued by maybe_refresh"),
         }
-        true
     }
 
     /// The batched per-cycle sweep over the SoA bank state: refresh,
@@ -1622,11 +1663,18 @@ impl Dimm {
     /// directly.
     pub fn tick_banks(&mut self, now: Cycle) {
         self.maybe_refresh(now);
-        // One command slot per command bus per cycle; issue_one leaves
-        // the state untouched when it returns false, so stop early.
-        for _ in 0..self.cmd_bus_free.len() {
-            if !self.issue_one(now) {
-                break;
+        match self.cfg.policy {
+            SchedPolicy::FrFcfs => self.issue_frfcfs(now),
+            // Only the oldest unfinished request may issue, and which one
+            // that is changes when an issue finishes it, so FCFS chooses
+            // again after every command. A failed choice changes nothing.
+            SchedPolicy::Fcfs => {
+                for _ in 0..self.cmd_bus_free.len() {
+                    let Some((slot, kind)) = self.choose_fcfs(now) else {
+                        break;
+                    };
+                    self.apply_command(slot, kind, now);
+                }
             }
         }
         self.retire_finished(now);
@@ -1705,11 +1753,31 @@ fn put_slots(w: &mut SnapWriter, slots: &VecDeque<u32>) {
     }
 }
 
-fn get_slots(r: &mut SnapReader<'_>) -> Result<VecDeque<u32>, SnapError> {
+/// The live entry at `slot`, or the typed error a snapshot naming an
+/// out-of-range or freed slot restores to.
+fn live_entry<'a>(
+    entries: &'a [Option<Pending>],
+    slot: u32,
+    what: &str,
+) -> Result<&'a Pending, SnapError> {
+    entries
+        .get(slot as usize)
+        .and_then(Option::as_ref)
+        .ok_or_else(|| SnapError::Corrupt(format!("{what} slot {slot} is not a live entry")))
+}
+
+/// Reads a slot list, each slot of which must index a live entry.
+fn get_live_slots(
+    r: &mut SnapReader<'_>,
+    entries: &[Option<Pending>],
+    what: &str,
+) -> Result<VecDeque<u32>, SnapError> {
     let n = r.seq_len()?;
     let mut out = VecDeque::with_capacity(n);
     for _ in 0..n {
-        out.push_back(r.u32()?);
+        let slot = r.u32()?;
+        live_entry(entries, slot, what)?;
+        out.push_back(slot);
     }
     Ok(out)
 }
@@ -1873,10 +1941,16 @@ impl Restore for Dimm {
         let n = r.seq_len()?;
         let mut free_slots = Vec::with_capacity(n);
         for _ in 0..n {
-            free_slots.push(r.u32()?);
+            let slot = r.u32()?;
+            if !matches!(self.entries.get(slot as usize), Some(None)) {
+                return Err(SnapError::Corrupt(format!(
+                    "free slot {slot} is not an empty entry"
+                )));
+            }
+            free_slots.push(slot);
         }
         self.free_slots = free_slots;
-        self.order = get_slots(r)?;
+        self.order = get_live_slots(r, &self.entries, "queue")?;
         let n = r.seq_len()?;
         if n != self.sched.len() {
             return Err(SnapError::Topology(format!(
@@ -1885,9 +1959,9 @@ impl Restore for Dimm {
             )));
         }
         for sched in &mut self.sched {
-            sched.hit_read = get_slots(r)?;
-            sched.hit_write = get_slots(r)?;
-            sched.miss = get_slots(r)?;
+            sched.hit_read = get_live_slots(r, &self.entries, "read-hit list")?;
+            sched.hit_write = get_live_slots(r, &self.entries, "write-hit list")?;
+            sched.miss = get_live_slots(r, &self.entries, "miss list")?;
         }
         let n = r.seq_len()?;
         let mut active_banks = Vec::with_capacity(n);
@@ -1909,7 +1983,14 @@ impl Restore for Dimm {
         let mut finishing = BinaryHeap::with_capacity(n);
         for _ in 0..n {
             let at = r.cycle()?;
-            finishing.push(Reverse((at, r.u32()?)));
+            let slot = r.u32()?;
+            let p = live_entry(&self.entries, slot, "finishing")?;
+            if !p.finished() || p.last_data_end != at {
+                return Err(SnapError::Corrupt(format!(
+                    "finishing slot {slot} at cycle {at} is not an entry finished then"
+                )));
+            }
+            finishing.push(Reverse((at, slot)));
         }
         self.finishing = finishing;
         let n = r.seq_len()?;
@@ -2008,6 +2089,7 @@ mod tests {
     use super::*;
     use crate::address::DramCoord;
     use beacon_sim::engine::Engine;
+    use beacon_sim::snap::{SnapReader, SnapWriter};
 
     fn dimm(mode: AccessMode) -> Dimm {
         let mut cfg = DimmConfig::paper(mode);
@@ -2337,41 +2419,48 @@ mod tests {
         assert!(latencies[3] > latencies[0]);
     }
 
+    /// A 64-bit LCG: the random source of the differential drivers.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed;
+        move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            s
+        }
+    }
+
+    /// Row-reuse-heavy random request for `d` drawn from `r`: few
+    /// distinct rows, so hits, conflicts and chained candidates all
+    /// occur.
+    fn random_request(d: &Dimm, r: u64) -> MemRequest {
+        let g = d.config().geometry;
+        let c = coord(
+            (r >> 48) as u32 % g.ranks,
+            ((r >> 32) % d.groups_per_rank() as u64) as u32,
+            ((r >> 16) % g.banks as u64) as u32,
+            r % 4,
+            ((r >> 8) % 4) as u32,
+        );
+        let bytes = [4u32, 32, 64, 256][(r % 4) as usize];
+        if r.is_multiple_of(5) {
+            MemRequest::write(c, bytes)
+        } else {
+            MemRequest::read(c, bytes)
+        }
+    }
+
     /// Drives random mixed traffic through a DIMM while checking, every
     /// cycle, that the per-bank index agrees with the linear-scan oracle
     /// on both the scheduling decision and the event horizon.
     fn check_index_against_reference(cfg: DimmConfig, seed: u64, steps: u64) {
         let mut d = Dimm::new(cfg);
-        let groups = d.groups_per_rank();
-        let banks = d.config().geometry.banks;
-        let ranks = d.config().geometry.ranks;
-        let mut s = seed;
-        let mut next = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s
-        };
+        let mut next = lcg(seed);
         for step in 0..steps {
             let now = Cycle::new(step);
             // Mixed enqueue pressure: bursty, row-reuse-heavy traffic.
-            if next() % 3 != 0 {
-                let r = next();
-                let c = coord(
-                    (r >> 48) as u32 % ranks,
-                    ((r >> 32) % groups as u64) as u32,
-                    ((r >> 16) % banks as u64) as u32,
-                    // Few distinct rows so hits, conflicts and chained
-                    // candidates all occur.
-                    r % 4,
-                    ((r >> 8) % 4) as u32,
-                );
-                let bytes = [4u32, 32, 64, 256][(r % 4) as usize];
-                let req = if r % 5 == 0 {
-                    MemRequest::write(c, bytes)
-                } else {
-                    MemRequest::read(c, bytes)
-                };
+            if !next().is_multiple_of(3) {
+                let req = random_request(&d, next());
                 d.sync_time(now);
                 let _ = d.enqueue(req);
             }
@@ -2386,7 +2475,7 @@ mod tests {
                 d.reference_next_event(),
                 "horizon divergence after cycle {step}"
             );
-            if next() % 7 == 0 {
+            if next().is_multiple_of(7) {
                 let _ = d.drain_completed();
             }
         }
@@ -2410,6 +2499,199 @@ mod tests {
         let mut cfg = DimmConfig::paper(AccessMode::Coalesced { chips: 8 });
         cfg.policy = SchedPolicy::Fcfs;
         check_index_against_reference(cfg, 0xC0FF_EE00, 4000);
+    }
+
+    /// The tick as it was before the one-scan scheduler: re-run the
+    /// linear [`Dimm::reference_choice`] after every issue (at most one
+    /// command per bus), apply each pick through the shared command
+    /// path, then retire with an age-ordered sweep of the queue.
+    fn reference_tick(d: &mut Dimm, now: Cycle) {
+        d.maybe_refresh(now);
+        for _ in 0..d.cmd_bus_free.len() {
+            let Some((id, kind)) = d.reference_choice(now) else {
+                break;
+            };
+            let slot = d
+                .order
+                .iter()
+                .copied()
+                .find(|&s| d.entry(s).id == id)
+                .expect("chosen request is queued");
+            d.apply_command(slot, kind, now);
+        }
+        if d.finishing
+            .peek()
+            .is_some_and(|&Reverse((at, _))| at <= now)
+        {
+            let mut i = 0;
+            while i < d.order.len() {
+                let slot = d.order[i];
+                let p = d.entry(slot);
+                if p.finished() && p.last_data_end <= now {
+                    d.order.remove(i);
+                    d.complete(slot, now);
+                } else {
+                    i += 1;
+                }
+            }
+            d.finishing.retain(|&Reverse((at, _))| at > now);
+            d.horizon.invalidate();
+        }
+        d.flush_cmd_stats();
+    }
+
+    fn payload(d: &Dimm) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.component(d);
+        w.into_bytes()
+    }
+
+    fn commands_issued(d: &Dimm) -> u64 {
+        [
+            "dram.cmd.act",
+            "dram.cmd.pre",
+            "dram.cmd.read",
+            "dram.cmd.write",
+        ]
+        .iter()
+        .map(|name| d.stats().get(name))
+        .sum()
+    }
+
+    /// Runs `f` with a command-level trace sink installed and returns
+    /// the events it emitted, in order.
+    fn traced(f: impl FnOnce()) -> Vec<TraceEvent> {
+        trace::install(trace::TraceBuffer::new(TraceLevel::Command, 64));
+        f();
+        let sink = trace::uninstall().expect("sink installed");
+        sink.iter().map(|(_, event)| *event).collect()
+    }
+
+    /// Ticks a DIMM through `tick_banks` and a clone through
+    /// [`reference_tick`] on the same random traffic, requiring
+    /// identical command traces, completion lists and snapshot payloads
+    /// after every cycle. Returns the most commands one tick issued.
+    fn check_ticks_against_reference(cfg: DimmConfig, ue: FaultStream, seed: u64) -> u64 {
+        let mut d = Dimm::new(cfg);
+        d.set_ue_faults(ue);
+        let mut oracle = d.clone();
+        let mut next = lcg(seed);
+        let mut most = 0;
+        for step in 0..2500 {
+            let now = Cycle::new(step);
+            d.sync_time(now);
+            oracle.sync_time(now);
+            if !next().is_multiple_of(3) {
+                let req = random_request(&d, next());
+                assert_eq!(d.enqueue(req).ok(), oracle.enqueue(req).ok());
+            }
+            let before = commands_issued(&d);
+            let ours = traced(|| d.tick_banks(now));
+            let theirs = traced(|| reference_tick(&mut oracle, now));
+            assert_eq!(ours, theirs, "command trace diverges at cycle {step}");
+            most = most.max(commands_issued(&d) - before);
+            assert_eq!(
+                d.completed, oracle.completed,
+                "completions diverge at cycle {step}"
+            );
+            assert!(
+                payload(&d) == payload(&oracle),
+                "state diverges at cycle {step}"
+            );
+            if next().is_multiple_of(7) {
+                d.drain_completed();
+                oracle.drain_completed();
+            }
+        }
+        most
+    }
+
+    #[test]
+    fn ticks_match_reference_lockstep_with_refresh() {
+        let mut cfg = DimmConfig::paper(AccessMode::RankLockstep);
+        // Short refresh interval so several refreshes land in the run.
+        cfg.timing.trefi = 700;
+        let most = check_ticks_against_reference(cfg, FaultStream::empty(), 0x1234_5678);
+        assert_eq!(most, 1, "one shared command bus issues once per cycle");
+    }
+
+    #[test]
+    fn ticks_match_reference_perchip_ndp() {
+        let cfg = DimmConfig::paper_ndp(AccessMode::PerChip);
+        let most = check_ticks_against_reference(cfg, FaultStream::empty(), 0xDEAD_BEEF);
+        assert!(most >= 3, "per-rank buses must multi-issue (most {most})");
+    }
+
+    #[test]
+    fn ticks_match_reference_coalesced_ndp() {
+        let cfg = DimmConfig::paper_ndp(AccessMode::Coalesced { chips: 8 });
+        let most = check_ticks_against_reference(cfg, FaultStream::empty(), 0xFEED_F00D);
+        assert!(most >= 3, "per-rank buses must multi-issue (most {most})");
+    }
+
+    #[test]
+    fn ticks_match_reference_fcfs_ndp() {
+        let mut cfg = DimmConfig::paper_ndp(AccessMode::PerChip);
+        cfg.policy = SchedPolicy::Fcfs;
+        let most = check_ticks_against_reference(cfg, FaultStream::empty(), 0xC0FF_EE00);
+        assert!(
+            most >= 2,
+            "FCFS must issue past a finished head (most {most})"
+        );
+    }
+
+    #[test]
+    fn ticks_match_reference_with_ue_faults() {
+        let cfg = DimmConfig::paper_ndp(AccessMode::PerChip);
+        let stamps = (0..2500).step_by(23).map(Cycle::new).collect();
+        check_ticks_against_reference(cfg, FaultStream::from_cycles(stamps), 0xBAD_C0DE);
+    }
+
+    /// A DIMM with a finished, unretired request and an unfinished one.
+    fn dimm_with_finishing() -> Dimm {
+        let mut d = Dimm::new(DimmConfig::paper_ndp(AccessMode::PerChip));
+        d.enqueue(MemRequest::read(coord(0, 0, 0, 10, 0), 32))
+            .unwrap();
+        d.enqueue(MemRequest::read(coord(0, 0, 0, 11, 0), 32))
+            .unwrap();
+        let mut now = Cycle::ZERO;
+        while d.finishing.is_empty() {
+            d.tick_banks(now);
+            now = now.next();
+        }
+        d
+    }
+
+    fn restore(d: &Dimm) -> Result<(), SnapError> {
+        let mut fresh = Dimm::new(*d.config());
+        SnapReader::new(&payload(d)).component(&mut fresh)
+    }
+
+    #[test]
+    fn restore_rejects_dangling_slots() {
+        let d = dimm_with_finishing();
+        restore(&d).expect("valid snapshot restores");
+        let Reverse((at, done)) = *d.finishing.peek().expect("finishing entry");
+        let pending = d.order.iter().copied().find(|&s| s != done);
+        let pending = pending.expect("unfinished entry");
+        let out_of_range = d.entries.len() as u32 + 7;
+        for entry in [(at, out_of_range), (at.next(), done), (at, pending)] {
+            let mut t = d.clone();
+            t.finishing.pop();
+            t.finishing.push(Reverse(entry));
+            assert!(
+                matches!(restore(&t), Err(SnapError::Corrupt(_))),
+                "finishing entry {entry:?} must not restore"
+            );
+        }
+        // A queued slot that was freed, and a free slot still in use.
+        let mut t = d.clone();
+        t.entries[pending as usize] = None;
+        t.free_slots.push(pending);
+        assert!(matches!(restore(&t), Err(SnapError::Corrupt(_))));
+        let mut t = d.clone();
+        t.free_slots.push(done);
+        assert!(matches!(restore(&t), Err(SnapError::Corrupt(_))));
     }
 
     #[test]
