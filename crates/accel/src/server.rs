@@ -78,9 +78,6 @@ pub struct DimmServer {
     stats: Stats,
     /// Pre-resolved handle for the per-tick atomic-op fold.
     atomic_ops_id: StatId,
-    /// Dense fast path on: ticks the horizon proves no-ops return early
-    /// (see [`DimmServer::set_dense`]).
-    dense: bool,
 }
 
 impl DimmServer {
@@ -103,16 +100,7 @@ impl DimmServer {
             jny_done: Vec::new(),
             stats,
             atomic_ops_id,
-            dense: true,
         }
-    }
-
-    /// Turns the dense fast path on (the default) or off, for this
-    /// server and its DIMM. Results are bit-identical either way, so
-    /// this is wall-clock state that is never snapshotted.
-    pub fn set_dense(&mut self, on: bool) {
-        self.dense = on;
-        self.dimm.set_dense(on);
     }
 
     /// Arms an uncorrectable-error stream on the underlying DIMM (see
@@ -438,11 +426,11 @@ impl Restore for DimmServer {
 
 impl Tick for DimmServer {
     fn tick(&mut self, now: Cycle) {
-        // Dense-kernel fast path: the horizon is conservative-exact, so
-        // beyond it neither pump can move, the DIMM tick is a state
-        // no-op and there is nothing to drain. Only the DIMM's time
-        // high-water needs maintaining for later `enqueued_at` stamps.
-        if self.dense && DimmServer::next_event(self) > now {
+        // Tick gate: the horizon is conservative-exact, so beyond it
+        // neither pump can move, the DIMM tick is a state no-op and there
+        // is nothing to drain. Only the DIMM's time high-water needs
+        // maintaining for later `enqueued_at` stamps.
+        if DimmServer::next_event(self) > now {
             self.dimm.sync_time(now);
             return;
         }

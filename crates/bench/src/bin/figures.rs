@@ -325,7 +325,6 @@ fn main() {
     let run = RunOptions {
         threads: sel.threads,
         skip: !sel.no_skip,
-        ..RunOptions::default()
     };
 
     if sel.trace.is_some() {

@@ -5,77 +5,54 @@
 //! ```text
 //! cargo run -p beacon-bench --bin simspeed --release -- [--quick]
 //!     [--threads <n>] [--out <path>] [--min-speedup <x>]
-//!     [--min-dense-speedup <x>] [--max-overhead <x>]
-//!     [--max-snap-overhead <x>] [--max-service-overhead <x>]
+//!     [--max-overhead <x>] [--max-snap-overhead <x>]
+//!     [--max-service-overhead <x>]
 //! ```
 //!
-//! Noise control: every cell gets one untimed warm-up run per skip
-//! mode, then five timed runs per mode with the modes interleaved, and
-//! the fastest wall time of each mode is reported (interference noise
-//! is one-sided, so the minimum estimates the true cost, and
-//! interleaving keeps a slow patch from poisoning one mode's whole
-//! window).
-//! All runs of a cell must produce the same `RunResult` digest
-//! (skip-off vs skip-on and across repetitions), so the harness doubles
-//! as a coarse conformance check; the digest is recorded per row.
-//! Results go to stdout as a table and to `--out` (default
-//! `BENCH_SIM.json`) as JSON. `--quick` uses the tiny test scale so CI
-//! can smoke the harness in seconds; the cell matrix itself is
-//! identical at every scale — in particular `--quick` runs the
-//! event-dense rows (fm-seeding/Pt, fm-seeding/Ss, kmer-counting/Human)
-//! through the same five legs, so the dense-fast-path digest assertions
-//! and the `--min-dense-speedup` gate are exercised on every CI run,
-//! not only at bench scale. `--min-speedup` makes the process exit
+//! Every cell runs through the legs of [`LEGS`], one table row each:
+//! skip off (the per-cycle reference), skip on (the base every other
+//! leg is compared against), attribution, snapshot+resume and service.
+//! A leg's row names its runner, its stdout column, its `BENCH_SIM.json`
+//! keys and, for the overhead legs, the flag that ceilings its
+//! aggregate ratio.
+//!
+//! Noise control: every cell gets one untimed warm-up run per leg, then
+//! `rounds` timed runs per leg with the legs interleaved, and the
+//! fastest wall time of each leg is reported (interference noise is
+//! one-sided, so the minimum estimates the true cost, and interleaving
+//! keeps a slow patch from poisoning one leg's whole window). Every run
+//! of a cell must produce the base leg's `RunResult` digest, so the
+//! harness doubles as a coarse conformance check; the digest is
+//! recorded per row. Results go to stdout as a table and to `--out`
+//! (default `BENCH_SIM.json`) as JSON. `--quick` uses the tiny test
+//! scale so CI can smoke the harness in seconds; the cell matrix itself
+//! is identical at every scale. `--min-speedup` makes the process exit
 //! non-zero when any cell's skip-on/skip-off speedup falls below the
 //! threshold (the CI perf gate).
 //!
-//! A timed leg repeats the skip-on configuration with journey
-//! attribution sampling enabled (1-in-8, the `--report` default). Its
-//! digest must match the plain legs bit-identically — attribution is
-//! observation only — and the wall-time ratio is reported as the
-//! attribution overhead. `--max-overhead` gates the *aggregate* ratio
-//! (total attribution wall time over total skip-on wall time across all
-//! cells): individual cells finish in milliseconds, where one scheduler
-//! hiccup swamps the quantity being measured, but the sum is stable.
+//! The attribution leg repeats the base run with journey attribution
+//! sampling enabled (1-in-8, the `--report` default); attribution is
+//! observation only. The snapshot leg pauses the base run at its
+//! halfway cycle, serializes the full pool state with
+//! `BeaconSystem::snapshot`, reconstructs a fresh system with
+//! `BeaconSystem::resume` and completes the run there. The service leg
+//! runs the same cell through the `beacon-pool` frontend as a
+//! one-tenant, one-job spec: admission, scheduling, layout replay and
+//! SLO reporting wrap the same simulation.
 //!
-//! A third timed leg repeats the skip-on configuration with the dense
-//! fast path disabled (`RunOptions::dense` off): per-component tick
-//! gates off, so every awake cycle sweeps every component. Its digest
-//! must match bit-identically — the gates only skip provable no-ops —
-//! and the wall-time ratio against the plain skip-on leg is reported
-//! per row as `dense_speedup`. `--min-dense-speedup` gates the
-//! *aggregate* ratio (total dense-off wall time over total dense-on
-//! wall time), for the same reason the overhead gates are aggregate:
-//! per-cell ratios near 1.0x are noise-dominated at millisecond run
-//! times. On event-dense rows the gates are worth ~5-10%; the
-//! latency-bound sparse row gains the most (see DESIGN.md §15).
-//!
-//! A timed leg measures checkpoint/restore cost: the skip-on run
-//! is paused at its halfway cycle, the full pool state is serialized
-//! with `BeaconSystem::snapshot`, a fresh system is reconstructed with
-//! `BeaconSystem::resume`, and the run completes there. Its digest must
-//! also match bit-identically, and its wall time over the plain skip-on
-//! leg is the snapshot overhead — reported per cell and gated in
-//! aggregate by `--max-snap-overhead`. The snapshot gate is separate
-//! from `--max-overhead` because the two costs scale differently:
-//! attribution cost is proportional to simulated work, so one ratio
-//! fits every scale, while a checkpoint cycle is a fixed cost
-//! (serialize + restore of the whole pool, under a millisecond), so
-//! the ratio shrinks as runs grow — tiny `--quick` cells need a looser
-//! ceiling than the bench-scale bar.
-//!
-//! A final timed leg runs the same kernel × genome cell through the
-//! `beacon-pool` service frontend as a one-tenant, one-job spec:
-//! admission, scheduling, layout replay and SLO reporting wrap the same
-//! simulation. Its per-job digest must match the plain skip-on leg
-//! bit-identically — a single-job service round is configured exactly
-//! like the direct run — and the wall-time ratio is the service
-//! overhead, reported per row as `svc ovh` and gated in aggregate by
-//! `--max-service-overhead`. Like the snapshot gate, the service cost
-//! is dominated by fixed per-round work (spec expansion, workload
-//! build, reservation replay), so tiny `--quick` cells need a looser
-//! ceiling than bench scale.
+//! Each of these legs reports its wall time over the base leg's as an
+//! overhead, and its ceiling flag gates the *aggregate* ratio (total leg
+//! wall time over total base wall time across all cells): individual
+//! cells finish in milliseconds, where one scheduler hiccup swamps the
+//! quantity being measured, but the sum is stable. The ceilings are
+//! separate because the costs scale differently: attribution cost is
+//! proportional to simulated work, so one ratio fits every scale, while
+//! a checkpoint cycle (serialize + restore of the whole pool, under a
+//! millisecond) and a service round (spec expansion, workload build,
+//! reservation replay) are fixed costs whose ratio shrinks as runs grow
+//! — tiny `--quick` cells need looser ceilings than bench scale.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
 use beacon_bench::bench_scale;
@@ -89,6 +66,7 @@ use beacon_genomics::genome::GenomeId;
 use beacon_pool::prelude::{run_service_with, JobKind, JobSpec, JobStatus, ServiceSpec};
 use beacon_sim::engine::RunOptions;
 use beacon_sim::journey::{self, JourneyRecorder};
+use beacon_sim::json::Writer;
 use beacon_sim::rng::SimRng;
 
 /// Sampling period of the attribution leg (the `--report` default).
@@ -109,23 +87,112 @@ struct Cell {
 }
 
 /// One timed run of a cell.
+#[derive(Clone, Copy)]
 struct Sample {
     wall_s: f64,
     cycles: u64,
     digest: u64,
 }
 
+impl Sample {
+    /// Simulated cycles per wall-clock second.
+    fn rate(&self) -> f64 {
+        self.cycles as f64 / self.wall_s
+    }
+}
+
+/// One measurement leg: a way to run a cell that must reproduce the
+/// base leg's digest.
+struct Leg {
+    /// Name in assertion and gate messages.
+    name: &'static str,
+    /// Header of the leg's stdout column.
+    column: &'static str,
+    /// `BENCH_SIM.json` key of the best wall time.
+    wall_key: &'static str,
+    /// `BENCH_SIM.json` key of [`Leg::figure`].
+    figure_key: &'static str,
+    /// The flag that ceilings the leg's aggregate overhead (total leg
+    /// wall time over total base wall time). `None` marks the two skip
+    /// legs, which report a rate instead of an overhead.
+    ceiling_flag: Option<&'static str>,
+    /// Runs the cell once: `run` carries the base options, `mid` is the
+    /// base run's halfway cycle.
+    run: fn(cell: &Cell, run: RunOptions, mid: u64) -> Sample,
+}
+
+impl Leg {
+    fn is_rate(&self) -> bool {
+        self.ceiling_flag.is_none()
+    }
+
+    /// Simulated cycles per second for a skip leg, otherwise the wall
+    /// time over the base leg's.
+    fn figure(&self, s: &Sample, base: &Sample) -> f64 {
+        if self.is_rate() {
+            s.rate()
+        } else {
+            s.wall_s / base.wall_s
+        }
+    }
+}
+
+/// The per-cycle reference leg of the `--min-speedup` floor.
+const REFERENCE: usize = 0;
+/// The leg every digest and overhead is compared against.
+const BASE: usize = 1;
+
+const LEGS: [Leg; 5] = [
+    Leg {
+        name: "skip-off",
+        column: "off Mcyc/s",
+        wall_key: "wall_s_skip_off",
+        figure_key: "cycles_per_sec_skip_off",
+        ceiling_flag: None,
+        run: |cell, run, _| measure(cell, RunOptions { skip: false, ..run }, false),
+    },
+    Leg {
+        name: "skip-on",
+        column: "on Mcyc/s",
+        wall_key: "wall_s_skip_on",
+        figure_key: "cycles_per_sec_skip_on",
+        ceiling_flag: None,
+        run: |cell, run, _| measure(cell, run, false),
+    },
+    Leg {
+        name: "attribution",
+        column: "attr ovh",
+        wall_key: "wall_s_attr_on",
+        figure_key: "attr_overhead",
+        ceiling_flag: Some("--max-overhead"),
+        run: |cell, run, _| measure(cell, run, true),
+    },
+    Leg {
+        name: "snapshot",
+        column: "snap ovh",
+        wall_key: "wall_s_snapshot",
+        figure_key: "snapshot_overhead",
+        ceiling_flag: Some("--max-snap-overhead"),
+        run: measure_snap,
+    },
+    Leg {
+        name: "service",
+        column: "svc ovh",
+        wall_key: "wall_s_service",
+        figure_key: "service_overhead",
+        ceiling_flag: Some("--max-service-overhead"),
+        run: |cell, run, _| measure_service(cell, run),
+    },
+];
+
 fn usage() -> String {
     "usage: simspeed [--quick] [--threads <n>] [--out <path>] [--min-speedup <x>] \
-     [--min-dense-speedup <x>] [--max-overhead <x>] [--max-snap-overhead <x>] \
-     [--max-service-overhead <x>]\n\
+     [--max-overhead <x>] [--max-snap-overhead <x>] [--max-service-overhead <x>]\n\
      \n\
      \x20 --quick            tiny test scale (CI smoke)\n\
      \x20 --threads <n>      measure on the parallel engine with n workers\n\
      \x20 --out <path>       JSON output path (default BENCH_SIM.json)\n\
      \x20 --min-speedup <x>  exit non-zero when any cell speeds up less than x\n\
-     \x20 --min-dense-speedup <x>  exit non-zero when the dense fast path\n\
-     \x20                    (per-component tick gates) pays less than x overall\n\
      \x20 --max-overhead <x> exit non-zero when attribution costs more than x overall\n\
      \x20 --max-snap-overhead <x>  exit non-zero when one checkpoint/restore\n\
      \x20                    cycle costs more than x overall\n\
@@ -196,7 +263,9 @@ fn build_cells(scale: &WorkloadScale) -> Vec<Cell> {
     ]
 }
 
-fn measure(cell: &Cell, run: RunOptions, attr: bool) -> Sample {
+/// The cell's pool with its workload submitted: the untimed setup of
+/// the direct legs.
+fn build_system(cell: &Cell) -> BeaconSystem {
     let w = &cell.workload;
     let mut cfg = BeaconConfig::paper(cell.variant, w.app)
         .with_opts(Optimizations::full(cell.variant, w.app));
@@ -205,6 +274,11 @@ fn measure(cell: &Cell, run: RunOptions, attr: bool) -> Sample {
     let layout = build_layout(&cfg, &w.layout);
     let mut sys = BeaconSystem::new(cfg, layout);
     sys.submit_round_robin(w.traces.iter().cloned());
+    sys
+}
+
+fn measure(cell: &Cell, run: RunOptions, attr: bool) -> Sample {
+    let mut sys = build_system(cell);
     if attr {
         let salt = SimRng::from_seed(42).child(0xA77).below(u64::MAX);
         journey::install(JourneyRecorder::new(ATTR_SAMPLE_EVERY, salt));
@@ -239,14 +313,7 @@ fn measure(cell: &Cell, run: RunOptions, attr: bool) -> Sample {
 /// against the plain skip-on leg is the end-to-end cost of one
 /// checkpoint cycle.
 fn measure_snap(cell: &Cell, run: RunOptions, mid: u64) -> Sample {
-    let w = &cell.workload;
-    let mut cfg = BeaconConfig::paper(cell.variant, w.app)
-        .with_opts(Optimizations::full(cell.variant, w.app));
-    cfg.switches = cell.switches;
-    cfg.pes_per_module = 8;
-    let layout = build_layout(&cfg, &w.layout);
-    let mut sys = BeaconSystem::new(cfg, layout);
-    sys.submit_round_robin(w.traces.iter().cloned());
+    let mut sys = build_system(cell);
     let t = Instant::now();
     let drained = sys.run_to(mid, run);
     assert!(
@@ -310,97 +377,101 @@ fn measure_service(cell: &Cell, run: RunOptions) -> Sample {
 }
 
 /// One untimed warm-up run per leg, then `rounds` timed runs per leg
-/// with the legs *interleaved* (off, on, off, on, …), keeping the
-/// fastest wall time of each. Two noise defences, both aimed at the
-/// ratio the perf gates check rather than at absolute times:
-/// interference on a shared machine is one-sided (it only ever adds
-/// time), so the minimum estimates each leg's true cost; and
-/// interleaving spreads both legs across the same wall-clock window, so
-/// a slow patch degrades them together instead of poisoning whichever
-/// leg it landed on. Every repetition must reproduce the warm-up's
-/// digest and cycle count bit-identically — the simulator is
-/// deterministic, so any difference is a bug, not noise.
-#[allow(clippy::type_complexity)]
-fn measure_legs(
-    cell: &Cell,
-    threads: usize,
-    rounds: usize,
-) -> (Sample, Sample, Sample, Sample, Sample, Sample) {
-    let keep_best = |r: Sample, warm: &Sample, what: &str, best: Option<Sample>| {
-        assert_eq!(
-            r.digest, warm.digest,
-            "{}/{}: repeated run diverged ({what})",
-            cell.kernel, cell.genome
-        );
-        assert_eq!(r.cycles, warm.cycles);
-        match best {
-            Some(b) if b.wall_s <= r.wall_s => Some(b),
-            _ => Some(r),
-        }
-    };
-    let on_run = RunOptions {
+/// with the legs *interleaved*, keeping the fastest wall time of each
+/// (in [`LEGS`] order). Two noise defences, both aimed at the ratios
+/// the perf gates check rather than at absolute times: interference on
+/// a shared machine is one-sided (it only ever adds time), so the
+/// minimum estimates each leg's true cost; and interleaving spreads
+/// every leg across the same wall-clock window, so a slow patch
+/// degrades them together instead of poisoning whichever leg it landed
+/// on. Every warm-up must reproduce the base leg's digest, and every
+/// repetition its own warm-up's digest and cycle count — the simulator
+/// is deterministic, so any difference is a bug, not noise.
+fn measure_legs(cell: &Cell, threads: usize, rounds: usize) -> Vec<Sample> {
+    let run = RunOptions {
         threads,
         ..RunOptions::default()
     };
-    let off_run = RunOptions {
-        skip: false,
-        ..on_run
-    };
-    let dense_off_run = RunOptions {
-        dense: false,
-        ..on_run
-    };
-    let warm_off = measure(cell, off_run, false);
-    let warm_on = measure(cell, on_run, false);
-    let warm_dense_off = measure(cell, dense_off_run, false);
-    assert_eq!(
-        warm_dense_off.digest, warm_on.digest,
-        "{}/{}: the dense fast path changed the run digest",
-        cell.kernel, cell.genome
-    );
-    let warm_attr = measure(cell, on_run, true);
-    assert_eq!(
-        warm_attr.digest, warm_on.digest,
-        "{}/{}: attribution changed the run digest",
-        cell.kernel, cell.genome
-    );
-    let mid = warm_on.cycles / 2;
-    let warm_snap = measure_snap(cell, on_run, mid);
-    assert_eq!(
-        warm_snap.digest, warm_on.digest,
-        "{}/{}: checkpoint/restore changed the run digest",
-        cell.kernel, cell.genome
-    );
-    let warm_svc = measure_service(cell, on_run);
-    assert_eq!(
-        warm_svc.digest, warm_on.digest,
-        "{}/{}: the service frontend changed the run digest",
-        cell.kernel, cell.genome
-    );
-    let (mut off, mut on, mut dense_off, mut attr, mut snap, mut svc) =
-        (None, None, None, None, None, None);
+    let base = (LEGS[BASE].run)(cell, run, 0);
+    let mid = base.cycles / 2;
+    let warm: Vec<Sample> = LEGS
+        .iter()
+        .map(|leg| {
+            let s = (leg.run)(cell, run, mid);
+            assert_eq!(
+                s.digest, base.digest,
+                "{}/{}: the {} leg changed the run digest",
+                cell.kernel, cell.genome, leg.name
+            );
+            s
+        })
+        .collect();
+    let mut best: Vec<Option<Sample>> = vec![None; LEGS.len()];
     for _ in 0..rounds {
-        off = keep_best(measure(cell, off_run, false), &warm_off, "skip off", off);
-        on = keep_best(measure(cell, on_run, false), &warm_on, "skip on", on);
-        dense_off = keep_best(
-            measure(cell, dense_off_run, false),
-            &warm_dense_off,
-            "dense off",
-            dense_off,
-        );
-        attr = keep_best(measure(cell, on_run, true), &warm_attr, "attr", attr);
-        let s = measure_snap(cell, on_run, mid);
-        snap = keep_best(s, &warm_snap, "snapshot", snap);
-        svc = keep_best(measure_service(cell, on_run), &warm_svc, "service", svc);
+        for ((leg, warm), best) in LEGS.iter().zip(&warm).zip(&mut best) {
+            let s = (leg.run)(cell, run, mid);
+            assert_eq!(
+                s.digest, warm.digest,
+                "{}/{}: repeated run diverged ({})",
+                cell.kernel, cell.genome, leg.name
+            );
+            assert_eq!(s.cycles, warm.cycles);
+            if best.is_none_or(|b| s.wall_s < b.wall_s) {
+                *best = Some(s);
+            }
+        }
     }
-    (
-        off.expect("at least one timed run"),
-        on.expect("at least one timed run"),
-        dense_off.expect("at least one timed run"),
-        attr.expect("at least one timed run"),
-        snap.expect("at least one timed run"),
-        svc.expect("at least one timed run"),
-    )
+    best.into_iter()
+        .map(|b| b.expect("at least one timed run"))
+        .collect()
+}
+
+/// One measured cell: the best sample of every leg, in [`LEGS`] order.
+struct Row {
+    kernel: &'static str,
+    genome: &'static str,
+    best: Vec<Sample>,
+}
+
+impl Row {
+    /// Skip-on over skip-off simulated cycles per second.
+    fn speedup(&self) -> f64 {
+        self.best[BASE].rate() / self.best[REFERENCE].rate()
+    }
+}
+
+/// `x` rounded to `places` decimals, so the written file carries no
+/// digits below the timer's resolution.
+fn rounded(x: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (x * scale).round() / scale
+}
+
+/// The `BENCH_SIM.json` document.
+fn bench_sim_json(scale: &str, threads: usize, rows: &[Row]) -> String {
+    let mut w = Writer::new();
+    w.object(|w| {
+        w.key("scale").str(scale);
+        w.key("threads").u64(threads as u64);
+        w.key("results").objects(rows, |w, row| {
+            let base = &row.best[BASE];
+            w.key("kernel").str(row.kernel);
+            w.key("genome").str(row.genome);
+            w.key("threads").u64(threads as u64);
+            w.key("simulated_cycles").u64(base.cycles);
+            w.key("digest").str(&format!("{:#018x}", base.digest));
+            for (leg, s) in LEGS.iter().zip(&row.best) {
+                let places = if leg.is_rate() { 1 } else { 3 };
+                w.key(leg.wall_key).f64(rounded(s.wall_s, 6));
+                w.key(leg.figure_key)
+                    .f64(rounded(leg.figure(s, base), places));
+            }
+            w.key("speedup").f64(rounded(row.speedup(), 3));
+        });
+    });
+    let mut json = w.finish();
+    json.push('\n');
+    json
 }
 
 fn main() {
@@ -409,13 +480,11 @@ fn main() {
     let mut threads = 1usize;
     let mut out = "BENCH_SIM.json".to_owned();
     let mut min_speedup: Option<f64> = None;
-    let mut min_dense_speedup: Option<f64> = None;
-    let mut max_overhead: Option<f64> = None;
-    let mut max_snap_overhead: Option<f64> = None;
-    let mut max_service_overhead: Option<f64> = None;
+    let mut ceilings: [Option<f64>; LEGS.len()] = [None; LEGS.len()];
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
             "--help" | "-h" => {
                 print!("{}", usage());
                 return;
@@ -443,35 +512,16 @@ fn main() {
                     _ => die("--min-speedup needs a positive number"),
                 }
             }
-            "--min-dense-speedup" => {
+            _ => {
+                let Some(leg) = LEGS.iter().position(|l| l.ceiling_flag == Some(flag)) else {
+                    die(&format!("unknown flag {flag}"))
+                };
                 i += 1;
                 match args.get(i).and_then(|x| x.parse::<f64>().ok()) {
-                    Some(x) if x > 0.0 => min_dense_speedup = Some(x),
-                    _ => die("--min-dense-speedup needs a positive number"),
+                    Some(x) if x >= 1.0 => ceilings[leg] = Some(x),
+                    _ => die(&format!("{flag} needs a number >= 1.0")),
                 }
             }
-            "--max-overhead" => {
-                i += 1;
-                match args.get(i).and_then(|x| x.parse::<f64>().ok()) {
-                    Some(x) if x >= 1.0 => max_overhead = Some(x),
-                    _ => die("--max-overhead needs a number >= 1.0"),
-                }
-            }
-            "--max-snap-overhead" => {
-                i += 1;
-                match args.get(i).and_then(|x| x.parse::<f64>().ok()) {
-                    Some(x) if x >= 1.0 => max_snap_overhead = Some(x),
-                    _ => die("--max-snap-overhead needs a number >= 1.0"),
-                }
-            }
-            "--max-service-overhead" => {
-                i += 1;
-                match args.get(i).and_then(|x| x.parse::<f64>().ok()) {
-                    Some(x) if x >= 1.0 => max_service_overhead = Some(x),
-                    _ => die("--max-service-overhead needs a number >= 1.0"),
-                }
-            }
-            other => die(&format!("unknown flag {other}")),
         }
         i += 1;
     }
@@ -493,163 +543,82 @@ fn main() {
         "simspeed — Pt={} bases, {} reads, {} thread(s), skip-off vs skip-on\n",
         scale.pt_genome_len, scale.reads, threads
     );
-    println!(
-        "{:<20} {:<7} {:>12} {:>12} {:>12} {:>8} {:>7} {:>9} {:>9} {:>9}",
-        "kernel",
-        "genome",
-        "cycles",
-        "off Mcyc/s",
-        "on Mcyc/s",
-        "speedup",
-        "dense",
-        "attr ovh",
-        "snap ovh",
-        "svc ovh"
-    );
+    let mut header = format!("{:<20} {:<7} {:>12}", "kernel", "genome", "cycles");
+    for leg in &LEGS {
+        let width = if leg.is_rate() { 12 } else { 9 };
+        write!(header, " {:>width$}", leg.column).expect("writing to a String");
+    }
+    println!("{header} {:>8}", "speedup");
 
     let mut rows = Vec::new();
-    let mut best = 0.0f64;
-    let mut worst = f64::INFINITY;
-    let mut worst_cell = String::new();
-    let mut wall_on_total = 0.0f64;
-    let mut wall_dense_off_total = 0.0f64;
-    let mut wall_attr_total = 0.0f64;
-    let mut wall_snap_total = 0.0f64;
-    let mut wall_svc_total = 0.0f64;
+    let mut wall_totals = [0.0f64; LEGS.len()];
     for cell in build_cells(&scale) {
-        let (off, on, dense_off, attr, snap, svc) = measure_legs(&cell, threads, rounds);
-        assert_eq!(
-            off.digest, on.digest,
-            "{}/{}: fast-forwarded run diverged from per-cycle run",
-            cell.kernel, cell.genome
-        );
-        assert_eq!(off.cycles, on.cycles);
-        let rate_off = off.cycles as f64 / off.wall_s;
-        let rate_on = on.cycles as f64 / on.wall_s;
-        let speedup = rate_on / rate_off;
-        let dense_speedup = dense_off.wall_s / on.wall_s;
-        let overhead = attr.wall_s / on.wall_s;
-        let snap_overhead = snap.wall_s / on.wall_s;
-        let svc_overhead = svc.wall_s / on.wall_s;
-        wall_on_total += on.wall_s;
-        wall_dense_off_total += dense_off.wall_s;
-        wall_attr_total += attr.wall_s;
-        wall_snap_total += snap.wall_s;
-        wall_svc_total += svc.wall_s;
-        best = best.max(speedup);
-        if speedup < worst {
-            worst = speedup;
-            worst_cell = format!("{}/{}", cell.kernel, cell.genome);
+        let row = Row {
+            kernel: cell.kernel,
+            genome: cell.genome,
+            best: measure_legs(&cell, threads, rounds),
+        };
+        let base = &row.best[BASE];
+        let mut line = format!("{:<20} {:<7} {:>12}", row.kernel, row.genome, base.cycles);
+        for ((leg, s), total) in LEGS.iter().zip(&row.best).zip(&mut wall_totals) {
+            *total += s.wall_s;
+            let v = leg.figure(s, base);
+            if leg.is_rate() {
+                write!(line, " {:>12.2}", v / 1e6)
+            } else {
+                write!(line, " {v:>8.3}x")
+            }
+            .expect("writing to a String");
         }
-        println!(
-            "{:<20} {:<7} {:>12} {:>12.2} {:>12.2} {:>7.2}x {:>6.2}x {:>8.3}x {:>8.3}x {:>8.3}x",
-            cell.kernel,
-            cell.genome,
-            on.cycles,
-            rate_off / 1e6,
-            rate_on / 1e6,
-            speedup,
-            dense_speedup,
-            overhead,
-            snap_overhead,
-            svc_overhead
-        );
-        rows.push(format!(
-            "    {{\"kernel\": \"{}\", \"genome\": \"{}\", \"threads\": {}, \
-             \"simulated_cycles\": {}, \"digest\": \"{:#018x}\", \
-             \"wall_s_skip_off\": {:.6}, \"wall_s_skip_on\": {:.6}, \
-             \"cycles_per_sec_skip_off\": {:.1}, \"cycles_per_sec_skip_on\": {:.1}, \
-             \"speedup\": {:.3}, \"wall_s_dense_off\": {:.6}, \
-             \"dense_speedup\": {:.3}, \"wall_s_attr_on\": {:.6}, \
-             \"attr_overhead\": {:.3}, \"wall_s_snapshot\": {:.6}, \
-             \"snapshot_overhead\": {:.3}, \"wall_s_service\": {:.6}, \
-             \"service_overhead\": {:.3}}}",
-            cell.kernel,
-            cell.genome,
-            threads,
-            on.cycles,
-            on.digest,
-            off.wall_s,
-            on.wall_s,
-            rate_off,
-            rate_on,
-            speedup,
-            dense_off.wall_s,
-            dense_speedup,
-            attr.wall_s,
-            overhead,
-            snap.wall_s,
-            snap_overhead,
-            svc.wall_s,
-            svc_overhead
-        ));
+        println!("{line} {:>7.2}x", row.speedup());
+        rows.push(row);
     }
 
-    let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"threads\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        if quick { "quick" } else { "bench" },
-        threads,
-        rows.join(",\n")
-    );
+    let json = bench_sim_json(if quick { "quick" } else { "bench" }, threads, &rows);
     if let Err(e) = std::fs::write(&out, json) {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     }
-    let agg_overhead = wall_attr_total / wall_on_total;
-    let agg_snap_overhead = wall_snap_total / wall_on_total;
-    let agg_svc_overhead = wall_svc_total / wall_on_total;
-    let agg_dense_speedup = wall_dense_off_total / wall_on_total;
+    let worst = rows
+        .iter()
+        .min_by(|a, b| a.speedup().total_cmp(&b.speedup()))
+        .expect("the cell matrix is not empty");
+    let best = rows.iter().map(Row::speedup).fold(0.0, f64::max);
+    let mut failures = Vec::new();
+    if let Some(floor) = min_speedup.filter(|&f| worst.speedup() < f) {
+        failures.push(format!(
+            "{}/{} speedup {:.3}x is below the --min-speedup floor of {floor}x",
+            worst.kernel,
+            worst.genome,
+            worst.speedup()
+        ));
+    }
+    let mut overheads = Vec::new();
+    for (i, leg) in LEGS.iter().enumerate() {
+        let Some(flag) = leg.ceiling_flag else {
+            continue;
+        };
+        let agg = wall_totals[i] / wall_totals[BASE];
+        overheads.push(format!("{} overhead {agg:.3}x", leg.name));
+        if let Some(ceiling) = ceilings[i].filter(|&c| agg > c) {
+            failures.push(format!(
+                "aggregate {} overhead {agg:.3}x exceeds the {flag} ceiling of {ceiling}x",
+                leg.name
+            ));
+        }
+    }
     println!(
-        "\nbest speedup {best:.2}x, worst {worst:.2}x ({worst_cell}); \
-         aggregate dense speedup {agg_dense_speedup:.3}x, \
-         attribution overhead {agg_overhead:.3}x, \
-         snapshot overhead {agg_snap_overhead:.3}x, \
-         service overhead {agg_svc_overhead:.3}x -> {out}"
+        "\nbest speedup {best:.2}x, worst {:.2}x ({}/{}); aggregate {} -> {out}",
+        worst.speedup(),
+        worst.kernel,
+        worst.genome,
+        overheads.join(", ")
     );
-    if let Some(floor) = min_speedup {
-        if worst < floor {
-            eprintln!(
-                "FAIL: {worst_cell} speedup {worst:.3}x is below the \
-                 --min-speedup floor of {floor}x"
-            );
-            std::process::exit(1);
-        }
+    for f in &failures {
+        eprintln!("FAIL: {f}");
     }
-    if let Some(floor) = min_dense_speedup {
-        if agg_dense_speedup < floor {
-            eprintln!(
-                "FAIL: aggregate dense speedup {agg_dense_speedup:.3}x is \
-                 below the --min-dense-speedup floor of {floor}x"
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(ceiling) = max_overhead {
-        if agg_overhead > ceiling {
-            eprintln!(
-                "FAIL: aggregate attribution overhead {agg_overhead:.3}x \
-                 exceeds the --max-overhead ceiling of {ceiling}x"
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(ceiling) = max_snap_overhead {
-        if agg_snap_overhead > ceiling {
-            eprintln!(
-                "FAIL: aggregate snapshot overhead {agg_snap_overhead:.3}x \
-                 exceeds the --max-snap-overhead ceiling of {ceiling}x"
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(ceiling) = max_service_overhead {
-        if agg_svc_overhead > ceiling {
-            eprintln!(
-                "FAIL: aggregate service overhead {agg_svc_overhead:.3}x \
-                 exceeds the --max-service-overhead ceiling of {ceiling}x"
-            );
-            std::process::exit(1);
-        }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }
 
@@ -657,4 +626,62 @@ fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     eprint!("{}", usage());
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use beacon_sim::json::JsonValue;
+
+    #[test]
+    fn bench_sim_json_parses_back_with_the_committed_keys() {
+        let sample = |wall_s| Sample {
+            wall_s,
+            cycles: 9685,
+            digest: 0xb621_1cb0_d23b_1cc3,
+        };
+        let row = Row {
+            kernel: "fm-seeding",
+            genome: "Pt",
+            best: [0.0274, 0.0268, 0.0299, 0.03, 0.041]
+                .into_iter()
+                .map(sample)
+                .collect(),
+        };
+        let doc = JsonValue::parse(&bench_sim_json("bench", 1, &[row])).expect("valid JSON");
+        assert_eq!(doc.get("scale").and_then(JsonValue::as_str), Some("bench"));
+        assert_eq!(doc.get("threads").and_then(JsonValue::as_f64), Some(1.0));
+        let rows = doc.get("results").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(rows.len(), 1);
+        let JsonValue::Object(row) = &rows[0] else {
+            panic!("a result row is an object");
+        };
+        let keys: Vec<&str> = row.keys().map(String::as_str).collect();
+        let committed = [
+            "attr_overhead",
+            "cycles_per_sec_skip_off",
+            "cycles_per_sec_skip_on",
+            "digest",
+            "genome",
+            "kernel",
+            "service_overhead",
+            "simulated_cycles",
+            "snapshot_overhead",
+            "speedup",
+            "threads",
+            "wall_s_attr_on",
+            "wall_s_service",
+            "wall_s_skip_off",
+            "wall_s_skip_on",
+            "wall_s_snapshot",
+        ];
+        assert_eq!(keys, committed);
+        let num = |k: &str| row[k].as_f64().unwrap();
+        assert_eq!(row["digest"].as_str(), Some("0xb6211cb0d23b1cc3"));
+        assert_eq!(num("simulated_cycles"), 9685.0);
+        assert_eq!(num("wall_s_attr_on"), 0.0299);
+        assert_eq!(num("attr_overhead"), 1.116);
+        assert_eq!(num("cycles_per_sec_skip_on"), 361380.6);
+        assert_eq!(num("speedup"), 1.022);
+    }
 }

@@ -283,7 +283,7 @@ impl BeaconSystem {
             self.cfg.host_latency >= 1,
             "parallel runs need host_latency >= 1 for a non-zero lookahead"
         );
-        self.arm(run);
+        self.arm();
         let cfg = self.cfg;
         let start = self.clock;
         let maps = std::mem::take(&mut self.maps);

@@ -262,7 +262,7 @@ pub(crate) struct SwitchNode {
     /// (engine ∧ server ∧ egress next-event). A slot's endpoints mutate
     /// only inside [`SwitchNode::drive_slot`] (which clears the flag),
     /// at task submission and on injected DIMM failure — every other
-    /// cycle the cached value is exact, so the dense-fast-path probe
+    /// cycle the cached value is exact, so the slot-gate probe
     /// pays one indexed load plus the live port-arrival term instead of
     /// three component horizon walks (DESIGN.md §15.5).
     slot_h: Vec<Cycle>,
@@ -272,10 +272,6 @@ pub(crate) struct SwitchNode {
     /// access this subtree issues, summed into the report at collect.
     /// Plain field, never digested.
     jgate: Option<JGate>,
-    /// Dense fast path on: [`SwitchNode::tick_cycle`] drives only the
-    /// endpoints that can act this cycle. Set from [`RunOptions`] at run
-    /// entry; wall-clock state, never snapshotted.
-    dense: bool,
     /// Scheduled hard failure of one of this switch's DIMMs. A pending
     /// failure is a time-driven fault: `subtree_next_event` surfaces it
     /// so fast-forwarding cannot jump over the death.
@@ -445,7 +441,6 @@ impl BeaconSystem {
                     slot_h: vec![Cycle::ZERO; cfg.slots_per_switch() as usize],
                     slot_h_valid: vec![false; cfg.slots_per_switch() as usize],
                     jgate: journey::gate(),
-                    dense: true,
                     ras_fail: None,
                 }
             })
@@ -622,7 +617,7 @@ impl BeaconSystem {
         if run.threads > 1 {
             return self.run_parallel(run);
         }
-        self.arm(run);
+        self.arm();
         let mut engine = Engine::starting_at(self.clock).with_skip(run.skip);
         let outcome = crate::obs::drive(&mut engine, self);
         self.finished_at = outcome.finished_at();
@@ -632,14 +627,14 @@ impl BeaconSystem {
 
     /// Runs the sequential engine up to cycle `to` (an epoch boundary
     /// for checkpointing) or until the workload drains, whichever comes
-    /// first, honouring `run.skip` and `run.dense` (`run.threads` does
-    /// not apply). Returns `true` when the run drained. The system's
-    /// state at the pause is bit-identical to an uninterrupted run
-    /// passing through `to`, so [`BeaconSystem::snapshot`] here captures
+    /// first, honouring `run.skip` (`run.threads` does not apply).
+    /// Returns `true` when the run drained. The system's state at the
+    /// pause is bit-identical to an uninterrupted run passing through
+    /// `to`, so [`BeaconSystem::snapshot`] here captures
     /// a resumable checkpoint; calling [`BeaconSystem::run`] afterwards
     /// continues to completion.
     pub fn run_to(&mut self, to: u64, run: RunOptions) -> bool {
-        self.arm(run);
+        self.arm();
         let mut engine = Engine::starting_at(self.clock)
             .with_limit(to)
             .with_skip(run.skip);
@@ -662,13 +657,11 @@ impl BeaconSystem {
 
     /// Run entry: re-arms the per-switch sampling gates from the
     /// installed recorder (attribution may have been installed or
-    /// swapped after this system was built) and sets every gated
-    /// component's dense fast path from `run`.
-    pub(crate) fn arm(&mut self, run: RunOptions) {
+    /// swapped after this system was built).
+    pub(crate) fn arm(&mut self) {
         let gate = journey::gate();
         for sw in &mut self.switches {
             sw.jgate = gate;
-            sw.set_dense(run.dense);
         }
     }
 
@@ -922,20 +915,6 @@ impl BeaconSystem {
 }
 
 impl SwitchNode {
-    /// Turns the dense fast path on or off for this subtree: the
-    /// endpoint gates in [`SwitchNode::tick_cycle`], the fabric, and
-    /// every DIMM server with its DIMM.
-    fn set_dense(&mut self, on: bool) {
-        self.dense = on;
-        self.fabric.set_dense(on);
-        for d in &mut self.dimms {
-            match d {
-                DimmSlot::Cxlg(m) => m.server.set_dense(on),
-                DimmSlot::Unmodified(u) => u.server.set_dense(on),
-            }
-        }
-    }
-
     /// Terminal attribution for a tracked request: record the residency
     /// of the final phase, the end-to-end total under `class`, and emit
     /// the closing flow event.
@@ -1785,17 +1764,16 @@ impl SwitchNode {
     pub(crate) fn tick_cycle(&mut self, ctx: SysCtx<'_>, now: Cycle) {
         self.apply_dimm_failure(now);
         self.fabric.tick(now);
-        // Dense fast path: drive only the endpoints that can act this
-        // cycle. Each gate is the same per-component horizon the
-        // engine-level skip already trusts, plus the port's link-arrival
-        // horizon — before it, the endpoint's receive pump is guaranteed
-        // empty and every drive step below is a no-op.
-        let dense = self.dense;
-        if !dense || self.logic_horizon() <= now {
+        // Drive only the endpoints that can act this cycle. Each gate is
+        // the same per-component horizon the engine-level skip already
+        // trusts, plus the port's link-arrival horizon — before it, the
+        // endpoint's receive pump is guaranteed empty and every drive
+        // step below is a no-op.
+        if self.logic_horizon() <= now {
             self.drive_logic(ctx, now);
         }
         for slot in 0..self.dimms.len() {
-            if dense && self.slot_horizon(slot) > now {
+            if self.slot_horizon(slot) > now {
                 continue;
             }
             self.drive_slot(ctx, slot, now);

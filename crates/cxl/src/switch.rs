@@ -96,10 +96,7 @@ pub struct Switch {
     fwd_id: StatId,
     bus_bytes_id: StatId,
     horizon: HorizonCache,
-    /// Dense fast path on: ticks the horizon proves no-ops return early
-    /// (see [`Switch::set_dense`]).
-    dense: bool,
-    /// Backoff for the dense-fast-path tick gate (wall-clock only).
+    /// Backoff for the tick gate (wall-clock only).
     gate: Cell<Backoff>,
     /// Reusable buffer for back-pressured staged entries during a pump.
     pump_scratch: Vec<(Cycle, RouteTarget, Bundle)>,
@@ -178,19 +175,11 @@ impl Switch {
             fwd_id,
             bus_bytes_id,
             horizon: HorizonCache::new(),
-            dense: true,
             gate: Cell::new(Backoff::new()),
             pump_scratch: Vec::new(),
             track: format!("switch{}", cfg.index),
             faults: None,
         }
-    }
-
-    /// Turns the dense fast path on (the default) or off. Off, every
-    /// tick ingests and pumps; results are bit-identical either way, so
-    /// this is wall-clock state that is never snapshotted.
-    pub fn set_dense(&mut self, on: bool) {
-        self.dense = on;
     }
 
     /// Installs a pre-drawn flap stream for `port`: each stamp downs
@@ -636,17 +625,16 @@ impl Restore for Switch {
 
 impl Tick for Switch {
     fn tick(&mut self, now: Cycle) {
-        // Dense-kernel fast path: the memoized horizon covers every
-        // contributor below (flap stamps, ingress/egress arrivals,
-        // staged ready cycles, logic inbox), so beyond it this tick is
-        // provably a state no-op. The gate throttle keeps the probe off
-        // the busy path: when traffic dirties the horizon every cycle a
-        // recompute here is an O(staged + ports) sweep that always
-        // answers "must tick", so failed probes back off exponentially.
-        if self.dense
-            && self
-                .horizon
-                .gate(&self.gate, now, || self.compute_next_event())
+        // Tick gate: the memoized horizon covers every contributor below
+        // (flap stamps, ingress/egress arrivals, staged ready cycles,
+        // logic inbox), so beyond it this tick is provably a state no-op.
+        // The gate throttle keeps the probe off the busy path: when
+        // traffic dirties the horizon every cycle a recompute here is an
+        // O(staged + ports) sweep that always answers "must tick", so
+        // failed probes back off exponentially.
+        if self
+            .horizon
+            .gate(&self.gate, now, || self.compute_next_event())
         {
             return;
         }

@@ -464,10 +464,7 @@ pub struct Dimm {
     data_cycles: u64,
     ticked_cycles: u64,
     horizon: HorizonCache,
-    /// Dense fast path on: ticks the horizon proves no-ops return early
-    /// (see [`Dimm::set_dense`]).
-    dense: bool,
-    /// Backoff for the dense-fast-path tick gate (wall-clock only).
+    /// Backoff for the tick gate (wall-clock only).
     gate: Cell<Backoff>,
     /// Reusable buffer for the order-preserving merges on PRE/refresh.
     merge_scratch: VecDeque<u32>,
@@ -549,7 +546,6 @@ impl Dimm {
             data_cycles: 0,
             ticked_cycles: 0,
             horizon: HorizonCache::new(),
-            dense: true,
             gate: Cell::new(Backoff::new()),
             merge_scratch: VecDeque::new(),
             picks: Vec::new(),
@@ -623,13 +619,6 @@ impl Dimm {
         self.stats
             .add("ras.dimm_aborted", (aborted_tags.len() - before) as u64);
         self.horizon.invalidate();
-    }
-
-    /// Turns the dense fast path on (the default) or off. Off, every
-    /// tick runs the full bank sweep; results are bit-identical either
-    /// way, so this is wall-clock state that is never snapshotted.
-    pub fn set_dense(&mut self, on: bool) {
-        self.dense = on;
     }
 
     /// Sets the track label this DIMM's trace events are emitted under.
@@ -2050,16 +2039,15 @@ impl Tick for Dimm {
         {
             self.audit.ticks += 1;
         }
-        // Dense-kernel fast path: the memoized horizon is conservative-
-        // exact (the same property the engine-level skip relies on), so
-        // when it lies beyond `now` the sweep below is provably a state
-        // no-op — no refresh due, no issuable command, nothing retiring.
-        // Failed dirty probes back off exponentially so a dense issue
-        // stream never pays the O(active banks) recompute every cycle.
-        if self.dense
-            && self
-                .horizon
-                .gate(&self.gate, now, || self.compute_next_event())
+        // Tick gate: the memoized horizon is conservative-exact (the same
+        // property the engine-level skip relies on), so when it lies
+        // beyond `now` the sweep below is provably a state no-op — no
+        // refresh due, no issuable command, nothing retiring. Failed dirty
+        // probes back off exponentially so a dense issue stream never pays
+        // the O(active banks) recompute every cycle.
+        if self
+            .horizon
+            .gate(&self.gate, now, || self.compute_next_event())
         {
             #[cfg(feature = "tick-audit")]
             {

@@ -2,13 +2,12 @@
 //!
 //! Two equivalences, each over random request streams:
 //!
-//! * **Gated vs ungated tick.** The dense-fast-path gate in
-//!   [`Dimm::tick`] may skip a tick only when the memoized horizon
-//!   proves it a no-op, so a DIMM ticked with the gate enabled must
-//!   retire the same requests at the same cycles, issue the same
-//!   command mix (stats counters) and report the same horizon after
-//!   every cycle as one ticked with the gate disabled (every tick runs
-//!   the full [`Dimm::tick_banks`] sweep).
+//! * **Gated vs ungated tick.** The tick gate in [`Dimm::tick`] may
+//!   skip a tick only when the memoized horizon proves it a no-op, so
+//!   a DIMM driven through [`Dimm::tick`] must retire the same requests
+//!   at the same cycles, issue the same command mix (stats counters)
+//!   and report the same horizon after every cycle as one whose every
+//!   tick runs the full [`Dimm::tick_banks`] sweep.
 //!
 //! * **SoA columns vs per-bank oracle.** Built with the `soa-oracle`
 //!   feature (CI runs this suite that way, in the dev profile so
@@ -37,11 +36,19 @@ struct Observed {
 
 /// Replays `ops` (one raw 64-bit sample per cycle, same derivation as
 /// `proptest_module.rs`) against a fresh DIMM, then drains the queue
-/// with trailing ticks so every enqueued request retires. `dense` sets
-/// the DIMM's tick gate.
-fn replay(cfg: DimmConfig, ops: &[u64], dense: bool) -> Observed {
+/// with trailing ticks so every enqueued request retires. `gated`
+/// ticks through [`Dimm::tick`]; otherwise every cycle runs the full
+/// sweep, which is `Dimm::tick` without its gate.
+fn replay(cfg: DimmConfig, ops: &[u64], gated: bool) -> Observed {
     let mut d = Dimm::new(cfg);
-    d.set_dense(dense);
+    let tick = |d: &mut Dimm, now: Cycle| {
+        if gated {
+            d.tick(now);
+        } else {
+            d.tick_banks(now);
+            d.sync_time(now.next());
+        }
+    };
     let groups = d.groups_per_rank() as u64;
     let banks = d.config().geometry.banks as u64;
     let ranks = d.config().geometry.ranks as u64;
@@ -75,7 +82,7 @@ fn replay(cfg: DimmConfig, ops: &[u64], dense: bool) -> Observed {
             d.sync_time(now);
             let _ = d.enqueue(req);
         }
-        d.tick(now);
+        tick(&mut d, now);
         o.horizons.push(Dimm::next_event(&d));
         if r % 7 == 0 {
             drain(&mut d, &mut o);
@@ -85,7 +92,7 @@ fn replay(cfg: DimmConfig, ops: &[u64], dense: bool) -> Observed {
     // replays are compared over complete, identical request lifetimes.
     while d.queue_len() > 0 {
         now = now.next();
-        d.tick(now);
+        tick(&mut d, now);
         o.horizons.push(Dimm::next_event(&d));
         drain(&mut d, &mut o);
     }
@@ -94,8 +101,8 @@ fn replay(cfg: DimmConfig, ops: &[u64], dense: bool) -> Observed {
     o
 }
 
-/// Replays the same stream with the dense-fast-path gate on and off and
-/// requires bit-identical observations.
+/// Replays the same stream with the tick gate on and off and requires
+/// bit-identical observations.
 fn check_gate_equivalence(cfg: DimmConfig, ops: &[u64]) {
     let gated = replay(cfg, ops, true);
     let ungated = replay(cfg, ops, false);

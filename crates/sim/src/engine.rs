@@ -28,22 +28,18 @@ pub struct RunOptions {
     /// Worker threads: 1 selects the sequential reference engine, more
     /// the epoch-parallel engine.
     pub threads: usize,
-    /// Event-horizon fast-forwarding over provably dead cycles.
+    /// Event-horizon fast-forwarding over provably dead cycles. Off is
+    /// the per-cycle reference the conformance suites compare against.
     pub skip: bool,
-    /// The per-component dense-kernel fast path: components whose
-    /// memoized horizon proves the current cycle a no-op return from
-    /// `tick` without sweeping their internal queues.
-    pub dense: bool,
 }
 
 impl Default for RunOptions {
-    /// One thread, fast-forwarding and the dense fast path on: the
-    /// production configuration.
+    /// One thread with fast-forwarding on: the production
+    /// configuration.
     fn default() -> Self {
         RunOptions {
             threads: 1,
             skip: true,
-            dense: true,
         }
     }
 }

@@ -78,7 +78,7 @@ impl HorizonCache {
         self.cached.get()
     }
 
-    /// The dense-fast-path tick gate: true when the component's tick at
+    /// The per-component tick gate: true when the component's tick at
     /// `now` is provably a no-op and can be skipped. Skipping is
     /// conservative-exact for the same reason engine-level jumps are,
     /// and ticking when a skip was possible is always safe, so the

@@ -34,14 +34,11 @@
 //! contract) and a [`Backoff`] — the engine's probe throttle and every
 //! component's tick-gate backoff alike — restores to [`Backoff::new`]
 //! (deterministic because every resumed run resets it the same way).
-//! Nor are the [`RunOptions`] a run executes under: a component's
-//! dense-fast-path flag is set at run entry, never restored.
 //!
 //! [`RunResult` digest]: https://docs.rs/beacon-accel
 //! [`HorizonCache`]: crate::horizon::HorizonCache
 //! [`Backoff`]: crate::horizon::Backoff
 //! [`Backoff::new`]: crate::horizon::Backoff::new
-//! [`RunOptions`]: crate::engine::RunOptions
 
 use std::fmt;
 

@@ -207,11 +207,7 @@ fn attribution_leaves_digests_bit_identical() {
 
         for threads in thread_matrix() {
             journey::install(JourneyRecorder::new(1, salt));
-            let run = RunOptions {
-                skip,
-                threads,
-                ..RunOptions::default()
-            };
+            let run = RunOptions { skip, threads };
             let got = build_system(BeaconVariant::D, &w, 2, true).run_with(run);
             assert_eq!(
                 got.digest(),

@@ -309,56 +309,51 @@ fn damaged_snapshots_are_rejected_typed() {
     ));
 }
 
-/// A snapshot captured **before** the DIMM bank-state refactor to
-/// struct-of-arrays (committed fixture, `"dram.dimm"` payload v1) must
-/// be rejected with the typed component-version error — not mis-read
-/// through the reordered wire layout, and not a panic. The fixture
-/// pins the rejection path for every future payload bump: whenever a
-/// component's wire order changes, its version must change with it.
-#[test]
-fn pre_soa_refactor_snapshot_is_rejected_typed() {
-    let bytes = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/data/pre_soa_refactor.snap"
-    ))
-    .expect("committed fixture tests/data/pre_soa_refactor.snap");
+/// Resumes a fresh snapshot whose first `"dram.dimm"` section frame
+/// (a u64 LE tag length of 9, the tag, then the u16 payload version)
+/// claims payload version `found`, and requires the typed
+/// component-version error — not a mis-read through the current wire
+/// layout, and not a panic.
+fn assert_dimm_version_rejected(found: u16) {
+    let scale = WorkloadScale::test();
+    let w = fm_workload(GenomeId::Pt, &scale);
+    let mut bytes = build_system(BeaconVariant::D, &w, true, None).snapshot();
+    let mut frame = 9u64.to_le_bytes().to_vec();
+    frame.extend_from_slice(b"dram.dimm");
+    let at = bytes
+        .windows(frame.len())
+        .position(|win| win == frame.as_slice())
+        .expect("a snapshot holds a dram.dimm section")
+        + frame.len();
+    bytes[at..at + 2].copy_from_slice(&found.to_le_bytes());
     match BeaconSystem::resume(&bytes) {
         Err(SnapError::ComponentVersion {
             tag,
-            found,
+            found: f,
             supported,
         }) => {
             assert_eq!(tag, "dram.dimm");
-            assert_eq!(found, 1);
+            assert_eq!(f, found);
             assert_eq!(supported, 3);
         }
-        other => panic!("pre-refactor snapshot must fail on the dram.dimm version, got {other:?}"),
+        other => panic!("a dram.dimm v{found} snapshot must fail on its version, got {other:?}"),
     }
 }
 
-/// A snapshot captured **before** the command-ring refactor (committed
-/// fixture, `"dram.dimm"` payload v2) must be rejected the same typed
-/// way: v3 persists each live entry's decoded flattened bank index, so
-/// a v2 body would mis-read through the new wire layout.
+/// A snapshot from before the DIMM bank state became struct-of-arrays
+/// carries `"dram.dimm"` payload v1. Whenever a component's wire order
+/// changes, its version must change with it, so such a file is refused.
+#[test]
+fn pre_soa_refactor_snapshot_is_rejected_typed() {
+    assert_dimm_version_rejected(1);
+}
+
+/// A snapshot from before the server→DIMM command ring carries
+/// `"dram.dimm"` payload v2: v3 persists each live entry's decoded
+/// flattened bank index, so a v2 body would mis-read.
 #[test]
 fn pre_cmdring_refactor_snapshot_is_rejected_typed() {
-    let bytes = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/data/pre_cmdring_refactor.snap"
-    ))
-    .expect("committed fixture tests/data/pre_cmdring_refactor.snap");
-    match BeaconSystem::resume(&bytes) {
-        Err(SnapError::ComponentVersion {
-            tag,
-            found,
-            supported,
-        }) => {
-            assert_eq!(tag, "dram.dimm");
-            assert_eq!(found, 2);
-            assert_eq!(supported, 3);
-        }
-        other => panic!("pre-ring snapshot must fail on the dram.dimm version, got {other:?}"),
-    }
+    assert_dimm_version_rejected(2);
 }
 
 /// Shared fixture for the property tests: the golden straight run and
