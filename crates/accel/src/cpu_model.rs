@@ -17,12 +17,10 @@
 //! cache line on fine-grained accesses and has far less usable random
 //! bandwidth than in-DIMM NDP.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_genomics::trace::{AppKind, TaskTrace};
 
 /// Summary of a workload: everything the roofline model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadSummary {
     /// Application.
     pub app: AppKind,
@@ -59,7 +57,7 @@ impl WorkloadSummary {
 }
 
 /// Result of the CPU roofline: runtime and energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuRun {
     /// Wall-clock seconds.
     pub seconds: f64,
@@ -71,7 +69,7 @@ pub struct CpuRun {
 }
 
 /// Parameters of the CPU baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Hardware threads.
     pub threads: u32,

@@ -19,7 +19,6 @@ use beacon_sim::component::Tick;
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::engine::Engine;
 use beacon_sim::stats::Stats;
-use serde::{Deserialize, Serialize};
 
 use beacon_cxl::bundle::Bundle;
 use beacon_cxl::link::Link;
@@ -42,7 +41,7 @@ use crate::translate::{Placement, RegionMap};
 const SERVE_BIT: u64 = 1 << 60;
 
 /// Size/locality description of one memory region of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionSpec {
     /// The region.
     pub region: Region,
@@ -73,7 +72,7 @@ impl RegionSpec {
 }
 
 /// Configuration of the MEDAL/NEST hardware (paper Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MedalConfig {
     /// DDR channels.
     pub channels: u32,

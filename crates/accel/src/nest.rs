@@ -13,8 +13,6 @@
 //! The price is processing the whole input twice — exactly what
 //! BEACON-S's single-pass optimisation removes.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_genomics::trace::{Access, AppKind, Region, Step, TaskTrace};
 
 use crate::medal::{Medal, MedalConfig, RegionSpec};
@@ -22,7 +20,7 @@ use crate::result::RunResult;
 use crate::translate::{Placement, RegionMap};
 
 /// Configuration of the NEST system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NestConfig {
     /// The underlying DIMM-NDP hardware (PE latency should be the k-mer
     /// counting engine's 59 cycles).

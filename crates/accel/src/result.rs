@@ -8,7 +8,6 @@ use std::fmt::Write as _;
 
 use beacon_sim::journey::Attribution;
 use beacon_sim::stats::{Fnv64, Histogram, Stats};
-use serde::{Deserialize, Serialize};
 
 /// RAS outcome of a run that executed under a fault schedule: what
 /// broke, what it cost, and how the system degraded instead of dying.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Fault effects that change machine state (retry cycles, re-issued
 /// accesses, re-mapped placements) show up in the digested counters on
 /// their own.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradedRun {
     /// Seed of the fault schedule the run executed under.
     pub seed: u64,
@@ -62,7 +61,7 @@ impl DegradedRun {
 }
 
 /// Counters and outcomes of one full system run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Cycles until the workload drained.
     pub cycles: u64,
@@ -87,10 +86,8 @@ pub struct RunResult {
     pub degraded: Option<DegradedRun>,
     /// Request-journey attribution report when the run executed with
     /// sampling enabled (`None` otherwise). Like [`DegradedRun`], this
-    /// is observability metadata: **excluded** from the digest and from
-    /// serialization, so enabling attribution can never perturb an
-    /// equivalence check.
-    #[serde(skip)]
+    /// is observability metadata: **excluded** from the digest, so
+    /// enabling attribution can never perturb an equivalence check.
     pub attribution: Option<Attribution>,
 }
 

@@ -15,19 +15,18 @@ use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::Stats;
 use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
-use serde::{Deserialize, Serialize};
 
 use beacon_genomics::trace::{Access, TaskTrace};
 
 /// Identifier of a task within one [`TaskEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 /// Matches a returned datum to the access that requested it.
 ///
 /// Encodes `(task, step, index-within-step)` into a `u64` so it can ride
 /// in message tags across the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessToken {
     /// The requesting task.
     pub task: TaskId,
@@ -274,12 +273,6 @@ impl TaskEngine {
             batches: self.audit.batches,
             completions: self.audit.completions,
         }
-    }
-
-    /// Zeroes the deterministic work counters (`tick-audit` only).
-    #[cfg(feature = "tick-audit")]
-    pub fn audit_reset(&mut self) {
-        self.audit = EngineAudit::default();
     }
 
     /// Sets the track label this engine's trace events are emitted under.

@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use beacon_cxl::message::NodeId;
 use beacon_dram::address::{DramCoord, Interleave};
 use beacon_dram::params::DimmGeometry;
@@ -19,7 +17,7 @@ use beacon_genomics::trace::{Access, Region};
 use beacon_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 /// One physical piece of a translated access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysSegment {
     /// Node whose DIMM serves this piece.
     pub node: NodeId,
@@ -30,7 +28,7 @@ pub struct PhysSegment {
 }
 
 /// Where one region lives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Nodes holding the region, striped round-robin.
     pub homes: Vec<NodeId>,
@@ -122,7 +120,7 @@ impl Placement {
 }
 
 /// The translator: placements for every region a workload touches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionMap {
     geometry: DimmGeometry,
     placements: BTreeMap<Region, Placement>,

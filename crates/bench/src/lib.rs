@@ -1,20 +1,21 @@
 //! # beacon-bench — benchmark harnesses for the BEACON reproduction
 //!
-//! Two entry points:
+//! The library holds the workload scales and PE counts shared by the
+//! package's binaries:
 //!
 //! * the **`figures` binary** (`cargo run -p beacon-bench --bin figures
 //!   --release`) regenerates every table and figure of the paper as text
 //!   tables (see `EXPERIMENTS.md` for the recorded output), and
-//! * the **Criterion benches** (`cargo bench -p beacon-bench`) time the
-//!   simulator itself — one bench per paper experiment plus micro-benches
-//!   of the substrates.
+//! * the **`simspeed` binary** times the simulator itself on a fixed
+//!   set of kernel × genome cells and writes `BENCH_SIM.json`.
 
 #![warn(missing_docs)]
 
 use beacon_core::experiments::WorkloadScale;
 
-/// The workload scale used by the Criterion benches: large enough to be
-/// bandwidth-dominated, small enough to iterate.
+/// The workload scale of `figures --quick` and of `simspeed`'s default
+/// cells: large enough to be bandwidth-dominated, small enough to
+/// iterate.
 pub fn bench_scale() -> WorkloadScale {
     WorkloadScale {
         pt_genome_len: 60_000,
@@ -46,5 +47,5 @@ pub fn figures_scale() -> WorkloadScale {
 /// PEs per compute module used by the figure harness (paper: 128).
 pub const FIGURE_PES: usize = 128;
 
-/// PEs per module for the quicker Criterion benches.
+/// PEs per module for `figures --quick`.
 pub const BENCH_PES: usize = 32;

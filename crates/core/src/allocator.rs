@@ -16,10 +16,9 @@ use std::fmt;
 use beacon_cxl::message::NodeId;
 use beacon_dram::params::DimmGeometry;
 use beacon_sim::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Why an allocation failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllocError {
     /// No aligned free range of the requested size exists on every home.
     OutOfRows {
@@ -47,7 +46,7 @@ impl fmt::Display for AllocError {
 impl std::error::Error for AllocError {}
 
 /// A granted allocation: the row range shared by every home DIMM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowGrant {
     /// Homes holding the region.
     pub homes: Vec<NodeId>,
@@ -58,7 +57,7 @@ pub struct RowGrant {
 }
 
 /// First-fit free list of `[start, start+len)` row ranges for one DIMM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct FreeList {
     ranges: Vec<(u64, u64)>,
 }
@@ -138,7 +137,7 @@ impl FreeList {
 /// let grant = pool.allocate(&nodes, 1 << 20, 1).unwrap();
 /// pool.deallocate(&grant).unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolAllocator {
     geometry: DimmGeometry,
     free: BTreeMap<NodeId, FreeList>,

@@ -1,15 +1,13 @@
 //! BEACON system configuration (paper Table I) and the optimisation
 //! ladder.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_cxl::message::NodeId;
 use beacon_cxl::params::LinkParams;
 use beacon_dram::params::DimmGeometry;
 use beacon_genomics::trace::AppKind;
 
 /// Which BEACON design is instantiated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BeaconVariant {
     /// BEACON-D: computation inside enhanced CXLG-DIMMs.
     D,
@@ -29,7 +27,7 @@ impl BeaconVariant {
 
 /// The paper's step-by-step optimisation toggles (§IV, evaluated
 /// cumulatively in Figs. 12/14/15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Optimizations {
     /// Data packing in the CXL interfaces and switch logic (Fig. 6).
     pub data_packing: bool,
@@ -121,7 +119,7 @@ impl Optimizations {
 /// identical schedule regardless of thread count or event-horizon
 /// skipping. Rates are expressed per *million* cycles so paper-scale
 /// runs (tens of Mcycles) see a handful of events at rate 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultsConfig {
     /// Master seed for every per-component fault stream.
     pub seed: u64,
@@ -195,7 +193,7 @@ impl FaultsConfig {
 }
 
 /// Full system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeaconConfig {
     /// Design variant.
     pub variant: BeaconVariant,

@@ -6,13 +6,11 @@
 //! al. for high-speed serial links), and PE energy from the 28 nm
 //! synthesis numbers of Table II.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_accel::result::RunResult;
 use beacon_dram::power::{DramEnergy, EnergyParams};
 
 /// PE synthesis results (paper Table II, 28 nm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeHardware {
     /// Architecture name.
     pub name: &'static str,
@@ -55,7 +53,7 @@ impl PeHardware {
 }
 
 /// Energy breakdown of one run, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// DRAM device energy.
     pub dram_pj: f64,
@@ -95,7 +93,7 @@ impl EnergyBreakdown {
 }
 
 /// The assembled energy model for one system kind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Link energy per wire byte (CXL SerDes or DDR channel I/O).
     pub link_pj_per_byte: f64,

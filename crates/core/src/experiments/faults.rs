@@ -6,8 +6,6 @@
 //! costs as the link error rate rises, and what a whole-DIMM failure
 //! does to a run in flight. Driven by `figures --faults <seed>`.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_accel::result::DegradedRun;
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
@@ -20,7 +18,7 @@ use crate::system::BeaconSystem;
 use super::common::{fm_workload, prealign_workload, AppWorkload, WorkloadScale};
 
 /// One row of the error-rate sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Injected CRC error rate (errors per million cycles per link
     /// direction; flap and UE rates scale along, see
@@ -36,7 +34,7 @@ pub struct SweepPoint {
 
 /// The `--faults` experiment: an error-rate sweep plus a whole-DIMM
 /// failure, both seeded.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultSweep {
     /// The fault seed every schedule in the sweep derives from.
     pub seed: u64,

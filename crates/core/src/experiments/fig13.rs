@@ -1,8 +1,6 @@
 //! Fig. 13: normalized per-chip memory access for FM-index seeding on
 //! BEACON-D, without and with multi-chip coalescing.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
 use beacon_sim::stats::Histogram;
@@ -15,7 +13,7 @@ use crate::system::BeaconSystem;
 use super::common::{fm_workload, WorkloadScale};
 
 /// The figure's data: per-chip access counts for the two design points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13 {
     /// Per-chip accesses without coalescing (per-chip chip select).
     pub without: Histogram,

@@ -2,8 +2,6 @@
 //! reduction of the full BEACON-D and BEACON-S designs over the CPU
 //! baseline (no hardware baseline exists for this app).
 
-use serde::{Deserialize, Serialize};
-
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
 
@@ -14,7 +12,7 @@ use crate::report::{fmt_ratio, Table};
 use super::common::{prealign_workload, run_beacon, run_cpu, WorkloadScale};
 
 /// One genome's bars.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16Bar {
     /// Genome label.
     pub genome: String,
@@ -29,7 +27,7 @@ pub struct Fig16Bar {
 }
 
 /// The figure's data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16 {
     /// One row per genome.
     pub bars: Vec<Fig16Bar>,

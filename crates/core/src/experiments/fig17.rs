@@ -1,8 +1,6 @@
 //! Fig. 17: energy breakdown (communication / memory / computation)
 //! across the optimisation ladder, averaged over the applications.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
 
@@ -16,7 +14,7 @@ use super::ladder::{run_ladder, LadderResult};
 use crate::energy::{EnergyModel, PeHardware};
 
 /// Average energy shares at one ladder step.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BreakdownStep {
     /// Design-point label.
     pub label: String,
@@ -29,7 +27,7 @@ pub struct BreakdownStep {
 }
 
 /// The figure's data for one variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig17Half {
     /// Which design.
     pub variant: BeaconVariant,
@@ -57,7 +55,7 @@ impl Fig17Half {
 }
 
 /// Both halves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig17 {
     /// BEACON-D breakdown.
     pub d: Fig17Half,

@@ -2,8 +2,6 @@
 //! communication — the motivation experiment showing that communication
 //! bottlenecks MEDAL/NEST.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_genomics::genome::GenomeId;
 
 use crate::energy::{EnergyModel, PeHardware};
@@ -14,7 +12,7 @@ use super::common::{
 };
 
 /// One bar of Fig. 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Bar {
     /// Baseline + workload label.
     pub label: String,
@@ -25,7 +23,7 @@ pub struct Fig3Bar {
 }
 
 /// The full figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3 {
     /// Bars in paper order.
     pub bars: Vec<Fig3Bar>,

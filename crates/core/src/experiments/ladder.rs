@@ -4,7 +4,6 @@
 use beacon_accel::cpu_model::CpuRun;
 use beacon_accel::result::RunResult;
 use beacon_sim::engine::RunOptions;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{BeaconVariant, Optimizations};
 use crate::energy::{EnergyBreakdown, EnergyModel};
@@ -13,7 +12,7 @@ use crate::report::{fmt_pct, fmt_ratio, Table};
 use super::common::{run_beacon, AppWorkload};
 
 /// One evaluated design point of a ladder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LadderPoint {
     /// Paper label of the point ("CXL-vanilla", "+data packing", …).
     pub label: String,
@@ -36,7 +35,7 @@ pub struct LadderPoint {
 }
 
 /// A full ladder on one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LadderResult {
     /// Which design.
     pub variant: BeaconVariant,
@@ -65,11 +64,6 @@ impl LadderResult {
     /// Overall gain of the optimisations (full vs vanilla performance).
     pub fn optimisation_gain(&self) -> f64 {
         self.vanilla().cycles as f64 / self.full().cycles as f64
-    }
-
-    /// Overall energy-efficiency gain of the optimisations.
-    pub fn optimisation_energy_gain(&self) -> f64 {
-        self.vanilla().energy.total_pj() / self.full().energy.total_pj()
     }
 }
 

@@ -3,7 +3,7 @@
 use beacon_dram::params::{DimmGeometry, TimingParams};
 use beacon_genomics::trace::AppKind;
 
-use crate::config::{BeaconConfig, BeaconVariant};
+use crate::config::BeaconConfig;
 use crate::energy::PeHardware;
 use crate::report::Table;
 
@@ -100,12 +100,6 @@ pub fn table2() -> String {
         ]);
     }
     t.render()
-}
-
-/// Structural facts checked against the paper (used by tests and
-/// EXPERIMENTS.md).
-pub fn beacon_variants() -> [BeaconVariant; 2] {
-    [BeaconVariant::D, BeaconVariant::S]
 }
 
 #[cfg(test)]

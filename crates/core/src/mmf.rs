@@ -13,8 +13,6 @@
 //!   partitioned regions (per-module inputs) become local to the module
 //!   that consumes them.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_accel::translate::{Placement, RegionMap};
 use beacon_cxl::message::NodeId;
 use beacon_dram::address::Interleave;
@@ -25,7 +23,7 @@ use beacon_genomics::trace::Region;
 use crate::config::{BeaconConfig, BeaconVariant};
 
 /// A workload region to place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayoutSpec {
     /// The region.
     pub region: Region,

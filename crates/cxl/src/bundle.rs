@@ -4,13 +4,11 @@
 //! [`crate::packer::DataPacker`] merges several fine-grained messages into
 //! one bundle so they share flits (paper Fig. 6).
 
-use serde::{Deserialize, Serialize};
-
 use crate::message::Message;
 use crate::params::FLIT_BYTES;
 
 /// A group of messages serialised together on a link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bundle {
     /// The messages sharing this bundle's flits. In-place mutation (hop
     /// stamping, `via_host` rewrites) must not change any message's wire
@@ -18,10 +16,7 @@ pub struct Bundle {
     /// fabric hot loops do pure arithmetic instead of re-walking the
     /// message list (debug builds verify the cache on every read).
     pub messages: Vec<Message>,
-    /// Cached total useful wire bytes; `0` means "not yet computed"
-    /// (only reachable through serde, which skips the field — real
-    /// bundles always carry at least one 4 B header).
-    #[serde(skip)]
+    /// Total useful wire bytes, summed once at construction.
     useful: u32,
 }
 
@@ -56,16 +51,12 @@ impl Bundle {
     /// Total useful wire bytes (headers + live payloads). O(1): decoded
     /// once at construction.
     pub fn useful_bytes(&self) -> u32 {
-        if self.useful != 0 {
-            debug_assert_eq!(
-                self.useful,
-                self.messages.iter().map(Message::wire_bytes).sum::<u32>(),
-                "bundle byte cache diverged from its messages"
-            );
-            self.useful
-        } else {
-            self.messages.iter().map(Message::wire_bytes).sum()
-        }
+        debug_assert_eq!(
+            self.useful,
+            self.messages.iter().map(Message::wire_bytes).sum::<u32>(),
+            "bundle byte cache diverged from its messages"
+        );
+        self.useful
     }
 
     /// Bytes occupied on the wire at slot granularity `granule`.

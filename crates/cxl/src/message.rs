@@ -1,9 +1,7 @@
 //! Messages and endpoint addressing on the CXL fabric.
 
-use serde::{Deserialize, Serialize};
-
 /// An endpoint of the modelled fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeId {
     /// The host root port.
     Host,
@@ -36,7 +34,7 @@ impl NodeId {
 }
 
 /// Kinds of traffic carried by the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgKind {
     /// Memory read request; `payload_bytes` is the *requested* size (the
     /// request itself is header-only on the wire).
@@ -74,7 +72,7 @@ impl MsgKind {
 }
 
 /// One message between two endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Sender.
     pub src: NodeId,

@@ -31,8 +31,6 @@ struct Slot {
 pub struct DataPacker {
     /// Maximum age of the oldest buffered message before a forced flush.
     flush_age: Duration,
-    /// Target fill level in bytes (one flit by default).
-    fill_bytes: u32,
     /// Per-destination slots, kept sorted by `NodeId` so the hot tick
     /// sweep is one linear pass over a dense array in exactly the
     /// destination order the former tree map produced. The set of
@@ -52,7 +50,6 @@ impl DataPacker {
     pub fn new(flush_age_cycles: u64) -> Self {
         DataPacker {
             flush_age: Duration::new(flush_age_cycles),
-            fill_bytes: FLIT_BYTES,
             slots: Vec::new(),
             ready: VecDeque::new(),
             stats: Stats::new(),
@@ -81,20 +78,13 @@ impl DataPacker {
         }
     }
 
-    /// Overrides the fill target (multiple flits per bundle).
-    pub fn with_fill_bytes(mut self, bytes: u32) -> Self {
-        assert!(bytes >= 1, "fill target must be positive");
-        self.fill_bytes = bytes;
-        self
-    }
-
     /// Accepts an outbound message at `now`.
     ///
-    /// Messages at or above the fill target bypass buffering entirely and
-    /// are emitted as their own bundle.
+    /// Messages of a full flit or more bypass buffering entirely and are
+    /// emitted as their own bundle.
     pub fn push(&mut self, msg: Message, now: Cycle) {
         self.horizon.invalidate();
-        if msg.wire_bytes() >= self.fill_bytes {
+        if msg.wire_bytes() >= FLIT_BYTES {
             self.stats.incr("packer.bypass");
             self.trace_flush(now, "packer.bypass", 1);
             self.ready.push_back(Bundle::single(msg));
@@ -124,7 +114,7 @@ impl DataPacker {
         slot.bytes += msg.wire_bytes();
         slot.msgs.push(msg);
         self.stats.incr("packer.buffered");
-        if slot.bytes >= self.fill_bytes {
+        if slot.bytes >= FLIT_BYTES {
             let full = std::mem::replace(
                 slot,
                 Slot {
@@ -264,7 +254,7 @@ impl Snapshot for DataPacker {
     const TAG: &'static str = "cxl.packer";
     const VERSION: u16 = 1;
     fn snap(&self, w: &mut SnapWriter) {
-        // `flush_age`, `fill_bytes` and `trace_id` are construction-time
+        // `flush_age` and `trace_id` are construction-time
         // configuration; the horizon cache restores dirty.
         w.usize(self.slots.len());
         for (dst, slot) in &self.slots {

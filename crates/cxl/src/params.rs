@@ -4,8 +4,6 @@
 //! base, 1.25 ns at DDR4-1600) so the transport composes directly with the
 //! DRAM model.
 
-use serde::{Deserialize, Serialize};
-
 /// CXL transfer granularity: one 64 B flit.
 pub const FLIT_BYTES: u32 = 64;
 
@@ -16,7 +14,7 @@ pub const FLIT_BYTES: u32 = 64;
 pub const MSG_HEADER_BYTES: u32 = 4;
 
 /// Bandwidth/latency of one CXL channel direction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Peak bandwidth in bytes per DRAM cycle.
     pub bytes_per_cycle: f64,

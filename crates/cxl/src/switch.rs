@@ -18,7 +18,6 @@ use beacon_sim::journey::{self, Phase};
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{StatId, Stats};
 use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
-use serde::{Deserialize, Serialize};
 
 use crate::bundle::Bundle;
 use crate::link::{Link, SendError};
@@ -26,7 +25,7 @@ use crate::message::NodeId;
 use crate::params::LinkParams;
 
 /// Static configuration of a switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchConfig {
     /// This switch's index (matches `NodeId::SwitchLogic(idx)` and the
     /// `switch_idx` of its DIMMs).
@@ -209,11 +208,6 @@ impl Switch {
         self.egress[port].set_crc_faults(to_endpoint);
     }
 
-    /// True when `port` is inside a flap down-window at `now`.
-    pub fn port_is_down(&self, port: usize, now: Cycle) -> bool {
-        self.ingress[port].is_down(now) || self.egress[port].is_down(now)
-    }
-
     /// Applies every flap stamped at or before `now`. Returns true when
     /// a window opened (the caller invalidates the horizon).
     fn apply_flaps(&mut self, now: Cycle) -> bool {
@@ -259,11 +253,6 @@ impl Switch {
             self.horizon.invalidate();
         }
         r
-    }
-
-    /// True when the endpoint on `port` could send at `now`.
-    pub fn endpoint_can_send(&self, port: usize, now: Cycle) -> bool {
-        self.ingress[port].can_send(now)
     }
 
     /// Arrival cycle of the oldest bundle in flight toward the endpoint

@@ -12,12 +12,10 @@
 //!   across chip groups inside a rank, exploiting the per-chip chip-select
 //!   of CXLG-DIMMs (Fig. 10 a–c).
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::DimmGeometry;
 
 /// A burst-aligned location inside one DIMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramCoord {
     /// Rank index.
     pub rank: u32,
@@ -76,7 +74,7 @@ impl DramCoord {
 }
 
 /// Standard address-interleaving schemes for a flat DIMM-local byte address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interleave {
     /// Cache-line rotation across ranks then banks; the whole rank is one
     /// group (`group == 0`). `line_bytes` is the rotation granule (64 B for

@@ -7,14 +7,12 @@
 //! data bus) live in [`crate::module`].
 
 use beacon_sim::cycle::{Cycle, Duration};
-use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
 
 use crate::command::CmdKind;
 use crate::params::TimingParams;
 
 /// Timing state of one bank.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankTimer {
     open_row: Option<u64>,
     /// Earliest cycle an ACT may issue.
@@ -421,45 +419,6 @@ impl BankSoa {
             self.shadow[b],
             "SoA bank {b} diverged from BankTimer oracle"
         );
-    }
-
-    /// Cross-checks every bank against the retained scalar oracle.
-    #[cfg(feature = "soa-oracle")]
-    pub fn verify_oracle(&self) {
-        for b in 0..self.len() {
-            assert_eq!(
-                self.timer(b),
-                self.shadow[b],
-                "SoA bank {b} diverged from BankTimer oracle"
-            );
-        }
-    }
-}
-
-impl Snapshot for BankTimer {
-    const TAG: &'static str = "dram.bank";
-    const VERSION: u16 = 1;
-    fn snap(&self, w: &mut SnapWriter) {
-        match self.open_row {
-            None => w.bool(false),
-            Some(row) => {
-                w.bool(true);
-                w.u64(row);
-            }
-        }
-        w.cycle(self.act_allowed);
-        w.cycle(self.col_allowed);
-        w.cycle(self.pre_allowed);
-    }
-}
-
-impl Restore for BankTimer {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.open_row = if r.bool()? { Some(r.u64()?) } else { None };
-        self.act_allowed = r.cycle()?;
-        self.col_allowed = r.cycle()?;
-        self.pre_allowed = r.cycle()?;
-        Ok(())
     }
 }
 

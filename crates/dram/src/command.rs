@@ -1,11 +1,9 @@
 //! DRAM commands as issued on the DIMM command/address bus.
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::DramCoord;
 
 /// The DDR4 command subset the model issues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmdKind {
     /// Activate (open) a row.
     Activate,
@@ -27,7 +25,7 @@ impl CmdKind {
 }
 
 /// One command addressed to a chip group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Command {
     /// Command opcode.
     pub kind: CmdKind,

@@ -53,7 +53,7 @@ pub mod snap;
 pub mod prelude {
     pub use crate::address::{DramCoord, Interleave};
     pub use crate::command::{CmdKind, Command};
-    pub use crate::module::{AccessMode, Dimm, DimmConfig, SchedPolicy};
+    pub use crate::module::{AccessMode, Dimm, DimmConfig};
     pub use crate::params::{DimmGeometry, TimingParams};
     pub use crate::power::{DramEnergy, EnergyParams};
     pub use crate::request::{CompletedAccess, MemRequest, ReqId, ReqKind};

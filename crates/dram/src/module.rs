@@ -42,7 +42,6 @@ use beacon_sim::queue::QueueFullError;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{Histogram, StatId, Stats};
 use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
-use serde::{Deserialize, Serialize};
 
 use crate::address::DramCoord;
 use crate::bank::BankSoa;
@@ -50,18 +49,8 @@ use crate::command::CmdKind;
 use crate::params::{DimmGeometry, TimingParams};
 use crate::request::{CompletedAccess, MemRequest, ReqId, ReqKind};
 
-/// Memory-controller scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedPolicy {
-    /// First-ready, first-come-first-served: row hits may issue ahead of
-    /// older row misses (the default, as in Ramulator).
-    FrFcfs,
-    /// Strict in-order service of the oldest request.
-    Fcfs,
-}
-
 /// Chip-select organisation of a DIMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMode {
     /// Conventional: all chips of a rank in lock-step (one group).
     RankLockstep,
@@ -105,7 +94,7 @@ impl AccessMode {
 }
 
 /// Static configuration of a [`Dimm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DimmConfig {
     /// Physical organisation.
     pub geometry: DimmGeometry,
@@ -127,8 +116,6 @@ pub struct DimmConfig {
     /// access into back-to-back column bursts with a single command
     /// (CXLG/MEDAL customisation).
     pub chained_columns: bool,
-    /// Request scheduling policy.
-    pub policy: SchedPolicy,
 }
 
 impl DimmConfig {
@@ -143,7 +130,6 @@ impl DimmConfig {
             refresh_enabled: true,
             per_rank_cmd_bus: false,
             chained_columns: false,
-            policy: SchedPolicy::FrFcfs,
         }
     }
 
@@ -568,12 +554,6 @@ impl Dimm {
             choice_scans: self.audit.choice_scans.get(),
             horizon_scans: self.audit.horizon_scans.get(),
         }
-    }
-
-    /// Zeroes the deterministic work counters (`tick-audit` only).
-    #[cfg(feature = "tick-audit")]
-    pub fn audit_reset(&mut self) {
-        self.audit = TickAudit::default();
     }
 
     /// Arms an uncorrectable-error stream: each read retiring at or
@@ -1358,89 +1338,30 @@ impl Dimm {
         self.picks = picks;
     }
 
-    fn choose_fcfs(&self, now: Cycle) -> Option<(u32, CmdKind)> {
-        // Strict FCFS: only the oldest unfinished request may issue.
-        let t = self.cfg.timing;
-        let slot = self
-            .order
-            .iter()
-            .copied()
-            .find(|&s| !self.entry(s).finished())?;
-        let p = self.entry(slot);
-        let c = p.req.coord;
-        if now < self.rank_busy[c.rank as usize]
-            || now < self.cmd_bus_free[self.cmd_bus_index(c.rank)]
-        {
-            return None;
-        }
-        let col_kind = match p.req.kind {
-            ReqKind::Read => CmdKind::Read,
-            ReqKind::Write => CmdKind::Write,
-        };
-        let bidx = p.bidx as usize;
-        let need = self.banks.next_cmd_for(bidx, c.row, col_kind);
-        if need.is_column() {
-            if self.banks.can_issue(bidx, col_kind, now) {
-                let lead = match p.req.kind {
-                    ReqKind::Read => t.cl,
-                    ReqKind::Write => t.cwl,
-                };
-                if self.data_bus_free[self.lane_index(c.rank, c.group)] <= now + Duration::new(lead)
-                {
-                    return Some((slot, col_kind));
-                }
-            }
-            return None;
-        }
-        if need == CmdKind::Activate && self.act_blocked(c.rank, c.group, now) {
-            return None;
-        }
-        if self.banks.can_issue(bidx, need, now) {
-            Some((slot, need))
-        } else {
-            None
-        }
-    }
-
     /// The first command the per-bank index would issue at `now` as a
     /// `(request id, command)` pair, for differential testing against
     /// [`Dimm::reference_choice`].
     #[doc(hidden)]
     pub fn indexed_choice(&self, now: Cycle) -> Option<(ReqId, CmdKind)> {
-        match self.cfg.policy {
-            SchedPolicy::FrFcfs => {
-                let mut picks = vec![None; self.cmd_bus_free.len()];
-                self.scan_frfcfs(now, &mut picks);
-                picks
-                    .into_iter()
-                    .flatten()
-                    .min_by_key(BusPick::key)
-                    .map(|p| (p.id, p.kind))
-            }
-            SchedPolicy::Fcfs => self
-                .choose_fcfs(now)
-                .map(|(slot, kind)| (self.entry(slot).id, kind)),
-        }
+        let mut picks = vec![None; self.cmd_bus_free.len()];
+        self.scan_frfcfs(now, &mut picks);
+        picks
+            .into_iter()
+            .flatten()
+            .min_by_key(BusPick::key)
+            .map(|p| (p.id, p.kind))
     }
 
-    /// The original linear two-pass FR-FCFS scan (including the
-    /// `fcfs_limit` window), kept as the differential oracle for the
-    /// per-bank index: on any reachable state [`Dimm::indexed_choice`]
-    /// must pick the same request and command.
+    /// The original linear two-pass FR-FCFS scan, kept as the
+    /// differential oracle for the per-bank index: on any reachable
+    /// state [`Dimm::indexed_choice`] must pick the same request and
+    /// command.
     #[doc(hidden)]
     pub fn reference_choice(&self, now: Cycle) -> Option<(ReqId, CmdKind)> {
         let t = self.cfg.timing;
-        // Under FCFS only the oldest outstanding request may issue at all.
-        let fcfs_limit = match self.cfg.policy {
-            SchedPolicy::FrFcfs => usize::MAX,
-            SchedPolicy::Fcfs => match self.order.iter().position(|&s| !self.entry(s).finished()) {
-                Some(i) => i + 1,
-                None => 0,
-            },
-        };
         // Pass 1 (row hits first): oldest request whose column command can
         // issue right now with a free data lane.
-        for &slot in self.order.iter().take(fcfs_limit) {
+        for &slot in &self.order {
             let p = self.entry(slot);
             if p.finished() {
                 continue;
@@ -1470,7 +1391,7 @@ impl Dimm {
             }
         }
         // Pass 2: oldest request that needs an ACT or PRE it can issue now.
-        for &slot in self.order.iter().take(fcfs_limit) {
+        for &slot in &self.order {
             let p = self.entry(slot);
             if p.finished() {
                 continue;
@@ -1652,20 +1573,7 @@ impl Dimm {
     /// directly.
     pub fn tick_banks(&mut self, now: Cycle) {
         self.maybe_refresh(now);
-        match self.cfg.policy {
-            SchedPolicy::FrFcfs => self.issue_frfcfs(now),
-            // Only the oldest unfinished request may issue, and which one
-            // that is changes when an issue finishes it, so FCFS chooses
-            // again after every command. A failed choice changes nothing.
-            SchedPolicy::Fcfs => {
-                for _ in 0..self.cmd_bus_free.len() {
-                    let Some((slot, kind)) = self.choose_fcfs(now) else {
-                        break;
-                    };
-                    self.apply_command(slot, kind, now);
-                }
-            }
-        }
+        self.issue_frfcfs(now);
         self.retire_finished(now);
         self.flush_cmd_stats();
     }
@@ -2286,54 +2194,6 @@ mod tests {
     }
 
     #[test]
-    fn frfcfs_beats_fcfs_on_mixed_row_traffic() {
-        // Two streams: row hits to an open row interleaved with misses to
-        // other rows. FR-FCFS issues the hits while the misses activate.
-        let run_with = |policy: SchedPolicy| -> u64 {
-            let mut cfg = DimmConfig::paper(AccessMode::RankLockstep);
-            cfg.refresh_enabled = false;
-            cfg.policy = policy;
-            let mut d = Dimm::new(cfg);
-            let mut e = Engine::new();
-            let mut total = 0u32;
-            while total < 64 {
-                let even = total.is_multiple_of(2);
-                let row = if even { 7 } else { 100 + total as u64 };
-                let bank = if even { 0 } else { 1 + (total % 8) };
-                match d.enqueue(MemRequest::read(coord(0, 0, bank, row, 0), 64)) {
-                    Ok(_) => total += 1,
-                    Err(_) => e.run_for(&mut d, 4),
-                }
-            }
-            e.run(&mut d).finished_at().as_u64()
-        };
-        let frfcfs = run_with(SchedPolicy::FrFcfs);
-        let fcfs = run_with(SchedPolicy::Fcfs);
-        assert!(
-            frfcfs <= fcfs,
-            "FR-FCFS ({frfcfs}) must not lose to FCFS ({fcfs})"
-        );
-    }
-
-    #[test]
-    fn fcfs_preserves_completion_order() {
-        let mut cfg = DimmConfig::paper(AccessMode::RankLockstep);
-        cfg.refresh_enabled = false;
-        cfg.policy = SchedPolicy::Fcfs;
-        let mut d = Dimm::new(cfg);
-        let ids: Vec<_> = (0..8)
-            .map(|i| {
-                d.enqueue(MemRequest::read(coord(0, 0, i % 4, 10 + i as u64, 0), 64))
-                    .unwrap()
-            })
-            .collect();
-        Engine::new().run(&mut d);
-        let done = d.drain_completed();
-        let order: Vec<_> = done.iter().map(|c| c.id).collect();
-        assert_eq!(order, ids, "FCFS must retire strictly in order");
-    }
-
-    #[test]
     fn per_device_tfaw_lets_fine_grained_activate_faster() {
         // Random row misses on many chips: per-chip CS has one tFAW
         // window per chip, lock-step has one per rank, so the fine-grained
@@ -2482,13 +2342,6 @@ mod tests {
         check_index_against_reference(cfg, 0xDEAD_BEEF, 4000);
     }
 
-    #[test]
-    fn index_matches_reference_fcfs() {
-        let mut cfg = DimmConfig::paper(AccessMode::Coalesced { chips: 8 });
-        cfg.policy = SchedPolicy::Fcfs;
-        check_index_against_reference(cfg, 0xC0FF_EE00, 4000);
-    }
-
     /// The tick as it was before the one-scan scheduler: re-run the
     /// linear [`Dimm::reference_choice`] after every issue (at most one
     /// command per bus), apply each pick through the shared command
@@ -2615,17 +2468,6 @@ mod tests {
         let cfg = DimmConfig::paper_ndp(AccessMode::Coalesced { chips: 8 });
         let most = check_ticks_against_reference(cfg, FaultStream::empty(), 0xFEED_F00D);
         assert!(most >= 3, "per-rank buses must multi-issue (most {most})");
-    }
-
-    #[test]
-    fn ticks_match_reference_fcfs_ndp() {
-        let mut cfg = DimmConfig::paper_ndp(AccessMode::PerChip);
-        cfg.policy = SchedPolicy::Fcfs;
-        let most = check_ticks_against_reference(cfg, FaultStream::empty(), 0xC0FF_EE00);
-        assert!(
-            most >= 2,
-            "FCFS must issue past a finished head (most {most})"
-        );
     }
 
     #[test]

@@ -5,14 +5,13 @@
 //! 4 bank groups × 4 banks).
 
 use beacon_sim::cycle::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Primary DDR4 timing parameters, in DRAM bus cycles.
 ///
 /// Only the constraints that influence the modelled applications are kept;
 /// they are the same set Ramulator enforces on the critical path of reads
 /// and writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
     /// Cycle time in picoseconds (DDR4-1600 ⇒ 1250 ps).
     pub tck_ps: u64,
@@ -109,7 +108,7 @@ impl Default for TimingParams {
 }
 
 /// Physical organisation of one DIMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DimmGeometry {
     /// Ranks per DIMM.
     pub ranks: u32,

@@ -7,10 +7,9 @@
 //! the paper uses for its DRAM energy numbers.
 
 use beacon_sim::stats::Stats;
-use serde::{Deserialize, Serialize};
 
 /// Per-event energy constants, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// One ACT+PRE pair on one chip (row cycle energy).
     pub act_pre_per_chip_pj: f64,
@@ -51,7 +50,7 @@ impl Default for EnergyParams {
 }
 
 /// Energy breakdown of one DIMM over a simulated interval.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DramEnergy {
     /// Row activate/precharge energy (pJ).
     pub act_pre_pj: f64,

@@ -1,16 +1,15 @@
 //! Memory requests and completions as seen by the DIMM front-end.
 
 use beacon_sim::cycle::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::address::DramCoord;
 
 /// Unique identifier of a request within one `Dimm` instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReqId(pub u64);
 
 /// Direction of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReqKind {
     /// Data flows from DRAM to the requester.
     Read,
@@ -23,7 +22,7 @@ pub enum ReqKind {
 /// Requests larger than one burst occupy consecutive columns of the same
 /// row (the BEACON placement layer never splits a fine-grained object
 /// across rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Direction.
     pub kind: ReqKind,
@@ -65,7 +64,7 @@ impl MemRequest {
 }
 
 /// A finished request, handed back by `Dimm::drain_completed`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedAccess {
     /// Identifier returned by `enqueue`.
     pub id: ReqId,

@@ -1,8 +1,8 @@
 //! Property tests for the indexed scheduler and the cached horizon.
 //!
 //! The `Dimm` keeps two `#[doc(hidden)]` oracles precisely for this
-//! suite: `reference_choice` (the pre-index linear two-pass FR-FCFS /
-//! FCFS scan) and `reference_next_event` (the from-scratch whole-queue
+//! suite: `reference_choice` (the pre-index linear two-pass FR-FCFS
+//! scan) and `reference_next_event` (the from-scratch whole-queue
 //! horizon). On random operation sequences, at every step:
 //!
 //! * the per-bank ready-list scheduler must pick **exactly** the request
@@ -11,7 +11,7 @@
 //!   i.e. no mutating operation ever forgets to invalidate the cache.
 
 use beacon_dram::address::DramCoord;
-use beacon_dram::module::{AccessMode, Dimm, DimmConfig, SchedPolicy};
+use beacon_dram::module::{AccessMode, Dimm, DimmConfig};
 use beacon_dram::request::MemRequest;
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::Cycle;
@@ -81,12 +81,5 @@ proptest! {
     #[test]
     fn frfcfs_coalesced_matches_reference(ops in prop::collection::vec(0u64..u64::MAX, 50..400)) {
         check(DimmConfig::paper(AccessMode::Coalesced { chips: 8 }), &ops);
-    }
-
-    #[test]
-    fn fcfs_matches_reference(ops in prop::collection::vec(0u64..u64::MAX, 50..400)) {
-        let mut cfg = DimmConfig::paper(AccessMode::Coalesced { chips: 8 });
-        cfg.policy = SchedPolicy::Fcfs;
-        check(cfg, &ops);
     }
 }

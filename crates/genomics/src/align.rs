@@ -8,13 +8,11 @@
 //! pipeline: a banded Needleman–Wunsch/Smith–Waterman hybrid returning
 //! the edit distance and an alignment path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::Base;
 use crate::sequence::PackedSeq;
 
 /// One alignment operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignOp {
     /// Bases match.
     Match,
@@ -27,7 +25,7 @@ pub enum AlignOp {
 }
 
 /// Result of aligning a read against a reference window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alignment {
     /// Total edits (substitutions + indels).
     pub edits: u32,

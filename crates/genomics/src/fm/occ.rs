@@ -6,8 +6,6 @@
 //! `occ(c, i)` therefore reads **exactly one 32 B bucket** — the
 //! fine-grained access unit quoted throughout MEDAL and BEACON.
 
-use serde::{Deserialize, Serialize};
-
 use super::bwt::Bwt;
 
 /// BWT symbols covered by one bucket.
@@ -17,7 +15,7 @@ pub const BUCKET_SYMBOLS: usize = 64;
 /// packed symbols).
 pub const BUCKET_BYTES: u32 = 32;
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Bucket {
     /// Occ(c, bucket_start) for each of the four bases.
     counts: [u32; 4],
@@ -26,7 +24,7 @@ struct Bucket {
 }
 
 /// Rank (Occ) table over a BWT, bucketed for fine-grained access.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccTable {
     buckets: Vec<Bucket>,
     sentinel_pos: usize,

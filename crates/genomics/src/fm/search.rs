@@ -1,7 +1,5 @@
 //! The FM-index and backward search, with access-trace recording.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::Base;
 use crate::sequence::PackedSeq;
 use crate::trace::{Access, AppKind, Region, Step, TaskTrace};
@@ -11,7 +9,7 @@ use super::occ::{OccTable, BUCKET_BYTES};
 use super::sais::suffix_array_fast;
 
 /// A half-open range `[lo, hi)` of suffix-array positions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaRange {
     /// First matching SA position.
     pub lo: u32,
@@ -35,7 +33,7 @@ impl SaRange {
 ///
 /// Built from the suffix array and BWT; stores the bucketed
 /// [`OccTable`], the `C` array and a sampled suffix array for `locate`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FmIndex {
     occ: OccTable,
     /// `c_array[c]` = number of suffixes starting with a symbol < `c`
@@ -113,27 +111,19 @@ impl FmIndex {
     /// hardware would produce: one step per pattern symbol, each reading
     /// the two 32 B Occ buckets of the current range boundaries.
     ///
-    /// Equivalent to [`FmIndex::trace_search_cached`] with a cache depth
-    /// of [`FmIndex::HOT_CACHE_STEPS`].
+    /// The first [`FmIndex::HOT_CACHE_STEPS`] levels are served from the
+    /// NDP module's bucket cache. Every search shares its first levels:
+    /// step *k* can only touch one of ~2·4^k distinct Occ buckets, so NDP
+    /// designs keep the top of the index in a small SRAM next to the PEs.
+    /// Cached steps still pay the PE compute latency but issue no memory
+    /// access.
     pub fn trace_search(&self, pattern: &[Base]) -> TaskTrace {
-        self.trace_search_cached(pattern, Self::HOT_CACHE_STEPS)
-    }
-
-    /// Backward search recording the access trace, with the first
-    /// `cached_steps` levels served from the NDP module's bucket cache.
-    ///
-    /// Every search shares its first levels: step *k* can only touch one
-    /// of ~2·4^k distinct Occ buckets, so NDP designs keep the top of the
-    /// index in a small SRAM next to the PEs (a few KB covers the first
-    /// four or five levels). Cached steps still pay the PE compute
-    /// latency but issue no memory access.
-    pub fn trace_search_cached(&self, pattern: &[Base], cached_steps: usize) -> TaskTrace {
         let mut steps = Vec::with_capacity(pattern.len());
         let mut lo = 0u32;
         let mut hi = (self.occ.len()) as u32;
         for (depth, &b) in pattern.iter().rev().enumerate() {
             let c = b.code();
-            if depth < cached_steps {
+            if depth < Self::HOT_CACHE_STEPS {
                 // Served by the bucket cache: compute-only step.
                 steps.push(Step::blocking(vec![]));
             } else {
@@ -292,11 +282,11 @@ mod tests {
         let g = Genome::synthetic(GenomeId::Pt, 1000, 31);
         let idx = FmIndex::build(g.sequence());
         let pattern = g.sequence().slice(37, 16);
-        let trace = idx.trace_search_cached(&pattern, 0);
+        let trace = idx.trace_search(&pattern);
         assert_eq!(trace.app, AppKind::FmSeeding);
         assert_eq!(trace.steps.len(), 16);
-        for s in &trace.steps {
-            assert!(s.wait_for_data);
+        assert!(trace.steps.iter().all(|s| s.wait_for_data));
+        for s in &trace.steps[FmIndex::HOT_CACHE_STEPS..] {
             assert!((1..=2).contains(&s.accesses.len()));
             for a in &s.accesses {
                 assert_eq!(a.bytes, BUCKET_BYTES);

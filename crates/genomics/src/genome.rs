@@ -12,8 +12,6 @@
 //! * a **repeat structure** (plant genomes are highly repetitive), which
 //!   determines seed hit counts and candidate-list lengths.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_sim::rng::SimRng;
 
 use crate::alphabet::Base;
@@ -21,7 +19,7 @@ use crate::sequence::PackedSeq;
 
 /// The five evaluation genomes of the paper plus the human-like k-mer
 /// counting dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GenomeId {
     /// Pinus taeda (loblolly pine), ~22 Gbp.
     Pt,
@@ -93,7 +91,7 @@ impl GenomeId {
 }
 
 /// A reference genome (synthetic stand-in for an NCBI assembly).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Genome {
     id: GenomeId,
     sequence: PackedSeq,

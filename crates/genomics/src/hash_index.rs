@@ -7,8 +7,6 @@
 //! lookup is one fine-grained random read (the bucket header) followed by
 //! a spatially-local list read.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::Base;
 use crate::sequence::PackedSeq;
 use crate::trace::{Access, AppKind, Region, Step, TaskTrace};
@@ -20,7 +18,7 @@ pub const HEADER_BYTES: u32 = 8;
 pub const CANDIDATE_BYTES: u32 = 4;
 
 /// A hash-based seed index over a reference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HashIndex {
     k: usize,
     bucket_bits: u32,

@@ -1,7 +1,5 @@
 //! A counting Bloom filter with byte-wide saturating counters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::{Access, Region, Step};
 
 /// A counting Bloom filter: `m` byte counters, `h` hash functions.
@@ -14,7 +12,7 @@ use crate::trace::{Access, Region, Step};
 /// assert!(cbf.estimate(0xDEAD) >= 2);
 /// assert_eq!(cbf.estimate(0xBEEF), 0); // almost surely
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountingBloom {
     counters: Vec<u8>,
     h: u32,

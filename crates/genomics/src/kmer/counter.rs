@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::Base;
 use crate::reads::Read;
 use crate::trace::{AppKind, TaskTrace};
@@ -41,7 +39,7 @@ pub fn canonical_kmers(bases: &[Base], k: usize) -> Vec<u64> {
 
 /// A k-mer counter combining an exact reference count (for verification)
 /// with the counting-Bloom-filter pipeline that the accelerators run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KmerCounter {
     k: usize,
     cbf: CountingBloom,

@@ -7,8 +7,6 @@
 //! slide a 4-wide window selecting the best-matching diagonal segment,
 //! and count the columns no diagonal could cover.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::Base;
 use crate::sequence::PackedSeq;
 use crate::trace::{Access, AppKind, Region, Step, TaskTrace};
@@ -17,7 +15,7 @@ use crate::trace::{Access, AppKind, Region, Step, TaskTrace};
 const WINDOW: usize = 4;
 
 /// Verdict of the filter for one candidate pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilterVerdict {
     /// Whether the pair should proceed to full alignment.
     pub accept: bool,
@@ -26,7 +24,7 @@ pub struct FilterVerdict {
 }
 
 /// A Shouji-style pre-alignment filter with edit threshold `e`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreAlignFilter {
     e: u32,
 }

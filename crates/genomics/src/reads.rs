@@ -1,7 +1,5 @@
 //! Sequencing-read simulation.
 
-use serde::{Deserialize, Serialize};
-
 use beacon_sim::rng::SimRng;
 
 use crate::alphabet::Base;
@@ -9,7 +7,7 @@ use crate::genome::Genome;
 
 /// One sequencing read: a window of the reference with substitution
 /// errors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Read {
     bases: Vec<Base>,
     /// True position the read was sampled from (ground truth for tests).

@@ -3,13 +3,11 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::Base;
 
 /// A DNA sequence stored 2 bits per base (the representation genome tools
 /// and the modelled hardware both use).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PackedSeq {
     words: Vec<u64>,
     len: usize,

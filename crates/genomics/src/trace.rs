@@ -8,11 +8,9 @@
 //! has returned — exactly the data dependence of e.g. FM-index backward
 //! search, where the next Occ position depends on the current Occ values.
 
-use serde::{Deserialize, Serialize};
-
 /// The application a trace belongs to (determines the PE engine and its
 /// compute latency; paper §VI-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppKind {
     /// FM-index based DNA seeding (BWA-MEM style).
     FmSeeding,
@@ -49,7 +47,7 @@ impl AppKind {
 
 /// Logical memory regions a kernel touches. The BEACON memory-management
 /// framework decides where each region physically lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Region {
     /// FM-index Occ buckets (32 B each, fine-grained random access).
     FmIndex,
@@ -78,7 +76,7 @@ impl Region {
 }
 
 /// Access direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Plain read.
     Read,
@@ -89,7 +87,7 @@ pub enum AccessKind {
 }
 
 /// One memory access within a region's flat address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// Which logical region.
     pub region: Region,
@@ -137,7 +135,7 @@ impl Access {
 /// [`AppKind::pe_latency_cycles`] cycles, issues `accesses` in parallel
 /// and, when `wait_for_data` is set, blocks until all of them return
 /// before the next step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Step {
     /// Accesses issued together.
     pub accesses: Vec<Access>,
@@ -165,7 +163,7 @@ impl Step {
 }
 
 /// The full access trace of one task (one read / one candidate pair).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskTrace {
     /// Application that produced the trace.
     pub app: AppKind,

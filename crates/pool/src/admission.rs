@@ -81,15 +81,6 @@ impl AdmissionController {
         }
     }
 
-    /// Rows a job's layout would hold: the sum over its reservation
-    /// plan of per-home rows × homes.
-    pub fn plan_rows(&self, cfg: &BeaconConfig, specs: &[LayoutSpec]) -> u64 {
-        reservation_plan(cfg, specs)
-            .iter()
-            .map(|r| r.rows(&self.alloc) * r.homes.len() as u64)
-            .sum()
-    }
-
     /// Attempts to admit job `job` of `tenant` whose layout is `specs`,
     /// logging the decision under `round`.
     pub fn try_admit(

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute point in simulated time, measured in DRAM bus cycles.
 ///
 /// ```
@@ -18,11 +16,11 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_u64(), 22);
 /// assert_eq!(t - Cycle::ZERO, Duration::new(22));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 /// A span of simulated time, measured in DRAM bus cycles.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl Cycle {

@@ -27,8 +27,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cycle::{Cycle, Duration};
 use crate::json::Writer;
 use crate::stats::Fnv64;
@@ -38,7 +36,7 @@ use crate::stats::Fnv64;
 /// Every cycle of a tracked request's life is attributed to exactly one
 /// phase; [`Phase::Total`] additionally records the whole span once per
 /// request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Host/engine issue to first link send: packer batching plus any
     /// egress back-pressure at the origin module.
@@ -118,7 +116,7 @@ impl Phase {
 /// Response stamps set `resp` so intermediate hop sites (links,
 /// switches, host) leave them alone — the whole return path is lumped
 /// into [`Phase::Return`] and recorded once at the requester.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JStamp {
     /// Deterministic journey id (the sampling hash); also the Perfetto
     /// flow-event id.

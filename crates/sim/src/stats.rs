@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// A registry of named counters and histograms.
@@ -28,7 +26,7 @@ use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 /// assert_eq!(s.get("dram.read"), 5);
 /// assert_eq!(s.get("dram.write"), 0);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Stats {
     /// Counters, sorted by key (binary-searched on miss).
     counters: Vec<(Box<str>, u64)>,
@@ -41,10 +39,8 @@ pub struct Stats {
     /// entry degrades to the slow path instead of corrupting a counter —
     /// the cache is never observable (and meaningless across
     /// serialization).
-    #[serde(skip)]
     hints: [(usize, u32); HINT_WAYS],
     /// MRU hint for `values`.
-    #[serde(skip)]
     hint_f64: usize,
     /// Registered [`StatId`] handles: `(key, index-or-MAX)`. Unlike the
     /// way cache these are maintained *exactly* (every counter insert
@@ -53,7 +49,6 @@ pub struct Stats {
     /// key whose counter does not exist yet: registering a handle never
     /// materializes a zero counter, so handles are invisible to
     /// iteration, digests and snapshots.
-    #[serde(skip)]
     handles: Vec<(Box<str>, u32)>,
 }
 
@@ -492,7 +487,7 @@ impl fmt::Display for Stats {
 /// assert_eq!(h.bucket(0), 10);
 /// assert_eq!(h.total(), 12);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
 }

@@ -4,10 +4,9 @@
 //! same-kind jobs place the same region names, they can never co-run —
 //! the pool is genuinely contended and the weighted fair-share knob
 //! decides who goes first. Running the identical workload twice with
-//! the weight ratio flipped demonstrably reverses the completion order
-//! (the acceptance criterion of the service PR), and the per-tenant
-//! SLO table shows where the losing tenant's time went: queue wait, not
-//! service.
+//! the weight ratio flipped demonstrably reverses the completion order,
+//! and the per-tenant SLO table shows where the losing tenant's time
+//! went: queue wait, not service.
 //!
 //! ```text
 //! cargo run -p beacon-pool --example pool_service --release

@@ -8,7 +8,7 @@
 //!    composition, per-job digests) is identical across thread counts
 //!    (`BEACON_THREADS`, see `tests/common`) and engine skip modes.
 //! 3. Shifting fair-share weights demonstrably shifts completion order
-//!    on a contended two-tenant spec (the QoS acceptance criterion).
+//!    on a contended two-tenant spec.
 
 mod common;
 
