@@ -300,6 +300,23 @@ impl DimmServer {
         h
     }
 
+    /// True when ticking at `now` could move a service operation
+    /// forward: `next_event() <= now`, answered by the server's own O(1)
+    /// terms first and then by [`Dimm::due`], which stops at the first
+    /// due term instead of folding the exact horizon.
+    pub fn due(&self, now: Cycle) -> bool {
+        if !self.done.is_empty() {
+            return true;
+        }
+        if self.dimm.queue_free() > 0 {
+            let ready = self.rmw_stage.front().map_or(Cycle::NEVER, |&(at, _)| at);
+            if !self.backlog.is_empty() || ready <= now {
+                return true;
+            }
+        }
+        self.dimm.due(now)
+    }
+
     /// Terminal completion of a tracked operation: split its residency
     /// into queueing and bank service, then park the stamp (now in the
     /// return phase) for the owner to attach to the response.
@@ -426,11 +443,11 @@ impl Restore for DimmServer {
 
 impl Tick for DimmServer {
     fn tick(&mut self, now: Cycle) {
-        // Tick gate: the horizon is conservative-exact, so beyond it
-        // neither pump can move, the DIMM tick is a state no-op and there
-        // is nothing to drain. Only the DIMM's time high-water needs
-        // maintaining for later `enqueued_at` stamps.
-        if DimmServer::next_event(self) > now {
+        // Tick gate: the horizon is conservative-exact, so while no term
+        // of it is due neither pump can move, the DIMM tick is a state
+        // no-op and there is nothing to drain. Only the DIMM's time
+        // high-water needs maintaining for later `enqueued_at` stamps.
+        if !self.due(now) {
             self.dimm.sync_time(now);
             return;
         }
@@ -625,6 +642,56 @@ mod tests {
         assert_eq!(poisoned, vec![3]);
         // No write-back happened: the aborted RMW issued its read only.
         assert_eq!(s.dimm().stats().get("dram.cmd.write"), 0);
+    }
+
+    /// Random reads, writes and RMWs through a shallow queue, first
+    /// faster than it drains (a standing backlog), then slower (the RMW
+    /// stage and the DIMM gate alone), with completions left undrained
+    /// on one cycle in five: every cycle, the `due` probe must answer
+    /// `next_event() <= now`, both on the folding path (dirty DIMM
+    /// cache) and after it.
+    #[test]
+    fn due_matches_the_horizon() {
+        let mut cfg = DimmConfig::paper_ndp(AccessMode::PerChip);
+        cfg.queue_depth = 6;
+        cfg.timing.trefi = 1000;
+        let mut s = DimmServer::new(cfg);
+        let mut r = 0x5EED_u64;
+        let mut id = 0;
+        let (mut probes, mut due) = (0, 0);
+        for c in 0..2000u64 {
+            let now = Cycle::new(c);
+            r = r
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let arrives = if c < 300 {
+                r >> 61 == 0
+            } else {
+                c < 1600 && r >> 58 == 0
+            };
+            if arrives {
+                let op =
+                    [ServiceOp::Read, ServiceOp::Write, ServiceOp::Rmw][(r >> 20) as usize % 3];
+                s.request(id, coord((r >> 8) as u32 % 16, (r >> 32) % 6), 32, op);
+                id += 1;
+            }
+            for at in [now, now.next()] {
+                // The exact horizon on a clone leaves this server's DIMM
+                // cache as it was, dirty or clean.
+                let expect = s.clone().next_event() <= at;
+                assert_eq!(s.due(at), expect, "due({at:?}) diverges at cycle {c}");
+                probes += 1;
+                due += u32::from(expect);
+            }
+            s.tick(now);
+            if !r.is_multiple_of(5) {
+                s.drain_done();
+            }
+        }
+        assert!(
+            due > probes / 10 && due < probes,
+            "{due} of {probes} probes due"
+        );
     }
 
     #[test]

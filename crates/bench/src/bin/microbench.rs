@@ -22,7 +22,8 @@
 //! beacon-accel's `tick-audit` features), the DIMM and engine sections
 //! also report *work-budget* columns from
 //! the deterministic per-tick counters: banks inspected by the FR-FCFS
-//! scan and horizon-recompute terms per iteration. Hardware
+//! scan, full horizon-recompute terms and `due`-probe terms per
+//! iteration. Hardware
 //! instruction/branch counters are not available in every environment
 //! this runs in, so these deterministic iteration counts are the
 //! budget proxy: they bound the branchy inner-loop work of
@@ -99,6 +100,9 @@ struct Report {
     choice_per_iter: Option<f64>,
     /// Horizon-recompute terms per iteration (`audit` builds only).
     horizon_per_iter: Option<f64>,
+    /// Active-bank terms folded by `due` probes per iteration (`audit`
+    /// builds only).
+    due_per_iter: Option<f64>,
     /// Completion buckets drained per iteration (`audit` builds only).
     batch_per_iter: Option<f64>,
     /// PE step completions per iteration (`audit` builds only).
@@ -115,11 +119,20 @@ struct Report {
 /// per tick) costs more still, so both fail this budget.
 const DIMM_CHOICE_SCAN_BUDGET: f64 = 8.0;
 
-/// Per-tick budget for horizon-recompute terms: one term per active
-/// bank list plus refresh/completion terms, only on dirty recomputes.
-/// A clean-cache tick folds zero terms, so the steady-state average
-/// must stay well under one full sweep (16 banks) per tick.
-const DIMM_HORIZON_TERM_BUDGET: f64 = 24.0;
+/// Per-tick budget for full horizon recomputes' terms (one per active
+/// bank, only when `next_event` meets a dirty cache). The drive below
+/// gates on `Dimm::due` as `DimmServer::tick` does and never asks for
+/// the exact horizon, so it reads 0 per iteration; a gate that falls
+/// back to full recomputes folds every active bank (4 per iteration on
+/// this traffic) and fails.
+const DIMM_HORIZON_TERM_BUDGET: f64 = 1.0;
+
+/// Per-tick budget for the active-bank terms `Dimm::due` folds: 3.22
+/// per iteration on this traffic, where a probe stops at the first due
+/// term and only a probe that finds nothing due folds every bank (most
+/// cycles here have nothing to issue). A probe that folds every bank
+/// even after finding a due one reads 3.50 and fails.
+const DIMM_DUE_TERM_BUDGET: f64 = 3.35;
 
 /// Per-tick budget for `TaskEngine` completion-bucket drains, asserted
 /// by the engine section in `audit` builds. Ticking every cycle, at
@@ -132,8 +145,8 @@ const DIMM_HORIZON_TERM_BUDGET: f64 = 24.0;
 const ENGINE_BATCH_BUDGET: f64 = 1.0;
 
 /// Mixed open-row-hit / row-conflict traffic at a fixed queue depth:
-/// exercises column issue, ACT/PRE rehoming, retirement and the horizon
-/// recompute every cycle — the dense-kernel worst case for the caches.
+/// exercises column issue, ACT/PRE rehoming, retirement and the `due`
+/// gate every cycle — the dense-kernel worst case for the caches.
 fn bench_dimm_tick(warm: u64, iters: u64) -> Report {
     let mut cfg = DimmConfig::paper_ndp(AccessMode::PerChip);
     cfg.refresh_enabled = false;
@@ -167,8 +180,13 @@ fn bench_dimm_tick(warm: u64, iters: u64) -> Report {
             }
             seq += 1;
         }
-        dimm.tick(now);
-        let _ = dimm.next_event();
+        // Gate the way `DimmServer::tick` does; nothing in production
+        // asks for the exact horizon on a ticked cycle.
+        if dimm.due(now) {
+            dimm.tick(now);
+        } else {
+            dimm.sync_time(now);
+        }
         dimm.drain_completed_into(completed);
         completed.clear();
     };
@@ -185,15 +203,17 @@ fn bench_dimm_tick(warm: u64, iters: u64) -> Report {
     }
     let elapsed = t.elapsed();
     #[cfg(feature = "audit")]
-    let (choice_per_iter, horizon_per_iter) = {
+    let (choice_per_iter, horizon_per_iter, due_per_iter) = {
         let a = dimm.audit_counters();
+        let per_iter = |now: u64, base: u64| Some((now - base) as f64 / iters as f64);
         (
-            Some((a.choice_scans - audit_base.choice_scans) as f64 / iters as f64),
-            Some((a.horizon_scans - audit_base.horizon_scans) as f64 / iters as f64),
+            per_iter(a.choice_scans, audit_base.choice_scans),
+            per_iter(a.horizon_scans, audit_base.horizon_scans),
+            per_iter(a.due_terms, audit_base.due_terms),
         )
     };
     #[cfg(not(feature = "audit"))]
-    let (choice_per_iter, horizon_per_iter) = (None, None);
+    let (choice_per_iter, horizon_per_iter, due_per_iter) = (None, None, None);
     Report {
         name: "dimm_tick",
         iters,
@@ -201,6 +221,7 @@ fn bench_dimm_tick(warm: u64, iters: u64) -> Report {
         allocs: allocs() - base,
         choice_per_iter,
         horizon_per_iter,
+        due_per_iter,
         batch_per_iter: None,
         comp_per_iter: None,
     }
@@ -265,6 +286,7 @@ fn bench_switch_tick(warm: u64, iters: u64) -> Report {
         allocs: allocs() - base,
         choice_per_iter: None,
         horizon_per_iter: None,
+        due_per_iter: None,
         batch_per_iter: None,
         comp_per_iter: None,
     }
@@ -340,6 +362,7 @@ fn bench_engine_tick(warm: u64, iters: u64) -> Report {
         allocs: allocs() - base,
         choice_per_iter: None,
         horizon_per_iter: None,
+        due_per_iter: None,
         batch_per_iter,
         comp_per_iter,
     }
@@ -382,6 +405,7 @@ fn bench_next_event(warm: u64, iters: u64) -> Report {
         allocs: allocs() - base,
         choice_per_iter: None,
         horizon_per_iter: None,
+        due_per_iter: None,
         batch_per_iter: None,
         comp_per_iter: None,
     }
@@ -397,13 +421,14 @@ fn main() {
 
     println!("microbench — warm-up {warm} iters, measuring {iters} iters\n");
     println!(
-        "{:<24} {:>12} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12}",
+        "{:<24} {:>12} {:>12} {:>14} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "benchmark",
         "iters",
         "ns/iter",
         "allocs (steady)",
         "choice/iter",
         "horizon/iter",
+        "due/iter",
         "batch/iter",
         "comp/iter"
     );
@@ -422,13 +447,14 @@ fn main() {
     let mut failed = false;
     for r in &reports {
         println!(
-            "{:<24} {:>12} {:>12.1} {:>14} {:>12} {:>12} {:>12} {:>12}",
+            "{:<24} {:>12} {:>12.1} {:>14} {:>12} {:>12} {:>12} {:>12} {:>12}",
             r.name,
             r.iters,
             r.ns_per_iter,
             r.allocs,
             fmt_opt(r.choice_per_iter),
             fmt_opt(r.horizon_per_iter),
+            fmt_opt(r.due_per_iter),
             fmt_opt(r.batch_per_iter),
             fmt_opt(r.comp_per_iter)
         );
@@ -450,6 +476,15 @@ fn main() {
                     eprintln!(
                         "FAIL: dimm_tick horizon terms {h:.2}/iter exceed the \
                          budget of {DIMM_HORIZON_TERM_BUDGET}/iter"
+                    );
+                    failed = true;
+                }
+            }
+            if let Some(d) = r.due_per_iter {
+                if d > DIMM_DUE_TERM_BUDGET {
+                    eprintln!(
+                        "FAIL: dimm_tick due-probe terms {d:.2}/iter exceed the \
+                         budget of {DIMM_DUE_TERM_BUDGET}/iter"
                     );
                     failed = true;
                 }

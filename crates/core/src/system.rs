@@ -258,13 +258,14 @@ pub(crate) struct SwitchNode {
     q_staged: QueueAcc,
     q_inbox: QueueAcc,
     q_backlog: Vec<QueueAcc>,
-    /// Memoized endpoint term of [`SwitchNode::slot_horizon`] per slot
-    /// (engine ∧ server ∧ egress next-event). A slot's endpoints mutate
-    /// only inside [`SwitchNode::drive_slot`] (which clears the flag),
-    /// at task submission and on injected DIMM failure — every other
-    /// cycle the cached value is exact, so the slot-gate probe
-    /// pays one indexed load plus the live port-arrival term instead of
-    /// three component horizon walks (DESIGN.md §15.5).
+    /// Memoized endpoint term of [`SwitchNode::slot_due`] per slot
+    /// (engine ∧ server ∧ egress next-event), filled whenever a probe
+    /// finds nothing due. A slot's endpoints mutate only inside
+    /// [`SwitchNode::drive_slot`] (which clears the flag), at task
+    /// submission and on injected DIMM failure — every other cycle the
+    /// cached value is exact, so the slot-gate probe pays one indexed
+    /// load plus the live port-arrival term instead of three component
+    /// probes (DESIGN.md §15.5).
     slot_h: Vec<Cycle>,
     slot_h_valid: Vec<bool>,
     /// Run-local sampling gate: refreshed from the installed recorder at
@@ -1773,10 +1774,9 @@ impl SwitchNode {
             self.drive_logic(ctx, now);
         }
         for slot in 0..self.dimms.len() {
-            if self.slot_horizon(slot) > now {
-                continue;
+            if self.slot_due(slot, now) {
+                self.drive_slot(ctx, slot, now);
             }
-            self.drive_slot(ctx, slot, now);
         }
         if journey::active() {
             // Queue depths only mutate inside this function, so a check
@@ -1816,24 +1816,30 @@ impl SwitchNode {
         h
     }
 
-    /// A DIMM slot's event horizon: the earliest cycle at which
-    /// [`SwitchNode::drive_slot`] can do anything — a bundle landing on
-    /// its port, engine or server progress, or an egress pump.
-    fn slot_horizon(&mut self, slot: usize) -> Cycle {
+    /// True when [`SwitchNode::drive_slot`] can do anything at `now` — a
+    /// bundle landing on the slot's port, engine or server progress, or
+    /// an egress pump. The server term is [`DimmServer::due`], which
+    /// stops at the first due term; when nothing is due, it has left the
+    /// server's horizon exact and cached, and the minimum of the terms
+    /// fills the slot's memo.
+    fn slot_due(&mut self, slot: usize, now: Cycle) -> bool {
         let port = self.fabric.dimm_port(slot as u32);
-        let arrival = self.fabric.port_arrival(port);
-        if !self.slot_h_valid[slot] {
-            self.slot_h[slot] = match &self.dimms[slot] {
-                DimmSlot::Cxlg(m) => m
-                    .engine
-                    .next_event()
-                    .min(m.server.next_event())
-                    .min(m.egress.next_event()),
-                DimmSlot::Unmodified(u) => u.server.next_event().min(u.egress.next_event()),
-            };
-            self.slot_h_valid[slot] = true;
+        if self.fabric.port_arrival(port) <= now {
+            return true;
         }
-        arrival.min(self.slot_h[slot])
+        if self.slot_h_valid[slot] {
+            return self.slot_h[slot] <= now;
+        }
+        let (local, server) = match &self.dimms[slot] {
+            DimmSlot::Cxlg(m) => (m.engine.next_event().min(m.egress.next_event()), &m.server),
+            DimmSlot::Unmodified(u) => (u.egress.next_event(), &u.server),
+        };
+        if local <= now || server.due(now) {
+            return true;
+        }
+        self.slot_h[slot] = local.min(server.next_event());
+        self.slot_h_valid[slot] = true;
+        false
     }
 
     /// True when nothing under this switch has queued or in-flight work

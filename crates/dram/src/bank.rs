@@ -365,6 +365,18 @@ impl BankSoa {
         }
     }
 
+    /// `(open, act_allowed, col_allowed, pre_allowed)` of bank `b`, the
+    /// raw timers the controller copies into its per-bank hot records.
+    #[inline]
+    pub(crate) fn timers(&self, b: usize) -> (bool, Cycle, Cycle, Cycle) {
+        (
+            self.open_row[b] != ROW_NONE,
+            self.act_allowed[b],
+            self.col_allowed[b],
+            self.pre_allowed[b],
+        )
+    }
+
     /// Materializes bank `b` as a scalar [`BankTimer`] (tests, oracles).
     pub fn timer(&self, b: usize) -> BankTimer {
         BankTimer {

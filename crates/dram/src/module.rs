@@ -29,15 +29,21 @@
 //! refresh (all entries of the bank become misses) and burst completion;
 //! [`Dimm::reference_choice`] / [`Dimm::reference_next_event`] retain the
 //! original whole-queue scans for differential testing.
+//!
+//! The per-cycle sweeps (the FR-FCFS scan and the horizon fold) read
+//! neither the lists nor the bank columns: each active bank has one
+//! cache-line record (`BankHot`) holding its topology, open flag,
+//! timers and the ids of its three list heads, re-synced wherever one
+//! of those changes. tRRD and tFAW fold into one `act_ready` cycle per
+//! data lane at each ACT.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::faults::FaultStream;
-use beacon_sim::horizon::{Backoff, HorizonCache};
+use beacon_sim::horizon::HorizonCache;
 use beacon_sim::queue::QueueFullError;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{Histogram, StatId, Stats};
@@ -274,6 +280,67 @@ impl BankSched {
     }
 }
 
+/// Head id of an empty list in a [`BankHot`] record. Ids count up from
+/// zero per DIMM, so no request ever carries it.
+const NO_HEAD: ReqId = ReqId(u64::MAX);
+
+/// `active_pos` of a bank with no hot record.
+const IDLE: u32 = u32::MAX;
+
+/// Everything the FR-FCFS scan and the horizon fold read about one
+/// active bank, in one cache line: its topology, its timers (from
+/// [`BankSoa`]) and the ids of its three list heads. Derived state,
+/// like the `active_pos` index over it: re-synced at every site that
+/// changes a timer or a head, rebuilt on restore, never snapshotted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(64))]
+struct BankHot {
+    /// The earliest cycle the bank's own timers let a listed command
+    /// issue: `col` if a hit list is non-empty, `miss_at` if the miss
+    /// list is. The rank, bus, lane and ACT-window floors only delay
+    /// further, so the scan passes over the bank before it.
+    ready: Cycle,
+    /// Column timer, `Cycle::NEVER` while the bank is closed.
+    col: Cycle,
+    /// Timer of the command the miss head needs: PRE when the bank is
+    /// open, ACT when it is closed.
+    miss_at: Cycle,
+    /// Head ids of `hit_read`, `hit_write` and `miss`, or [`NO_HEAD`].
+    read: ReqId,
+    write: ReqId,
+    miss: ReqId,
+    bidx: u32,
+    /// `(rank, group)` data lane.
+    lane: u32,
+    rank: u16,
+    /// Command bus.
+    bus: u16,
+    open: bool,
+}
+
+impl BankHot {
+    /// Loads the bank's timers `(open, act, col, pre)` and head ids
+    /// `[read, write, miss]`, deriving `miss_at` and `ready`.
+    fn load(&mut self, timers: (bool, Cycle, Cycle, Cycle), heads: [ReqId; 3]) {
+        let (open, act, col, pre) = timers;
+        self.open = open;
+        self.col = col;
+        self.miss_at = if open { pre } else { act };
+        [self.read, self.write, self.miss] = heads;
+        let hit = if self.read != NO_HEAD || self.write != NO_HEAD {
+            col
+        } else {
+            Cycle::NEVER
+        };
+        let miss = if self.miss != NO_HEAD {
+            self.miss_at
+        } else {
+            Cycle::NEVER
+        };
+        self.ready = hit.min(miss);
+    }
+}
+
 /// One command bus's FR-FCFS candidate for the current cycle. Picks
 /// order by `(miss, id)`: any row hit before any ACT/PRE, then age.
 #[derive(Debug, Clone, Copy)]
@@ -281,7 +348,9 @@ struct BusPick {
     /// The command is an ACT or PRE rather than a row-hit column command.
     miss: bool,
     id: ReqId,
-    slot: u32,
+    /// Bank whose list head (`hit_read`, `hit_write` or `miss`, by
+    /// `kind`) the command serves.
+    bidx: u32,
     kind: CmdKind,
 }
 
@@ -304,8 +373,10 @@ pub struct TickAudit {
     gated_ticks: u64,
     /// Active-bank inspections by the FR-FCFS scan.
     choice_scans: std::cell::Cell<u64>,
-    /// Active-bank terms folded during horizon recomputes.
+    /// Active-bank terms folded during full horizon recomputes.
     horizon_scans: std::cell::Cell<u64>,
+    /// Active-bank terms folded by `due` probes.
+    due_terms: std::cell::Cell<u64>,
 }
 
 /// A point-in-time copy of the [`TickAudit`] counters.
@@ -318,8 +389,10 @@ pub struct TickAuditCounters {
     pub gated_ticks: u64,
     /// Active-bank inspections by the FR-FCFS scan.
     pub choice_scans: u64,
-    /// Active-bank terms folded during horizon recomputes.
+    /// Active-bank terms folded during full horizon recomputes.
     pub horizon_scans: u64,
+    /// Active-bank terms folded by `due` probes.
+    pub due_terms: u64,
 }
 
 /// Tick-local command-mix accumulators (DESIGN.md §15.5): `apply_command`
@@ -398,13 +471,6 @@ pub struct Dimm {
     groups_per_rank: u32,
     /// `[rank][group][bank]`, flattened, stored as parallel columns.
     banks: BankSoa,
-    /// Rank of each flattened bank index (side table; the hot sweeps
-    /// index instead of dividing).
-    bank_rank: Vec<u32>,
-    /// `(rank, group)` data-lane of each flattened bank index.
-    bank_lane: Vec<u32>,
-    /// Command bus of each flattened bank index.
-    bank_cbus: Vec<u32>,
     /// Request slab; freed slots are recycled through `free_slots`, so
     /// the controller performs no per-request allocation in steady state.
     entries: Vec<Option<Pending>>,
@@ -414,9 +480,12 @@ pub struct Dimm {
     order: VecDeque<u32>,
     /// Scheduling index, parallel to `banks`.
     sched: Vec<BankSched>,
-    /// Banks whose index holds at least one unfinished request.
-    active_banks: Vec<u32>,
-    bank_active: Vec<bool>,
+    /// One record per bank whose index holds at least one unfinished
+    /// request, in activation order with `swap_remove` on idling (the
+    /// order the snapshot's active-bank list persists).
+    hot: Vec<BankHot>,
+    /// Position of each bank's record in `hot`, or [`IDLE`].
+    active_pos: Vec<u32>,
     /// Finished-but-unretired entries keyed by their last data beat: an
     /// O(1) "anything due?" guard for retirement and the finished-entry
     /// term of the event horizon.
@@ -437,6 +506,10 @@ pub struct Dimm {
     act_window: Vec<VecDeque<Cycle>>,
     /// Last ACT per `(rank, group)` (tRRD, same per-device reasoning).
     last_act: Vec<Cycle>,
+    /// Earliest cycle tRRD and tFAW allow the next ACT per `(rank,
+    /// group)`: derived from `last_act` and `act_window` at each ACT and
+    /// on restore, never snapshotted.
+    act_ready: Vec<Cycle>,
     /// Next refresh deadline per rank.
     refresh_due: Vec<Cycle>,
     /// Rank unusable until this cycle (refreshing).
@@ -450,8 +523,6 @@ pub struct Dimm {
     data_cycles: u64,
     ticked_cycles: u64,
     horizon: HorizonCache,
-    /// Backoff for the tick gate (wall-clock only).
-    gate: Cell<Backoff>,
     /// Reusable buffer for the order-preserving merges on PRE/refresh.
     merge_scratch: VecDeque<u32>,
     /// Per-command-bus FR-FCFS picks of the current sweep. Scratch:
@@ -487,33 +558,26 @@ impl Dimm {
         let groups = cfg.access_mode.group_count(&cfg.geometry);
         let nbanks = (cfg.geometry.ranks * groups * cfg.geometry.banks) as usize;
         let chips = (cfg.geometry.ranks * cfg.geometry.chips_per_rank) as usize;
-        let banks_per_lane = cfg.geometry.banks;
-        let bank_rank: Vec<u32> = (0..nbanks)
-            .map(|b| b as u32 / (groups * banks_per_lane))
-            .collect();
-        let bank_lane: Vec<u32> = (0..nbanks).map(|b| b as u32 / banks_per_lane).collect();
-        let bank_cbus: Vec<u32> = bank_rank
-            .iter()
-            .map(|&r| if cfg.per_rank_cmd_bus { r } else { 0 })
-            .collect();
+        let lanes = (cfg.geometry.ranks * groups) as usize;
+        assert!(
+            u16::try_from(cfg.geometry.ranks).is_ok() && u32::try_from(nbanks).is_ok(),
+            "geometry too large"
+        );
         let mut stats = Stats::new();
         let cmd_ids = CmdStatIds::resolve(&mut stats);
         Dimm {
             cfg,
             groups_per_rank: groups,
             banks: BankSoa::new(nbanks),
-            bank_rank,
-            bank_lane,
-            bank_cbus,
             entries: Vec::with_capacity(cfg.queue_depth),
             free_slots: Vec::with_capacity(cfg.queue_depth),
             order: VecDeque::with_capacity(cfg.queue_depth),
             sched: vec![BankSched::default(); nbanks],
-            active_banks: Vec::new(),
-            bank_active: vec![false; nbanks],
+            hot: Vec::new(),
+            active_pos: vec![IDLE; nbanks],
             finishing: BinaryHeap::new(),
             completed: Vec::new(),
-            data_bus_free: vec![Cycle::ZERO; (cfg.geometry.ranks * groups) as usize],
+            data_bus_free: vec![Cycle::ZERO; lanes],
             cmd_bus_free: vec![
                 Cycle::ZERO;
                 if cfg.per_rank_cmd_bus {
@@ -522,8 +586,9 @@ impl Dimm {
                     1
                 }
             ],
-            act_window: vec![VecDeque::with_capacity(4); (cfg.geometry.ranks * groups) as usize],
-            last_act: vec![Cycle::ZERO; (cfg.geometry.ranks * groups) as usize],
+            act_window: vec![VecDeque::with_capacity(4); lanes],
+            last_act: vec![Cycle::ZERO; lanes],
+            act_ready: vec![Cycle::ZERO; lanes],
             refresh_due: vec![Cycle::new(cfg.timing.trefi); cfg.geometry.ranks as usize],
             rank_busy: vec![Cycle::ZERO; cfg.geometry.ranks as usize],
             next_id: 0,
@@ -532,7 +597,6 @@ impl Dimm {
             data_cycles: 0,
             ticked_cycles: 0,
             horizon: HorizonCache::new(),
-            gate: Cell::new(Backoff::new()),
             merge_scratch: VecDeque::new(),
             picks: Vec::new(),
             due: Vec::with_capacity(cfg.queue_depth),
@@ -553,6 +617,7 @@ impl Dimm {
             gated_ticks: self.audit.gated_ticks,
             choice_scans: self.audit.choice_scans.get(),
             horizon_scans: self.audit.horizon_scans.get(),
+            due_terms: self.audit.due_terms.get(),
         }
     }
 
@@ -590,10 +655,8 @@ impl Dimm {
             sched.hit_write.clear();
             sched.miss.clear();
         }
-        for b in &mut self.bank_active {
-            *b = false;
-        }
-        self.active_banks.clear();
+        self.hot.clear();
+        self.active_pos.fill(IDLE);
         self.finishing.clear();
         self.faults.get_or_insert_with(Default::default).dead = true;
         self.stats
@@ -655,35 +718,64 @@ impl Dimm {
         p
     }
 
-    /// Rank served by the flattened bank index.
-    #[inline]
-    fn rank_of_bank(&self, bidx: usize) -> u32 {
-        self.bank_rank[bidx]
+    /// Id of the request at the head of `list`, or [`NO_HEAD`].
+    fn head_id(&self, list: &VecDeque<u32>) -> ReqId {
+        list.front().map_or(NO_HEAD, |&slot| self.entry(slot).id)
     }
 
-    /// `(rank, group)` lane index of the flattened bank index.
-    #[inline]
-    fn lane_of_bank(&self, bidx: usize) -> usize {
-        self.bank_lane[bidx] as usize
+    /// Bank `bidx`'s `[read, write, miss]` list-head ids.
+    fn heads(&self, bidx: usize) -> [ReqId; 3] {
+        let sched = &self.sched[bidx];
+        [&sched.hit_read, &sched.hit_write, &sched.miss].map(|l| self.head_id(l))
     }
 
-    fn mark_bank_active(&mut self, bidx: usize) {
-        if !self.bank_active[bidx] {
-            self.bank_active[bidx] = true;
-            self.active_banks.push(bidx as u32);
+    /// Bank `bidx`'s hot record, built from the bank columns, its lists
+    /// and the slab.
+    fn hot_record(&self, bidx: usize) -> BankHot {
+        let lane = bidx / self.cfg.geometry.banks as usize;
+        let rank = lane / self.groups_per_rank as usize;
+        let mut record = BankHot {
+            ready: Cycle::NEVER,
+            col: Cycle::NEVER,
+            miss_at: Cycle::NEVER,
+            read: NO_HEAD,
+            write: NO_HEAD,
+            miss: NO_HEAD,
+            bidx: bidx as u32,
+            lane: lane as u32,
+            rank: rank as u16,
+            bus: self.cmd_bus_index(rank as u32) as u16,
+            open: false,
+        };
+        record.load(self.banks.timers(bidx), self.heads(bidx));
+        record
+    }
+
+    /// Bank `bidx`'s hot record, if the bank is active.
+    fn hot_mut(&mut self, bidx: usize) -> Option<&mut BankHot> {
+        match self.active_pos[bidx] {
+            IDLE => None,
+            pos => Some(&mut self.hot[pos as usize]),
+        }
+    }
+
+    /// Re-reads bank `bidx`'s timers and list heads into its hot record,
+    /// if active (the topology fields never change).
+    fn sync_hot(&mut self, bidx: usize) {
+        let (timers, heads) = (self.banks.timers(bidx), self.heads(bidx));
+        if let Some(h) = self.hot_mut(bidx) {
+            h.load(timers, heads);
         }
     }
 
     fn mark_bank_idle(&mut self, bidx: usize) {
         debug_assert!(self.sched[bidx].is_empty());
-        if self.bank_active[bidx] {
-            self.bank_active[bidx] = false;
-            let pos = self
-                .active_banks
-                .iter()
-                .position(|&b| b as usize == bidx)
-                .expect("active bank listed");
-            self.active_banks.swap_remove(pos);
+        let pos = std::mem::replace(&mut self.active_pos[bidx], IDLE);
+        if pos != IDLE {
+            self.hot.swap_remove(pos as usize);
+            if let Some(moved) = self.hot.get(pos as usize) {
+                self.active_pos[moved.bidx as usize] = pos;
+            }
         }
     }
 
@@ -766,14 +858,23 @@ impl Dimm {
         // Index the new request: ids are assigned in admission order, so
         // a plain push_back keeps every list age-ordered.
         let sched = &mut self.sched[bidx];
-        match self.banks.open_row(bidx) {
+        let list = match self.banks.open_row(bidx) {
             Some(open) if open == cmd.coord.row => match cmd.kind {
-                ReqKind::Read => sched.hit_read.push_back(slot),
-                ReqKind::Write => sched.hit_write.push_back(slot),
+                ReqKind::Read => &mut sched.hit_read,
+                ReqKind::Write => &mut sched.hit_write,
             },
-            _ => sched.miss.push_back(slot),
+            _ => &mut sched.miss,
+        };
+        list.push_back(slot);
+        if list.len() == 1 {
+            // A new list head: the bank's hot record changes or starts.
+            if self.active_pos[bidx] == IDLE {
+                self.active_pos[bidx] = self.hot.len() as u32;
+                self.hot.push(self.hot_record(bidx));
+            } else {
+                self.sync_hot(bidx);
+            }
         }
-        self.mark_bank_active(bidx);
         id
     }
 
@@ -885,73 +986,95 @@ impl Dimm {
     /// The value is memoized: it depends only on internal state, every
     /// mutating operation invalidates the cache, and a clean hit is O(1).
     pub fn next_event(&self) -> Cycle {
-        self.horizon.get_or(|| self.compute_next_event())
+        self.horizon.get_or(|| self.fold_horizon(Cycle::ZERO))
     }
 
-    /// From-scratch horizon over the scheduling index: one term per
-    /// non-empty per-bank list (all entries of a list share their
-    /// readiness cycle) plus refresh deadlines and the earliest finished
-    /// entry, so the cost is O(active banks), not O(queue entries).
-    fn compute_next_event(&self) -> Cycle {
-        let mut h = Cycle::NEVER;
+    /// True when ticking at `now` could change state: the same answer as
+    /// `next_event() <= now`, without the exact horizon. The terms fold
+    /// cheapest first and the probe stops at the first one at or before
+    /// `now`; [`HorizonCache::due`] remembers that term, or the exact
+    /// horizon when a probe folds every term without finding one, so
+    /// later probes are a load until the next mutation.
+    pub fn due(&self, now: Cycle) -> bool {
+        self.horizon.due(now, |until| self.fold_horizon(until))
+    }
+
+    /// Folds the horizon terms, cheapest first, and returns their
+    /// minimum — or, as soon as one term lies before `until`, that
+    /// term. `until = Cycle::ZERO` never stops early: that is the
+    /// from-scratch horizon. There is one term per active bank (all
+    /// entries of a list share their readiness cycle) plus refresh
+    /// deadlines and the earliest finished entry, so the cost is
+    /// O(active banks), not O(queue entries).
+    fn fold_horizon(&self, until: Cycle) -> Cycle {
         if !self.completed.is_empty() {
             // The owner still has completions to drain.
             return Cycle::ZERO;
         }
-        let t = self.cfg.timing;
-        if self.cfg.refresh_enabled {
-            for rank in 0..self.cfg.geometry.ranks as usize {
-                h = h.min(self.refresh_due[rank].max(self.rank_busy[rank]));
-            }
-        }
+        let mut h = Cycle::NEVER;
         if let Some(&Reverse((at, _))) = self.finishing.peek() {
             // Earliest all-bursts-issued entry retires once its last data
             // beat leaves the bus.
-            h = h.min(at);
+            if at < until {
+                return at;
+            }
+            h = at;
         }
-        for &b in &self.active_banks {
-            let bidx = b as usize;
+        if self.cfg.refresh_enabled {
+            for (due, busy) in self.refresh_due.iter().zip(&self.rank_busy) {
+                let at = (*due).max(*busy);
+                if at < until {
+                    return at;
+                }
+                h = h.min(at);
+            }
+        }
+        #[cfg(feature = "tick-audit")]
+        let terms = if until == Cycle::ZERO {
+            &self.audit.horizon_scans
+        } else {
+            &self.audit.due_terms
+        };
+        let t = self.cfg.timing;
+        for b in &self.hot {
             #[cfg(feature = "tick-audit")]
-            self.audit
-                .horizon_scans
-                .set(self.audit.horizon_scans.get() + 1);
-            let sched = &self.sched[bidx];
-            let rank = self.rank_of_bank(bidx);
-            let floor =
-                self.cmd_bus_free[self.bank_cbus[bidx] as usize].max(self.rank_busy[rank as usize]);
-            let lane = self.lane_of_bank(bidx);
-            for (list, kind, lead) in [
-                (&sched.hit_read, CmdKind::Read, t.cl),
-                (&sched.hit_write, CmdKind::Write, t.cwl),
-            ] {
-                if list.is_empty() {
-                    continue;
-                }
-                // The data lane must be free when the burst starts, i.e.
-                // issue cycle n satisfies data_bus_free <= n + lead.
-                let lane_term = Cycle::new(self.data_bus_free[lane].as_u64().saturating_sub(lead));
-                h = h.min(self.banks.earliest(bidx, kind).max(floor).max(lane_term));
+            terms.set(terms.get() + 1);
+            // Every term of the bank lies at or after `ready`, and `h` is
+            // not below `until` yet: a bank ready no earlier than `h` can
+            // neither lower it nor stop the fold.
+            if b.ready >= h {
+                continue;
             }
-            if !sched.miss.is_empty() {
-                let need = if self.banks.is_open(bidx) {
-                    CmdKind::Precharge
-                } else {
-                    CmdKind::Activate
-                };
-                let mut ready = self.banks.earliest(bidx, need).max(floor);
-                if need == CmdKind::Activate {
-                    if self.last_act[lane] != Cycle::ZERO {
-                        ready = ready.max(self.last_act[lane] + Duration::new(t.trrd));
-                    }
-                    let w = &self.act_window[lane];
-                    if w.len() == 4 {
-                        if let Some(&oldest) = w.front() {
-                            ready = ready.max(oldest + Duration::new(t.tfaw));
-                        }
-                    }
-                }
-                h = h.min(ready);
+            // Row hits wait for the column timer and for the data lane to
+            // be free when the burst starts (issue cycle n satisfies
+            // data_bus_free <= n + lead); a miss for PRE, or for ACT and
+            // the lane's tRRD/tFAW window.
+            let mut own = if b.miss == NO_HEAD {
+                Cycle::NEVER
+            } else if b.open {
+                b.miss_at
+            } else {
+                b.miss_at.max(self.act_ready[b.lane as usize])
+            };
+            // With both hit lists non-empty, the longer lead is the
+            // earlier of the two lane terms.
+            let lead = match (b.read != NO_HEAD, b.write != NO_HEAD) {
+                (true, true) => Some(t.cl.max(t.cwl)),
+                (true, false) => Some(t.cl),
+                (false, true) => Some(t.cwl),
+                (false, false) => None,
+            };
+            if let Some(lead) = lead {
+                let lane = self.data_bus_free[b.lane as usize].as_u64();
+                own = own.min(b.col.max(Cycle::new(lane.saturating_sub(lead))));
             }
+            let at = own
+                .max(self.cmd_bus_free[b.bus as usize])
+                .max(self.rank_busy[b.rank as usize]);
+            if at < until {
+                return at;
+            }
+            h = h.min(at);
         }
         h
     }
@@ -1049,6 +1172,7 @@ impl Dimm {
                         self.banks.reset(idx);
                         // Requests that were hits are misses now.
                         self.rehome_all_to_miss(idx);
+                        self.sync_hot(idx);
                     }
                 }
             }
@@ -1153,14 +1277,31 @@ impl Dimm {
         false
     }
 
-    fn note_act(&mut self, rank: u32, group: u32, now: Cycle) {
-        let r = self.lane_index(rank, group);
-        self.last_act[r] = now;
-        let w = &mut self.act_window[r];
+    fn note_act(&mut self, lane: usize, now: Cycle) {
+        self.last_act[lane] = now;
+        let w = &mut self.act_window[lane];
         if w.len() == 4 {
             w.pop_front();
         }
         w.push_back(now);
+        self.act_ready[lane] = self.act_window_end(lane);
+    }
+
+    /// The first cycle neither tRRD nor tFAW blocks an ACT on `lane`:
+    /// [`Dimm::act_blocked`] as one cycle.
+    fn act_window_end(&self, lane: usize) -> Cycle {
+        let t = &self.cfg.timing;
+        let mut ready = Cycle::ZERO;
+        if self.last_act[lane] != Cycle::ZERO {
+            ready = self.last_act[lane] + Duration::new(t.trrd);
+        }
+        let w = &self.act_window[lane];
+        if w.len() == 4 {
+            if let Some(&oldest) = w.front() {
+                ready = ready.max(oldest + Duration::new(t.tfaw));
+            }
+        }
+        ready
     }
 
     fn cmd_bus_index(&self, rank: u32) -> usize {
@@ -1238,7 +1379,7 @@ impl Dimm {
         self.merge_scratch = mi;
     }
 
-    /// The FR-FCFS scan: one pass over the active banks that leaves in
+    /// The FR-FCFS scan: one pass over the hot records that leaves in
     /// `picks[bus]` that command bus's oldest issuable row hit, failing
     /// that its oldest issuable ACT/PRE. Every entry of one per-bank
     /// list shares the same readiness condition (bank timers, rank,
@@ -1246,74 +1387,62 @@ impl Dimm {
     /// list is its head when the head can issue, and none otherwise.
     fn scan_frfcfs(&self, now: Cycle, picks: &mut [Option<BusPick>]) {
         let t = self.cfg.timing;
-        for &b in &self.active_banks {
-            let bidx = b as usize;
+        for b in &self.hot {
             #[cfg(feature = "tick-audit")]
             self.audit
                 .choice_scans
                 .set(self.audit.choice_scans.get() + 1);
-            let rank = self.rank_of_bank(bidx);
-            let bus = self.bank_cbus[bidx] as usize;
-            if now < self.rank_busy[rank as usize] || now < self.cmd_bus_free[bus] {
+            if now < b.ready
+                || now < self.rank_busy[b.rank as usize]
+                || now < self.cmd_bus_free[b.bus as usize]
+            {
                 continue;
             }
-            let sched = &self.sched[bidx];
-            let lane = self.lane_of_bank(bidx);
-            let best = &mut picks[bus];
-            for (list, kind, lead) in [
-                (&sched.hit_read, CmdKind::Read, t.cl),
-                (&sched.hit_write, CmdKind::Write, t.cwl),
-            ] {
-                let Some(&slot) = list.front() else { continue };
-                if !self.banks.can_issue(bidx, kind, now) {
-                    // `col_allowed` is shared by reads and writes: if one
-                    // kind cannot issue, neither can the other.
-                    break;
-                }
-                // Data lane must be free when the burst starts.
-                if self.data_bus_free[lane] > now + Duration::new(lead) {
-                    continue;
-                }
-                let id = self.entry(slot).id;
-                if best.is_none_or(|p| p.key() > (false, id)) {
-                    *best = Some(BusPick {
-                        miss: false,
-                        id,
-                        slot,
-                        kind,
-                    });
+            let best = &mut picks[b.bus as usize];
+            // `col` is shared by reads and writes and is NEVER on a
+            // closed bank; the data lane must be free when the burst
+            // starts.
+            if now >= b.col {
+                let lane = self.data_bus_free[b.lane as usize];
+                for (id, kind, lead) in [
+                    (b.read, CmdKind::Read, t.cl),
+                    (b.write, CmdKind::Write, t.cwl),
+                ] {
+                    if id != NO_HEAD
+                        && lane <= now + Duration::new(lead)
+                        && best.is_none_or(|p| p.key() > (false, id))
+                    {
+                        *best = Some(BusPick {
+                            miss: false,
+                            id,
+                            bidx: b.bidx,
+                            kind,
+                        });
+                    }
                 }
             }
-            // A row hit on this bus outranks every ACT/PRE.
-            if best.is_some_and(|p| !p.miss) {
+            // A row hit on this bus outranks every ACT/PRE, and an older
+            // ACT/PRE this bank's.
+            if b.miss == NO_HEAD || best.is_some_and(|p| !p.miss || p.id < b.miss) {
                 continue;
             }
-            let Some(&slot) = sched.miss.front() else {
+            if now < b.miss_at {
                 continue;
-            };
-            let need = if self.banks.is_open(bidx) {
+            }
+            let kind = if b.open {
                 CmdKind::Precharge
             } else {
-                CmdKind::Activate
-            };
-            if need == CmdKind::Activate {
-                let group = lane as u32 % self.groups_per_rank;
-                if self.act_blocked(rank, group, now) {
+                if now < self.act_ready[b.lane as usize] {
                     continue;
                 }
-            }
-            if !self.banks.can_issue(bidx, need, now) {
-                continue;
-            }
-            let id = self.entry(slot).id;
-            if best.is_none_or(|p| id < p.id) {
-                *best = Some(BusPick {
-                    miss: true,
-                    id,
-                    slot,
-                    kind: need,
-                });
-            }
+                CmdKind::Activate
+            };
+            *best = Some(BusPick {
+                miss: true,
+                id: b.miss,
+                bidx: b.bidx,
+                kind,
+            });
         }
     }
 
@@ -1324,7 +1453,7 @@ impl Dimm {
     /// The order reproduces re-choosing after every issue: the oldest
     /// remaining hit while any bus has one, then the oldest miss.
     fn issue_frfcfs(&mut self, now: Cycle) {
-        if self.active_banks.is_empty() {
+        if self.hot.is_empty() {
             return;
         }
         let mut picks = std::mem::take(&mut self.picks);
@@ -1333,7 +1462,15 @@ impl Dimm {
         self.scan_frfcfs(now, &mut picks);
         picks.sort_unstable_by_key(|p| p.map(|p| p.key()));
         for p in picks.iter().flatten() {
-            self.apply_command(p.slot, p.kind, now);
+            let sched = &self.sched[p.bidx as usize];
+            let list = match p.kind {
+                CmdKind::Read => &sched.hit_read,
+                CmdKind::Write => &sched.hit_write,
+                _ => &sched.miss,
+            };
+            let slot = *list.front().expect("picked list has a head");
+            debug_assert_eq!(self.entry(slot).id, p.id, "pick is its list head");
+            self.apply_command(slot, p.kind, now);
         }
         self.picks = picks;
     }
@@ -1422,9 +1559,9 @@ impl Dimm {
     }
 
     /// Issues `kind` for the request in `slot` at `now`: bank, command
-    /// bus, data lane and ACT-window state, the scheduling index, the
-    /// command-mix accumulators and the trace. The caller has checked
-    /// that the command can issue.
+    /// bus, data lane and ACT-window state, the scheduling index and its
+    /// hot record, the command-mix accumulators and the trace. The
+    /// caller has checked that the command can issue.
     fn apply_command(&mut self, slot: u32, kind: CmdKind, now: Cycle) {
         let t = self.cfg.timing;
         let chips_per_group = self.cfg.access_mode.chips_per_group(&self.cfg.geometry) as u64;
@@ -1446,8 +1583,9 @@ impl Dimm {
 
         match kind {
             CmdKind::Activate => {
-                self.note_act(coord.rank, coord.group, now);
+                self.note_act(self.lane_index(coord.rank, coord.group), now);
                 self.rehome_after_activate(bidx, coord.row);
+                self.sync_hot(bidx);
                 self.acc.act += 1;
                 self.acc.act_chips += chips_per_group;
                 self.acc.row_miss += 1;
@@ -1467,6 +1605,7 @@ impl Dimm {
             }
             CmdKind::Precharge => {
                 self.rehome_all_to_miss(bidx);
+                self.sync_hot(bidx);
                 self.acc.pre += 1;
                 self.acc.pre_chips += chips_per_group;
                 self.acc.row_conflict += 1;
@@ -1532,6 +1671,14 @@ impl Dimm {
                     if self.sched[bidx].is_empty() {
                         self.mark_bank_idle(bidx);
                     }
+                }
+                // A column command moves only the timers and the hit-list
+                // heads; the miss head stays.
+                let timers = self.banks.timers(bidx);
+                let sched = &self.sched[bidx];
+                let [read, write] = [&sched.hit_read, &sched.hit_write].map(|l| self.head_id(l));
+                if let Some(h) = self.hot_mut(bidx) {
+                    h.load(timers, [read, write, h.miss]);
                 }
                 match req_kind {
                     ReqKind::Read => {
@@ -1689,9 +1836,11 @@ impl Snapshot for Dimm {
     // scheduler passes reuse the stored index).
     const VERSION: u16 = 3;
     fn snap(&self, w: &mut SnapWriter) {
-        // `cfg`, `groups_per_rank`, the bank side tables and `trace_id`
-        // are construction-time; `merge_scratch` is drained empty between
-        // commands and the horizon cache restores dirty.
+        // `cfg`, `groups_per_rank` and `trace_id` are construction-time;
+        // `merge_scratch` is drained empty between commands, the horizon
+        // cache restores dirty, and the hot records and `act_ready` are
+        // rebuilt from the state below (only the active banks' order
+        // travels).
         let (open_row, act, col, pre) = self.banks.columns();
         w.usize(open_row.len());
         for &row in open_row {
@@ -1734,9 +1883,9 @@ impl Snapshot for Dimm {
             put_slots(w, &sched.hit_write);
             put_slots(w, &sched.miss);
         }
-        w.usize(self.active_banks.len());
-        for b in &self.active_banks {
-            w.u32(*b);
+        w.usize(self.hot.len());
+        for b in &self.hot {
+            w.u32(b.bidx);
         }
         // The heap serialises in its canonical sorted order so identical
         // logical state always yields identical bytes.
@@ -1861,20 +2010,25 @@ impl Restore for Dimm {
             sched.miss = get_live_slots(r, &self.entries, "miss list")?;
         }
         let n = r.seq_len()?;
-        let mut active_banks = Vec::with_capacity(n);
+        self.hot.clear();
+        self.active_pos.fill(IDLE);
         for _ in 0..n {
-            let b = r.u32()?;
-            if b as usize >= nbanks {
-                return Err(SnapError::Corrupt(format!("active bank {b} of {nbanks}")));
+            let b = r.u32()? as usize;
+            if b >= nbanks || self.active_pos[b] != IDLE || self.sched[b].is_empty() {
+                return Err(SnapError::Corrupt(format!(
+                    "active bank {b} of {nbanks} is out of range, listed twice or has no requests"
+                )));
             }
-            active_banks.push(b);
+            self.active_pos[b] = self.hot.len() as u32;
+            self.hot.push(self.hot_record(b));
         }
-        self.active_banks = active_banks;
-        for flag in &mut self.bank_active {
-            *flag = false;
-        }
-        for b in &self.active_banks {
-            self.bank_active[*b as usize] = true;
+        // A bank with requests but no record would never be scanned.
+        if let Some(b) =
+            (0..nbanks).find(|&b| self.active_pos[b] == IDLE && !self.sched[b].is_empty())
+        {
+            return Err(SnapError::Corrupt(format!(
+                "bank {b} has requests but is not listed active"
+            )));
         }
         let n = r.seq_len()?;
         let mut finishing = BinaryHeap::with_capacity(n);
@@ -1920,6 +2074,9 @@ impl Restore for Dimm {
             }
         }
         get_cycles_into(r, &mut self.last_act, "ACT trackers")?;
+        for lane in 0..self.act_ready.len() {
+            self.act_ready[lane] = self.act_window_end(lane);
+        }
         get_cycles_into(r, &mut self.refresh_due, "refresh deadlines")?;
         get_cycles_into(r, &mut self.rank_busy, "rank-busy windows")?;
         self.next_id = r.u64()?;
@@ -1947,16 +2104,14 @@ impl Tick for Dimm {
         {
             self.audit.ticks += 1;
         }
-        // Tick gate: the memoized horizon is conservative-exact (the same
-        // property the engine-level skip relies on), so when it lies
-        // beyond `now` the sweep below is provably a state no-op — no
-        // refresh due, no issuable command, nothing retiring. Failed dirty
-        // probes back off exponentially so a dense issue stream never pays
-        // the O(active banks) recompute every cycle.
-        if self
-            .horizon
-            .gate(&self.gate, now, || self.compute_next_event())
-        {
+        // Tick gate: the horizon is conservative-exact (the same property
+        // the engine-level skip relies on), so when no term of it is due
+        // the sweep below is provably a state no-op — no refresh due, no
+        // issuable command, nothing retiring. The probe stops at the first
+        // due term, so a dense issue stream, which dirties the cache every
+        // cycle, pays a few terms per tick rather than a fold over every
+        // active bank; there is nothing left to throttle.
+        if !self.due(now) {
             #[cfg(feature = "tick-audit")]
             {
                 self.audit.gated_ticks += 1;
@@ -2298,9 +2453,92 @@ mod tests {
         }
     }
 
+    /// The hot records rebuilt from ground truth — the bank columns, the
+    /// per-bank lists and the slab — without the helpers that maintain
+    /// them. Records keep the live table's order, which only history
+    /// determines.
+    fn rebuilt_hot(d: &Dimm) -> Vec<BankHot> {
+        let (open_row, act, col, pre) = d.banks.columns();
+        let g = d.config().geometry;
+        let mut topology = vec![(0, 0); d.sched.len()];
+        for rank in 0..g.ranks {
+            for group in 0..d.groups_per_rank() {
+                for bank in 0..g.banks {
+                    topology[d.bank_index(rank, group, bank)] = (rank, d.lane_index(rank, group));
+                }
+            }
+        }
+        let head = |list: &VecDeque<u32>| list.front().map_or(NO_HEAD, |&s| d.entry(s).id);
+        d.hot
+            .iter()
+            .map(|h| {
+                let b = h.bidx as usize;
+                let (rank, lane) = topology[b];
+                let open = open_row[b] != crate::bank::ROW_NONE;
+                let sched = &d.sched[b];
+                let miss_at = if open { pre[b] } else { act[b] };
+                let mut ready = Cycle::NEVER;
+                if !sched.hit_read.is_empty() || !sched.hit_write.is_empty() {
+                    ready = col[b];
+                }
+                if !sched.miss.is_empty() {
+                    ready = ready.min(miss_at);
+                }
+                BankHot {
+                    ready,
+                    col: col[b],
+                    miss_at,
+                    read: head(&sched.hit_read),
+                    write: head(&sched.hit_write),
+                    miss: head(&sched.miss),
+                    bidx: b as u32,
+                    lane: lane as u32,
+                    rank: rank as u16,
+                    bus: if d.cfg.per_rank_cmd_bus {
+                        rank as u16
+                    } else {
+                        0
+                    },
+                    open,
+                }
+            })
+            .collect()
+    }
+
+    /// Checks the hot table against [`rebuilt_hot`], its membership
+    /// against the non-empty per-bank lists, `active_pos` against the
+    /// table, and each lane's `act_ready` against the ACT windows: it
+    /// is the first cycle the oracle's `act_blocked` lets an ACT
+    /// through.
+    fn check_hot(d: &Dimm, what: &str) {
+        assert_eq!(d.hot, rebuilt_hot(d), "hot records diverge {what}");
+        for (lane, &ready) in d.act_ready.iter().enumerate() {
+            let (rank, group) = (
+                lane as u32 / d.groups_per_rank,
+                lane as u32 % d.groups_per_rank,
+            );
+            let first = !d.act_blocked(rank, group, ready)
+                && (ready == Cycle::ZERO
+                    || d.act_blocked(rank, group, Cycle::new(ready.as_u64() - 1)));
+            assert!(first, "lane {lane} act_ready {ready:?} {what}");
+        }
+        for (b, sched) in d.sched.iter().enumerate() {
+            let pos = d.active_pos[b];
+            assert_eq!(pos != IDLE, !sched.is_empty(), "bank {b} membership {what}");
+            if pos != IDLE {
+                assert_eq!(
+                    d.hot[pos as usize].bidx as usize, b,
+                    "bank {b} position {what}"
+                );
+            }
+        }
+    }
+
     /// Drives random mixed traffic through a DIMM while checking, every
     /// cycle, that the per-bank index agrees with the linear-scan oracle
-    /// on both the scheduling decision and the event horizon.
+    /// on the scheduling decision, the event horizon and the `due`
+    /// probe, that the hot table matches one rebuilt from ground truth,
+    /// and, every 97th cycle, that a snapshot restores the same table.
     fn check_index_against_reference(cfg: DimmConfig, seed: u64, steps: u64) {
         let mut d = Dimm::new(cfg);
         let mut next = lcg(seed);
@@ -2312,17 +2550,40 @@ mod tests {
                 d.sync_time(now);
                 let _ = d.enqueue(req);
             }
+            check_hot(&d, &format!("before cycle {step}"));
             assert_eq!(
                 d.indexed_choice(now),
                 d.reference_choice(now),
                 "scheduling divergence at cycle {step}"
             );
+            assert_eq!(
+                d.due(now),
+                d.reference_next_event() <= now,
+                "due probe diverges at cycle {step}"
+            );
             d.tick(now);
+            check_hot(&d, &format!("after cycle {step}"));
+            // Probe before `next_event`, so a dirty cache takes the
+            // folding path and a probe that fills it is checked next.
+            assert_eq!(
+                d.due(now.next()),
+                d.reference_next_event() <= now.next(),
+                "due probe diverges after cycle {step}"
+            );
             assert_eq!(
                 Dimm::next_event(&d),
                 d.reference_next_event(),
                 "horizon divergence after cycle {step}"
             );
+            if step % 97 == 0 {
+                let mut restored = Dimm::new(cfg);
+                SnapReader::new(&payload(&d))
+                    .component(&mut restored)
+                    .expect("mid-run snapshot restores");
+                assert_eq!(restored.hot, d.hot, "restored hot table after cycle {step}");
+                assert_eq!(restored.active_pos, d.active_pos);
+                assert_eq!(restored.act_ready, d.act_ready);
+            }
             if next().is_multiple_of(7) {
                 let _ = d.drain_completed();
             }
@@ -2340,6 +2601,19 @@ mod tests {
     fn index_matches_reference_frfcfs_perchip_ndp() {
         let cfg = DimmConfig::paper_ndp(AccessMode::PerChip);
         check_index_against_reference(cfg, 0xDEAD_BEEF, 4000);
+    }
+
+    #[test]
+    fn index_matches_reference_frfcfs_perchip_ndp_with_refresh() {
+        let mut cfg = DimmConfig::paper_ndp(AccessMode::PerChip);
+        // Short refresh interval: refreshes close banks with queued hits.
+        cfg.timing.trefi = 700;
+        check_index_against_reference(cfg, 0x00DD_BA11, 4000);
+    }
+
+    #[test]
+    fn hot_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<BankHot>(), 64);
     }
 
     /// The tick as it was before the one-scan scheduler: re-run the
@@ -2522,6 +2796,18 @@ mod tests {
         let mut t = d.clone();
         t.free_slots.push(done);
         assert!(matches!(restore(&t), Err(SnapError::Corrupt(_))));
+        // An active-bank list that disagrees with the per-bank lists:
+        // the busy bank dropped, listed twice, or an idle bank added.
+        let busy = d.hot[0];
+        for hot in [vec![], vec![busy, busy], vec![busy, d.hot_record(5)]] {
+            let mut t = d.clone();
+            t.hot = hot;
+            assert!(
+                matches!(restore(&t), Err(SnapError::Corrupt(_))),
+                "active banks {:?} must not restore",
+                t.hot.iter().map(|h| h.bidx).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

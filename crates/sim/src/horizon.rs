@@ -14,7 +14,9 @@
 //! * every mutating operation that could change the component's horizon
 //!   calls [`HorizonCache::invalidate`];
 //! * the component's `next_event` calls [`HorizonCache::get_or`] with the
-//!   from-scratch recomputation as the fallback.
+//!   from-scratch recomputation as the fallback;
+//! * a tick gate, which needs only "is anything due by `now`?", may call
+//!   [`HorizonCache::due`] with a fold that stops at the first due term.
 //!
 //! Because component horizons are *absolute* cycles derived from internal
 //! state only (never from the query cycle `now`), a clean cached value is
@@ -35,6 +37,9 @@ use crate::cycle::Cycle;
 /// A memoized absolute event horizon, invalidated on mutation.
 #[derive(Debug, Clone)]
 pub struct HorizonCache {
+    /// The horizon when clean. When dirty, a cycle the horizon is known
+    /// not to exceed (a due term a [`HorizonCache::due`] probe found), or
+    /// [`Cycle::NEVER`] when nothing is known.
     cached: Cell<Cycle>,
     dirty: Cell<bool>,
 }
@@ -58,6 +63,7 @@ impl HorizonCache {
     /// operation that could change the component's next event.
     #[inline]
     pub fn invalidate(&self) {
+        self.cached.set(Cycle::NEVER);
         self.dirty.set(true);
     }
 
@@ -76,6 +82,33 @@ impl HorizonCache {
             self.dirty.set(false);
         }
         self.cached.get()
+    }
+
+    /// True when the horizon is at or before `now`, answered without
+    /// the exact horizon where possible. `fold(until)` folds the
+    /// component's terms and may stop at the first one before `until`,
+    /// returning it; otherwise it returns their minimum.
+    ///
+    /// A clean cache, or a due term an earlier probe found since the last
+    /// invalidation, answers at once. Otherwise `fold` runs: a term at or
+    /// before `now` is remembered as a bound (the cache stays dirty), and
+    /// a fold that finds none has computed the exact horizon and leaves
+    /// the cache clean.
+    #[inline]
+    pub fn due(&self, now: Cycle, fold: impl FnOnce(Cycle) -> Cycle) -> bool {
+        if self.cached.get() <= now {
+            return true;
+        }
+        if !self.dirty.get() {
+            return false;
+        }
+        let h = fold(now.next());
+        self.cached.set(h);
+        if h <= now {
+            return true;
+        }
+        self.dirty.set(false);
+        false
     }
 
     /// The per-component tick gate: true when the component's tick at
@@ -211,6 +244,29 @@ mod tests {
         assert!(c.is_dirty());
         assert_eq!(c.get_or(|| Cycle::new(7)), Cycle::new(7));
         assert_eq!(c.get_or(|| unreachable!()), Cycle::new(7));
+    }
+
+    #[test]
+    fn due_keeps_a_found_term_and_fills_a_full_fold() {
+        let c = HorizonCache::new();
+        // A term at or before `now` is a bound: later probes at or after
+        // it answer without folding, but the exact horizon is unknown.
+        assert!(c.due(Cycle::new(10), |until| {
+            assert_eq!(until, Cycle::new(11));
+            Cycle::new(8)
+        }));
+        assert!(c.due(Cycle::new(8), |_| unreachable!("bound known")));
+        assert!(c.is_dirty());
+        // A probe before the bound folds again; finding nothing due, its
+        // fold is exact and leaves the cache clean.
+        assert!(!c.due(Cycle::new(7), |_| Cycle::new(8)));
+        assert!(!c.is_dirty());
+        assert_eq!(c.get_or(|| unreachable!("filled")), Cycle::new(8));
+        assert!(c.due(Cycle::new(8), |_| unreachable!("clean")));
+        // Invalidation forgets bounds and values alike.
+        c.invalidate();
+        assert!(!c.due(Cycle::new(9), |_| Cycle::NEVER));
+        assert_eq!(c.get_or(|| unreachable!("filled")), Cycle::NEVER);
     }
 
     #[test]
