@@ -36,6 +36,7 @@ pub mod config;
 pub mod energy;
 pub mod experiments;
 pub mod mmf;
+mod node;
 pub mod obs;
 pub mod parallel;
 pub mod report;

@@ -33,8 +33,9 @@ use beacon_sim::metrics::MetricsSample;
 use beacon_sim::parallel::{EpochHub, EpochShard, ParallelEngine, ParallelHooks};
 
 use crate::config::BeaconConfig;
+use crate::node::{GaugeAcc, SwitchNode, SysCtx};
 use crate::obs;
-use crate::system::{BeaconSystem, GaugeAcc, SwitchNode, SysCtx};
+use crate::system::BeaconSystem;
 
 /// One host-bound bundle drained from a shard's uplink: `(arrival cycle
 /// at the uplink endpoint, source switch index, per-source drain

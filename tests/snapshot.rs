@@ -36,6 +36,7 @@ use beacon_core::prelude::RunOptions;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::snap::SnapError;
+use beacon_sim::stats::Fnv64;
 use common::{fault_seed, on_threads, run_matrix, thread_matrix};
 use proptest::prelude::*;
 
@@ -260,6 +261,22 @@ fn snapshot_bytes_are_deterministic_and_header_is_stable() {
         header.len(),
         nl,
         "header must be exactly one line with no trailing bytes"
+    );
+
+    // Whole-file pin: a mid-run BEACON-D capture under a noisy schedule
+    // with a DIMM loss still pending puts both slot kinds, armed retry
+    // tables, fault-stream cursors and the scheduled failure on the wire.
+    // Any byte of any section that moves changes the hash.
+    let mut faults = FaultsConfig::noisy(42, 400.0);
+    faults.dimm_fail_at = golden.cycles;
+    faults.dimm_fail_slot = 2;
+    let noisy = capture_at(BeaconVariant::D, &w, true, Some(faults), at);
+    let mut h = Fnv64::new();
+    h.write(&noisy);
+    assert_eq!(
+        (noisy.len(), h.finish()),
+        (15_471_698, 0x7de8_f08f_169d_beb2),
+        "snapshot body bytes drifted from the pinned wire format"
     );
 }
 
