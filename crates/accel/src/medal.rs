@@ -18,6 +18,7 @@ use std::collections::VecDeque;
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::engine::Engine;
+use beacon_sim::observer::{Observed, Observer};
 use beacon_sim::stats::Stats;
 
 use beacon_cxl::bundle::Bundle;
@@ -313,27 +314,46 @@ impl Medal {
         &self.cfg
     }
 
-    /// Submits one task to a specific module.
-    pub fn submit_to(&mut self, module: usize, trace: TaskTrace) {
-        self.modules[module].engine.submit(trace);
+    /// Submits one task to a specific module, tracing the submission
+    /// into `obs`.
+    pub fn submit_to(&mut self, module: usize, trace: TaskTrace, obs: &mut Observer) {
+        self.modules[module].engine.submit(trace, obs);
     }
 
     /// Distributes tasks round-robin over the modules (the host's task
-    /// dispatch).
+    /// dispatch), unobserved.
     pub fn submit_round_robin<I: IntoIterator<Item = TaskTrace>>(&mut self, traces: I) {
+        self.submit_observed(traces, &mut Observer::default());
+    }
+
+    /// [`Medal::submit_round_robin`] tracing each submission into `obs`.
+    pub fn submit_observed<I: IntoIterator<Item = TaskTrace>>(
+        &mut self,
+        traces: I,
+        obs: &mut Observer,
+    ) {
         let n = self.modules.len();
         for (i, t) in traces.into_iter().enumerate() {
-            self.modules[i % n].engine.submit(t);
+            self.modules[i % n].engine.submit(t, obs);
         }
     }
 
-    /// Runs until the workload drains and returns the measurements.
+    /// Runs until the workload drains and returns the measurements,
+    /// unobserved.
     ///
     /// # Panics
     /// Panics when the model deadlocks (cycle limit).
     pub fn run(&mut self) -> RunResult {
+        self.run_observed(&mut Observer::default())
+    }
+
+    /// [`Medal::run`] recording trace events into `obs`.
+    ///
+    /// # Panics
+    /// Panics when the model deadlocks (cycle limit).
+    pub fn run_observed(&mut self, obs: &mut Observer) -> RunResult {
         let mut engine = Engine::new();
-        let outcome = engine.run(self);
+        let outcome = engine.run(&mut Observed::new(self, obs));
         self.finished_at = outcome.finished_at();
         self.collect()
     }
@@ -383,11 +403,11 @@ impl Medal {
         }
     }
 
-    fn drive_engines(&mut self, now: Cycle) {
+    fn drive_engines(&mut self, now: Cycle, obs: &mut Observer) {
         let mut issued = std::mem::take(&mut self.issued_scratch);
         for mi in 0..self.modules.len() {
             issued.clear();
-            self.modules[mi].engine.tick_into(now, &mut issued);
+            self.modules[mi].engine.tick_into(now, &mut issued, obs);
             for &ia in &issued {
                 let segments = self.modules[mi].map.translate(&ia.access);
                 let pid =
@@ -412,7 +432,7 @@ impl Medal {
                             via_host: false,
                             jny: None,
                         };
-                        self.modules[mi].packer.push(msg, now);
+                        self.modules[mi].packer.push(msg, now, obs);
                     }
                 }
             }
@@ -420,11 +440,11 @@ impl Medal {
         self.issued_scratch = issued;
     }
 
-    fn pump_outbound(&mut self, now: Cycle) {
+    fn pump_outbound(&mut self, now: Cycle, obs: &mut Observer) {
         // Drain packers, then round-robin across a channel's DIMMs for
         // fairness on the shared channel.
         for m in &mut self.modules {
-            m.packer.tick(now);
+            m.packer.tick(now, obs);
             while let Some(b) = m.packer.pop_ready() {
                 m.outbound.push_back(b);
             }
@@ -438,16 +458,18 @@ impl Medal {
                     if !self.up[c].can_send(now) {
                         break;
                     }
-                    self.up[c].try_send(bundle, now).expect("can_send checked");
+                    self.up[c]
+                        .try_send(bundle, now, obs)
+                        .expect("can_send checked");
                     self.modules[mi].outbound.pop_front();
                 }
             }
         }
     }
 
-    fn pump_host(&mut self, now: Cycle) {
+    fn pump_host(&mut self, now: Cycle, obs: &mut Observer) {
         for c in 0..self.cfg.channels as usize {
-            while let Some(bundle) = self.up[c].deliver(now) {
+            while let Some(bundle) = self.up[c].deliver(now, obs) {
                 let ready = now + Duration::new(self.cfg.host_latency);
                 self.host_stage.push_back((ready, bundle));
             }
@@ -459,7 +481,7 @@ impl Medal {
                 continue;
             }
             let channel = bundle.messages[0].dst.switch().expect("DIMM destination") as usize;
-            match self.down[channel].try_send(bundle, now) {
+            match self.down[channel].try_send(bundle, now, obs) {
                 Ok(()) => {}
                 Err(e) => rest.push_back((ready, e.into_bundle())),
             }
@@ -467,18 +489,18 @@ impl Medal {
         self.host_stage = rest;
     }
 
-    fn deliver_incoming(&mut self, now: Cycle) {
+    fn deliver_incoming(&mut self, now: Cycle, obs: &mut Observer) {
         for c in 0..self.cfg.channels as usize {
-            while let Some(bundle) = self.down[c].deliver(now) {
+            while let Some(bundle) = self.down[c].deliver(now, obs) {
                 for msg in bundle.messages {
                     let mi = self.cfg.module_of(msg.dst);
-                    self.handle_message(mi, msg, now);
+                    self.handle_message(mi, msg, now, obs);
                 }
             }
         }
     }
 
-    fn handle_message(&mut self, mi: usize, msg: Message, now: Cycle) {
+    fn handle_message(&mut self, mi: usize, msg: Message, now: Cycle, obs: &mut Observer) {
         match msg.kind {
             MsgKind::ReadReq | MsgKind::WriteReq | MsgKind::AtomicReq => {
                 let entry = ServeEntry {
@@ -505,7 +527,7 @@ impl Medal {
             }
             MsgKind::ReadResp | MsgKind::Ack => {
                 if let Some((token, _)) = self.modules[mi].pending.complete_one(msg.tag) {
-                    self.modules[mi].engine.on_data(token, now);
+                    self.modules[mi].engine.on_data(token, now, obs);
                 }
             }
             // MEDAL's baseline pool is always healthy: naks never occur.
@@ -513,9 +535,9 @@ impl Medal {
         }
     }
 
-    fn drive_servers(&mut self, now: Cycle) {
+    fn drive_servers(&mut self, now: Cycle, obs: &mut Observer) {
         for mi in 0..self.modules.len() {
-            self.modules[mi].server.tick(now);
+            self.modules[mi].server.tick_observed(now, obs);
             for (id, _at) in self.modules[mi].server.drain_done() {
                 if id & SERVE_BIT != 0 {
                     let sidx = (id & !SERVE_BIT) as usize;
@@ -545,9 +567,9 @@ impl Medal {
                             jny: None,
                         },
                     };
-                    self.modules[mi].packer.push(resp, now);
+                    self.modules[mi].packer.push(resp, now, obs);
                 } else if let Some((token, _)) = self.modules[mi].pending.complete_one(id) {
-                    self.modules[mi].engine.on_data(token, now);
+                    self.modules[mi].engine.on_data(token, now, obs);
                 }
             }
         }
@@ -556,11 +578,15 @@ impl Medal {
 
 impl Tick for Medal {
     fn tick(&mut self, now: Cycle) {
-        self.deliver_incoming(now);
-        self.drive_engines(now);
-        self.drive_servers(now);
-        self.pump_outbound(now);
-        self.pump_host(now);
+        self.tick_observed(now, &mut Observer::default());
+    }
+
+    fn tick_observed(&mut self, now: Cycle, obs: &mut Observer) {
+        self.deliver_incoming(now, obs);
+        self.drive_engines(now, obs);
+        self.drive_servers(now, obs);
+        self.pump_outbound(now, obs);
+        self.pump_host(now, obs);
     }
 
     fn is_idle(&self) -> bool {

@@ -14,6 +14,7 @@
 //! BEACON-S's single-pass optimisation removes.
 
 use beacon_genomics::trace::{Access, AppKind, Region, Step, TaskTrace};
+use beacon_sim::observer::Observer;
 
 use crate::medal::{Medal, MedalConfig, RegionSpec};
 use crate::result::RunResult;
@@ -116,12 +117,12 @@ impl Nest {
 
     /// Runs the full multi-pass pipeline over a counting workload
     /// (`traces` are per-read CBF-update traces, replayed in both
-    /// passes).
-    pub fn run_multipass(&self, traces: &[TaskTrace]) -> RunResult {
+    /// passes), recording every pass into `obs`.
+    pub fn run_multipass(&self, traces: &[TaskTrace], obs: &mut Observer) -> RunResult {
         // Pass 1: local CBF per DIMM.
         let mut pass1 = Medal::new(self.cfg.hw, self.local_maps());
-        pass1.submit_round_robin(traces.iter().cloned());
-        let r1 = pass1.run();
+        pass1.submit_observed(traces.iter().cloned(), obs);
+        let r1 = pass1.run_observed(obs);
 
         // Merge: bulk-read the global filter (striped) from every DIMM.
         let merge_spec = [RegionSpec::spatial(Region::Bloom, self.cfg.cbf_bytes)];
@@ -130,15 +131,15 @@ impl Nest {
         let n_modules = self.cfg.hw.dimm_count() as usize;
         for m in 0..n_modules {
             for t in self.merge_traces() {
-                merge.submit_to(m, t);
+                merge.submit_to(m, t, obs);
             }
         }
-        let r2 = merge.run();
+        let r2 = merge.run_observed(obs);
 
         // Pass 2: count again against the (now local) global filter.
         let mut pass2 = Medal::new(self.cfg.hw, self.local_maps());
-        pass2.submit_round_robin(traces.iter().cloned());
-        let r3 = pass2.run();
+        pass2.submit_observed(traces.iter().cloned(), obs);
+        let r3 = pass2.run_observed(obs);
 
         combine(vec![r1, r2, r3], traces.len())
     }
@@ -200,7 +201,7 @@ mod tests {
         let cbf = 64 * 1024;
         let traces = kmer_traces(12, cbf);
         let nest = Nest::new(small_cfg(cbf));
-        let r = nest.run_multipass(&traces);
+        let r = nest.run_multipass(&traces, &mut Observer::default());
         assert_eq!(r.tasks, 12);
         assert!(r.cycles > 0);
         // Atomic RMWs happened.
@@ -212,7 +213,7 @@ mod tests {
         let cbf = 64 * 1024;
         let traces = kmer_traces(12, cbf);
         let nest = Nest::new(small_cfg(cbf));
-        let multi = nest.run_multipass(&traces);
+        let multi = nest.run_multipass(&traces, &mut Observer::default());
         let single = nest.run_single_local_pass(&traces);
         assert!(multi.cycles > single.cycles);
     }
@@ -222,7 +223,7 @@ mod tests {
         let cbf = 64 * 1024;
         let traces = kmer_traces(6, cbf);
         let nest = Nest::new(small_cfg(cbf));
-        let multi = nest.run_multipass(&traces);
+        let multi = nest.run_multipass(&traces, &mut Observer::default());
         let single = nest.run_single_local_pass(&traces);
         assert!(multi.comm.get("cxl.wire_bytes") > single.comm.get("cxl.wire_bytes"));
     }
@@ -244,8 +245,9 @@ mod tests {
         // scheduling noise but nothing more.
         let cbf = 64 * 1024;
         let traces = kmer_traces(8, cbf);
-        let real = Nest::new(small_cfg(cbf)).run_multipass(&traces);
-        let ideal = Nest::new(small_cfg(cbf).idealized()).run_multipass(&traces);
+        let real = Nest::new(small_cfg(cbf)).run_multipass(&traces, &mut Observer::default());
+        let ideal =
+            Nest::new(small_cfg(cbf).idealized()).run_multipass(&traces, &mut Observer::default());
         assert!(
             (ideal.cycles as f64) < real.cycles as f64 * 1.08,
             "ideal {} vs real {}",

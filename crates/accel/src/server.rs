@@ -11,7 +11,8 @@ use std::collections::VecDeque;
 
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::Cycle;
-use beacon_sim::journey::{self, JStamp, Phase};
+use beacon_sim::journey::{JStamp, Phase};
+use beacon_sim::observer::Observer;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{Histogram, StatId, Stats};
 
@@ -324,7 +325,7 @@ impl DimmServer {
     /// For RMWs the split is approximate: the read phase and the ALU
     /// delay land in `BankQueue` (only the final write's service window
     /// counts as `BankService`).
-    fn finish_journey(&mut self, id: u64, c: &CompletedAccess) {
+    fn finish_journey(&mut self, id: u64, c: &CompletedAccess, obs: &mut Observer) {
         if self.jny.is_empty() {
             return;
         }
@@ -332,8 +333,10 @@ impl DimmServer {
             return;
         };
         let (_, mut stamp) = self.jny.swap_remove(pos);
-        journey::record(Phase::BankQueue, c.service_started_at.since(stamp.at));
-        journey::record(Phase::BankService, c.service_latency());
+        if let Some(j) = &mut obs.journey {
+            j.record(Phase::BankQueue, c.service_started_at.since(stamp.at));
+            j.record(Phase::BankService, c.service_latency());
+        }
         stamp.at = c.finished_at;
         stamp.phase = Phase::Return;
         stamp.resp = true;
@@ -443,6 +446,10 @@ impl Restore for DimmServer {
 
 impl Tick for DimmServer {
     fn tick(&mut self, now: Cycle) {
+        self.tick_observed(now, &mut Observer::default());
+    }
+
+    fn tick_observed(&mut self, now: Cycle, obs: &mut Observer) {
         // Tick gate: the horizon is conservative-exact, so while no term
         // of it is due neither pump can move, the DIMM tick is a state
         // no-op and there is nothing to drain. Only the DIMM's time
@@ -457,7 +464,7 @@ impl Tick for DimmServer {
         self.dimm.sync_time(now);
         self.fill_ring(now);
         self.dimm.consume_ring(&mut self.ring);
-        self.dimm.tick(now);
+        self.dimm.tick_observed(now, obs);
         // Reuse one scratch buffer for completions (taken out of `self`
         // so the loop body can borrow the other fields mutably).
         let mut completed = std::mem::take(&mut self.drain_scratch);
@@ -472,14 +479,14 @@ impl Tick for DimmServer {
                     if c.poisoned {
                         self.poisoned.push(id);
                     }
-                    self.finish_journey(id, &c);
+                    self.finish_journey(id, &c, obs);
                     self.done.push((id, c.finished_at));
                 }
                 PHASE_RMW_READ if c.poisoned => {
                     // UE on the atomic's read phase: the operand is
                     // garbage, so the RMW aborts instead of writing back.
                     self.poisoned.push(id);
-                    self.finish_journey(id, &c);
+                    self.finish_journey(id, &c, obs);
                     self.done.push((id, c.finished_at));
                 }
                 PHASE_RMW_READ => {
@@ -498,7 +505,7 @@ impl Tick for DimmServer {
                     ));
                 }
                 PHASE_RMW_WRITE => {
-                    self.finish_journey(id, &c);
+                    self.finish_journey(id, &c, obs);
                     self.done.push((id, c.finished_at));
                 }
                 _ => unreachable!("invalid phase bits"),

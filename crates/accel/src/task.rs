@@ -12,9 +12,10 @@
 use std::collections::VecDeque;
 
 use beacon_sim::cycle::{Cycle, Duration};
+use beacon_sim::observer::Observer;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::Stats;
-use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
+use beacon_sim::trace::{TraceCategory, TraceEvent, TraceLevel};
 
 use beacon_genomics::trace::{Access, TaskTrace};
 
@@ -280,9 +281,16 @@ impl TaskEngine {
         self.trace_id = Some(id.into().into_boxed_str());
     }
 
-    fn trace_task(&self, now: Cycle, level: TraceLevel, name: &'static str, arg: u64) {
-        if trace::enabled(level) {
-            trace::emit(
+    fn trace_task(
+        &self,
+        now: Cycle,
+        level: TraceLevel,
+        name: &'static str,
+        arg: u64,
+        obs: &mut Observer,
+    ) {
+        if let Some(tr) = obs.trace_at(level) {
+            tr.record(
                 self.trace_id.as_deref().unwrap_or("engine"),
                 TraceEvent::instant(now.as_u64(), level, TraceCategory::Accel, name, arg),
             );
@@ -295,10 +303,10 @@ impl TaskEngine {
     }
 
     /// Submits a task with the engine's default per-step latency; it
-    /// joins the ready queue.
-    pub fn submit(&mut self, trace: TaskTrace) -> TaskId {
+    /// joins the ready queue. The submission is traced into `obs`.
+    pub fn submit(&mut self, trace: TaskTrace, obs: &mut Observer) -> TaskId {
         let latency = self.pe_latency;
-        self.submit_with_latency(trace, latency)
+        self.submit_with_latency(trace, latency, obs)
     }
 
     /// Submits a task that runs on the PE engine matching its
@@ -306,12 +314,17 @@ impl TaskEngine {
     /// unit; paper Fig. 5 d lists FM, hash, KMC and pre-alignment
     /// engines with distinct latencies). Lets one module co-run
     /// different genome-analysis applications.
-    pub fn submit_for_app(&mut self, trace: TaskTrace) -> TaskId {
+    pub fn submit_for_app(&mut self, trace: TaskTrace, obs: &mut Observer) -> TaskId {
         let latency = Duration::new(trace.app.pe_latency_cycles() as u64);
-        self.submit_with_latency(trace, latency)
+        self.submit_with_latency(trace, latency, obs)
     }
 
-    fn submit_with_latency(&mut self, trace: TaskTrace, latency: Duration) -> TaskId {
+    fn submit_with_latency(
+        &mut self,
+        trace: TaskTrace,
+        latency: Duration,
+        obs: &mut Observer,
+    ) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);
         let empty = trace.steps.is_empty();
         self.tasks.push(TaskState {
@@ -335,6 +348,7 @@ impl TaskEngine {
             TraceLevel::Task,
             "task.submit",
             id.0 as u64,
+            obs,
         );
         id
     }
@@ -376,12 +390,13 @@ impl TaskEngine {
 
     /// Advances the PEs to cycle `now`, appending the accesses issued to
     /// `out` so the owning system can reuse one scratch buffer across
-    /// ticks instead of allocating a `Vec` per call.
+    /// ticks instead of allocating a `Vec` per call. Steps are traced
+    /// into `obs`.
     ///
     /// Completions due at `now` drain in whole cycle buckets (sorted by
     /// `TaskId`, matching the retired min-heap's pop order bit for bit)
     /// so the per-completion bookkeeping amortises across the batch.
-    pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<IssuedAccess>) {
+    pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<IssuedAccess>, obs: &mut Observer) {
         #[cfg(feature = "tick-audit")]
         {
             self.audit.ticks += 1;
@@ -400,7 +415,7 @@ impl TaskEngine {
                     self.audit.completions += batch.len() as u64;
                 }
                 for &task in &batch {
-                    self.finish_step(task, now, out);
+                    self.finish_step(task, now, out, obs);
                 }
                 self.computing.recycle(batch);
             }
@@ -438,7 +453,13 @@ impl TaskEngine {
     /// Executes the step the PE just finished computing for `task`:
     /// emits its accesses and either parks the task (blocking step),
     /// requeues it (posted step with more work) or retires it.
-    fn finish_step(&mut self, task: TaskId, now: Cycle, issued: &mut Vec<IssuedAccess>) {
+    fn finish_step(
+        &mut self,
+        task: TaskId,
+        now: Cycle,
+        issued: &mut Vec<IssuedAccess>,
+        obs: &mut Observer,
+    ) {
         let t = &mut self.tasks[task.0 as usize];
         debug_assert!(!t.steps_done && !t.retired);
         let step_idx = t.cursor;
@@ -457,8 +478,8 @@ impl TaskEngine {
             });
         }
         self.acc_accesses_issued += step.accesses.len() as u64;
-        if trace::enabled(TraceLevel::Flit) {
-            trace::emit(
+        if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+            tr.record(
                 self.trace_id.as_deref().unwrap_or("engine"),
                 TraceEvent::instant(
                     now.as_u64(),
@@ -479,7 +500,7 @@ impl TaskEngine {
             t.cursor += 1;
             if t.cursor >= t.trace.steps.len() {
                 t.steps_done = true;
-                self.try_retire(task, now);
+                self.try_retire(task, now, obs);
             } else {
                 // Continue on some PE: back into the ready queue (the same
                 // PE will usually grab it this very cycle if free).
@@ -489,12 +510,13 @@ impl TaskEngine {
     }
 
     /// Delivers returned data for `token`. Posted accesses are
-    /// acknowledged through the same path.
+    /// acknowledged through the same path; a retirement is traced into
+    /// `obs`.
     ///
     /// # Panics
     /// Panics when the token does not correspond to an in-flight access —
     /// that is a wiring bug in the owning system.
-    pub fn on_data(&mut self, token: AccessToken, now: Cycle) {
+    pub fn on_data(&mut self, token: AccessToken, now: Cycle, obs: &mut Observer) {
         let t = &mut self.tasks[token.task.0 as usize];
         assert!(!t.retired, "data for retired task {:?}", token.task);
 
@@ -507,7 +529,7 @@ impl TaskEngine {
                 t.cursor += 1;
                 if t.cursor >= t.trace.steps.len() {
                     t.steps_done = true;
-                    self.try_retire(token.task, now);
+                    self.try_retire(token.task, now, obs);
                 } else {
                     self.ready.push_back(token.task);
                 }
@@ -516,18 +538,18 @@ impl TaskEngine {
             debug_assert!(t.outstanding_posted > 0);
             t.outstanding_posted -= 1;
             if t.steps_done {
-                self.try_retire(token.task, now);
+                self.try_retire(token.task, now, obs);
             }
         }
     }
 
-    fn try_retire(&mut self, task: TaskId, now: Cycle) {
+    fn try_retire(&mut self, task: TaskId, now: Cycle, obs: &mut Observer) {
         let t = &mut self.tasks[task.0 as usize];
         if t.steps_done && t.outstanding == 0 && t.outstanding_posted == 0 && !t.retired {
             t.retired = true;
             self.completed += 1;
             self.stats.incr("engine.tasks_completed");
-            self.trace_task(now, TraceLevel::Task, "task.retire", task.0 as u64);
+            self.trace_task(now, TraceLevel::Task, "task.retire", task.0 as u64, obs);
         }
     }
 }
@@ -652,7 +674,7 @@ mod tests {
     /// brevity.
     fn tick(e: &mut TaskEngine, now: Cycle) -> Vec<IssuedAccess> {
         let mut out = Vec::new();
-        e.tick_into(now, &mut out);
+        e.tick_into(now, &mut out, &mut Observer::default());
         out
     }
 
@@ -662,7 +684,7 @@ mod tests {
             let now = Cycle::new(c);
             let issued = tick(engine, now);
             for a in issued {
-                engine.on_data(a.token, now);
+                engine.on_data(a.token, now, &mut Observer::default());
             }
             if engine.all_done() {
                 return c;
@@ -684,7 +706,7 @@ mod tests {
     #[test]
     fn single_task_completes_after_all_steps() {
         let mut e = TaskEngine::new(1, 16);
-        e.submit(chain_trace(4));
+        e.submit(chain_trace(4), &mut Observer::default());
         let finished = run_ideal(&mut e, 10_000);
         // 4 steps × 16 cycles compute, plus scheduling overhead cycles.
         assert!(finished >= 4 * 16);
@@ -694,7 +716,7 @@ mod tests {
     #[test]
     fn posted_steps_do_not_block() {
         let mut e = TaskEngine::new(1, 10);
-        e.submit(posted_trace(5));
+        e.submit(posted_trace(5), &mut Observer::default());
         run_ideal(&mut e, 10_000);
         assert_eq!(e.completed(), 1);
         assert_eq!(e.stats().get("engine.accesses_issued"), 5);
@@ -703,18 +725,22 @@ mod tests {
     #[test]
     fn empty_trace_retires_immediately() {
         let mut e = TaskEngine::new(2, 16);
-        e.submit(TaskTrace::new(AppKind::FmSeeding, vec![]));
+        e.submit(
+            TaskTrace::new(AppKind::FmSeeding, vec![]),
+            &mut Observer::default(),
+        );
         assert!(e.all_done());
         assert_eq!(e.completed(), 1);
     }
 
     #[test]
     fn parallel_pes_overlap_tasks() {
+        let mut obs = Observer::default();
         let mut one = TaskEngine::new(1, 16);
         let mut many = TaskEngine::new(8, 16);
         for _ in 0..16 {
-            one.submit(chain_trace(4));
-            many.submit(chain_trace(4));
+            one.submit(chain_trace(4), &mut obs);
+            many.submit(chain_trace(4), &mut obs);
         }
         let t_one = run_ideal(&mut one, 100_000);
         let t_many = run_ideal(&mut many, 100_000);
@@ -726,11 +752,12 @@ mod tests {
 
     #[test]
     fn blocked_task_frees_its_pe() {
+        let mut obs = Observer::default();
         // One PE, two tasks: while task A waits for memory, task B must
         // make progress (latency hiding).
         let mut e = TaskEngine::new(1, 10);
-        let a = e.submit(chain_trace(1));
-        let b = e.submit(chain_trace(1));
+        let a = e.submit(chain_trace(1), &mut obs);
+        let b = e.submit(chain_trace(1), &mut obs);
 
         // Tick until both tasks have issued their (single) access without
         // returning any data: possible only if the PE switched tasks.
@@ -749,12 +776,13 @@ mod tests {
 
     #[test]
     fn multi_access_step_waits_for_all() {
+        let mut obs = Observer::default();
         let trace = TaskTrace::new(
             AppKind::FmSeeding,
             vec![Step::blocking(vec![read_access(0), read_access(64)])],
         );
         let mut e = TaskEngine::new(1, 4);
-        e.submit(trace);
+        e.submit(trace, &mut obs);
         let mut tokens = Vec::new();
         for c in 0..100 {
             tokens.extend(tick(&mut e, Cycle::new(c)).into_iter().map(|a| a.token));
@@ -763,29 +791,30 @@ mod tests {
             }
         }
         assert_eq!(tokens.len(), 2);
-        e.on_data(tokens[0], Cycle::new(50));
+        e.on_data(tokens[0], Cycle::new(50), &mut obs);
         assert_eq!(e.completed(), 0);
-        e.on_data(tokens[1], Cycle::new(51));
+        e.on_data(tokens[1], Cycle::new(51), &mut obs);
         assert_eq!(e.completed(), 1);
     }
 
     #[test]
     fn utilisation_counter_grows() {
         let mut e = TaskEngine::new(2, 16);
-        e.submit(chain_trace(2));
+        e.submit(chain_trace(2), &mut Observer::default());
         run_ideal(&mut e, 10_000);
         assert!(e.busy_pe_cycles() >= 32);
     }
 
     #[test]
     fn per_app_latencies_coexist_on_one_engine() {
+        let mut obs = Observer::default();
         // Multi-purpose PEs: an FM task (16 cycles/step) and a
         // pre-alignment task (82 cycles/step) run on the same module.
         let mut e = TaskEngine::new(2, 16);
         let fm = TaskTrace::new(AppKind::FmSeeding, vec![Step::blocking(vec![])]);
         let pa = TaskTrace::new(AppKind::PreAlignment, vec![Step::blocking(vec![])]);
-        e.submit_for_app(fm);
-        e.submit_for_app(pa);
+        e.submit_for_app(fm, &mut obs);
+        e.submit_for_app(pa, &mut obs);
         // Tick cycle by cycle: the FM task retires at 16, the
         // pre-alignment task at 82.
         let mut done_at = Vec::new();
@@ -863,8 +892,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "retired task")]
     fn data_for_retired_task_panics() {
+        let mut obs = Observer::default();
         let mut e = TaskEngine::new(1, 4);
-        e.submit(chain_trace(1));
+        e.submit(chain_trace(1), &mut obs);
         let mut token = None;
         for c in 0..100 {
             if let Some(a) = tick(&mut e, Cycle::new(c)).first() {
@@ -873,8 +903,8 @@ mod tests {
             }
         }
         let token = token.unwrap();
-        e.on_data(token, Cycle::new(60));
+        e.on_data(token, Cycle::new(60), &mut obs);
         assert!(e.all_done());
-        e.on_data(token, Cycle::new(61)); // double delivery
+        e.on_data(token, Cycle::new(61), &mut obs); // double delivery
     }
 }

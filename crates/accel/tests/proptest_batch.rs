@@ -27,6 +27,7 @@
 use beacon_accel::task::{AccessToken, TaskEngine};
 use beacon_genomics::trace::{Access, AccessKind, AppKind, Region, Step, TaskTrace};
 use beacon_sim::cycle::Cycle;
+use beacon_sim::observer::Observer;
 use proptest::prelude::*;
 
 /// Deterministic memory latency for a returned datum, keyed only by the
@@ -102,6 +103,7 @@ fn run(
     let mut sub_i = 0;
     let mut out = Vec::new();
     let mut floor = 0u64;
+    let mut obs = Observer::default();
     for _guard in 0..200_000 {
         let next_sub = subs.get(sub_i).map(|&(c, ..)| c);
         let next_ret = pending.iter().map(|&(d, _)| d).min();
@@ -114,9 +116,9 @@ fn run(
         while subs.get(sub_i).is_some_and(|&(c, ..)| c <= at) {
             let (_, ref trace, via_app) = subs[sub_i];
             if via_app {
-                engine.submit_for_app(trace.clone());
+                engine.submit_for_app(trace.clone(), &mut obs);
             } else {
-                engine.submit(trace.clone());
+                engine.submit(trace.clone(), &mut obs);
             }
             sub_i += 1;
         }
@@ -131,10 +133,10 @@ fn run(
         });
         due.sort_unstable_by_key(|&(d, t)| (d, t.encode()));
         for (_, token) in due {
-            engine.on_data(token, now);
+            engine.on_data(token, now, &mut obs);
         }
         out.clear();
-        engine.tick_into(now, &mut out);
+        engine.tick_into(now, &mut out, &mut obs);
         for a in &out {
             issued.push((at, a.token.encode()));
             pending.push((at + mem_latency(a.token), a.token));

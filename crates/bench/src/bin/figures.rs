@@ -56,12 +56,12 @@ use beacon_core::experiments::{
     faults, fig12, fig13, fig14, fig15, fig16, fig17, fig3, report, tables,
 };
 use beacon_core::mmf::build_layout;
-use beacon_core::obs::{self, ObsConfig, DEFAULT_STALL_WINDOW};
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
 use beacon_pool::prelude::{run_service_with, ServiceSpec};
 use beacon_sim::engine::RunOptions;
-use beacon_sim::trace::{self, TraceBuffer, TraceLevel};
+use beacon_sim::observer::{ObsConfig, Observer, Sampler, DEFAULT_STALL_WINDOW};
+use beacon_sim::trace::{TraceBuffer, TraceLevel};
 
 /// Cycles between metrics samples (quick scale).
 const METRICS_EVERY_QUICK: u64 = 4_096;
@@ -327,24 +327,30 @@ fn main() {
         skip: !sel.no_skip,
     };
 
-    if sel.trace.is_some() {
-        trace::install(TraceBuffer::new(TraceLevel::Command, TRACE_CAPACITY));
-    }
-    if sel.metrics.is_some() || sel.progress {
-        obs::install(ObsConfig {
-            metrics_every: if sel.metrics.is_some() {
-                if sel.quick {
-                    METRICS_EVERY_QUICK
+    // One observer for every section; its trace and metrics files are
+    // written at the end.
+    let mut obs = Observer {
+        trace: sel
+            .trace
+            .as_ref()
+            .map(|_| TraceBuffer::new(TraceLevel::Command, TRACE_CAPACITY)),
+        journey: None,
+        metrics: (sel.metrics.is_some() || sel.progress).then(|| {
+            Sampler::new(ObsConfig {
+                metrics_every: if sel.metrics.is_some() {
+                    if sel.quick {
+                        METRICS_EVERY_QUICK
+                    } else {
+                        METRICS_EVERY_FULL
+                    }
                 } else {
-                    METRICS_EVERY_FULL
-                }
-            } else {
-                0
-            },
-            progress_every: if sel.progress { PROGRESS_EVERY } else { 0 },
-            stall_window: DEFAULT_STALL_WINDOW,
-        });
-    }
+                    0
+                },
+                progress_every: if sel.progress { PROGRESS_EVERY } else { 0 },
+                stall_window: DEFAULT_STALL_WINDOW,
+            })
+        }),
+    };
 
     println!(
         "BEACON figure harness — scale: Pt={} bases, {} reads, {} PEs/module, {} sim thread(s)\n",
@@ -359,33 +365,45 @@ fn main() {
         section("Table II", tables::table2);
     }
     if sel.fig3 {
-        section("Fig. 3", || fig3::run(&scale, pes).render());
+        section("Fig. 3", || fig3::run(&scale, pes, &mut obs).render());
     }
     if sel.fig12 {
-        section("Fig. 12", || fig12::run(&scale, pes, run).render());
+        section("Fig. 12", || {
+            fig12::run(&scale, pes, run, &mut obs).render()
+        });
     }
     if sel.fig13 {
-        section("Fig. 13", || fig13::run(&scale, pes, run).render());
+        section("Fig. 13", || {
+            fig13::run(&scale, pes, run, &mut obs).render()
+        });
     }
     if sel.fig14 {
-        section("Fig. 14", || fig14::run(&scale, pes, run).render());
+        section("Fig. 14", || {
+            fig14::run(&scale, pes, run, &mut obs).render()
+        });
     }
     if sel.fig15 {
-        section("Fig. 15", || fig15::run(&scale, pes, run).render());
+        section("Fig. 15", || {
+            fig15::run(&scale, pes, run, &mut obs).render()
+        });
     }
     if sel.fig16 {
-        section("Fig. 16", || fig16::run(&scale, pes, run).render());
+        section("Fig. 16", || {
+            fig16::run(&scale, pes, run, &mut obs).render()
+        });
     }
     if sel.fig17 {
-        section("Fig. 17", || fig17::run(&scale, pes, run).render());
+        section("Fig. 17", || {
+            fig17::run(&scale, pes, run, &mut obs).render()
+        });
     }
     if let Some(seed) = sel.faults {
         section("Fault sweep", || {
-            faults::run(&scale, pes, seed, run).render()
+            faults::run(&scale, pes, seed, run, &mut obs).render()
         });
     }
     if sel.report {
-        let rep = report::run(&scale, pes, run);
+        let rep = report::run(&scale, pes, run, &mut obs);
         section("Bottleneck report", || rep.render());
         if let Some(path) = &sel.report_json {
             write_or_die(path, &rep.render_json());
@@ -394,21 +412,20 @@ fn main() {
     }
     if let Some(every) = sel.snapshot_every {
         section("Checkpoint", || {
-            checkpoint_section(&scale, pes, every, &sel.snapshot_out, run)
+            checkpoint_section(&scale, pes, every, &sel.snapshot_out, run, &mut obs)
         });
     }
     if let Some(path) = &sel.resume {
-        section("Resume", || resume_section(path, run));
+        section("Resume", || resume_section(path, run, &mut obs));
     }
     if let Some(path) = &sel.service {
         section("Pool service", || {
-            service_section(path, sel.service_json.as_deref(), run)
+            service_section(path, sel.service_json.as_deref(), run, &mut obs)
         });
     }
     println!("total harness time: {:?}", t0.elapsed());
 
-    if let Some(path) = &sel.trace {
-        let buf = trace::uninstall().expect("trace buffer was installed");
+    if let (Some(path), Some(buf)) = (&sel.trace, &obs.trace) {
         if buf.dropped() > 0 {
             eprintln!(
                 "trace: ring buffer evicted {} oldest events (kept {})",
@@ -419,8 +436,8 @@ fn main() {
         write_or_die(path, &buf.to_chrome_json());
         println!("trace: {} events -> {path}", buf.len());
     }
-    if let Some(path) = &sel.metrics {
-        let series = obs::take().expect("metrics were installed");
+    if let (Some(path), Some(sampler)) = (&sel.metrics, &obs.metrics) {
+        let series = &sampler.series;
         let body = if path.ends_with(".csv") {
             series.to_csv()
         } else {
@@ -450,6 +467,7 @@ fn checkpoint_section(
     every: u64,
     prefix: &str,
     run: RunOptions,
+    obs: &mut Observer,
 ) -> String {
     use std::fmt::Write as _;
     let w = fm_workload(GenomeId::Pt, scale);
@@ -458,10 +476,10 @@ fn checkpoint_section(
     cfg.pes_per_module = pes;
     let layout = build_layout(&cfg, &w.layout);
     let mut sys = BeaconSystem::new(cfg, layout);
-    sys.submit_round_robin(w.traces.iter().cloned());
+    sys.submit_observed(w.traces.iter().cloned(), obs);
     let mut out = String::new();
     let mut at = every;
-    while !sys.run_to(at, run) {
+    while !sys.run_to(at, run, obs) {
         let bytes = sys.snapshot();
         let path = format!("{prefix}-{:012}.snap", sys.clock().as_u64());
         if let Err(e) = std::fs::write(&path, &bytes) {
@@ -491,7 +509,7 @@ fn checkpoint_section(
 /// completion (on the engine selected by `--threads`/`--no-skip`),
 /// printing the same greppable `final digest:` line as the checkpoint
 /// section — the two must match bit-identically.
-fn resume_section(path: &str, run: RunOptions) -> String {
+fn resume_section(path: &str, run: RunOptions, obs: &mut Observer) -> String {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -507,7 +525,7 @@ fn resume_section(path: &str, run: RunOptions) -> String {
         }
     };
     let from = sys.clock().as_u64();
-    let r = sys.run_with(run);
+    let r = sys.run_with(run, obs);
     format!(
         "resumed: {path} @ cycle {from}\n\
          final digest: {:#018x} ({} tasks, {} cycles)\n",
@@ -523,7 +541,12 @@ fn resume_section(path: &str, run: RunOptions) -> String {
 /// `--threads` and `--no-skip` (enforced by `tests/service.rs`). When
 /// `json_out` is set, the machine-readable report (shape:
 /// `schemas/service.schema.json`) is written there too.
-fn service_section(path: &str, json_out: Option<&str>, run: RunOptions) -> String {
+fn service_section(
+    path: &str,
+    json_out: Option<&str>,
+    run: RunOptions,
+    obs: &mut Observer,
+) -> String {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -538,7 +561,7 @@ fn service_section(path: &str, json_out: Option<&str>, run: RunOptions) -> Strin
             std::process::exit(1);
         }
     };
-    let report = run_service_with(&spec, run);
+    let report = run_service_with(&spec, run, obs);
     let mut out = report.render_text();
     if let Some(p) = json_out {
         write_or_die(p, &report.render_json());

@@ -55,6 +55,7 @@ use beacon_genomics::genome::GenomeId;
 use beacon_genomics::trace::{Access, AppKind, Region, Step, TaskTrace};
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::Cycle;
+use beacon_sim::observer::Observer;
 
 /// Counts every allocation and reallocation going through the global
 /// allocator. Deallocations are not interesting here: freeing into the
@@ -243,26 +244,32 @@ fn bench_switch_tick(warm: u64, iters: u64) -> Report {
                 64,
                 (slot as u64) << 8 | k,
             );
-            let _ = sw.endpoint_send(Switch::UPLINK, Bundle::single(msg), Cycle::new(k));
+            let _ = sw.endpoint_send(
+                Switch::UPLINK,
+                Bundle::single(msg),
+                Cycle::new(k),
+                &mut Observer::default(),
+            );
         }
     }
     let mut retry: VecDeque<(usize, Bundle)> = VecDeque::with_capacity(16);
 
     let drive = |sw: &mut Switch, retry: &mut VecDeque<(usize, Bundle)>, c: u64| {
         let now = Cycle::new(c);
-        sw.tick(now);
+        let obs = &mut Observer::default();
+        sw.tick_observed(now, obs);
         for _ in 0..retry.len() {
             let (port, bundle) = retry.pop_front().expect("counted");
-            if let Err(e) = sw.endpoint_send(port, bundle, now) {
+            if let Err(e) = sw.endpoint_send(port, bundle, now, obs) {
                 retry.push_back((port, e.into_bundle()));
             }
         }
         for slot in 0..slots {
             let port = sw.dimm_port(slot);
-            while let Some(bundle) = sw.endpoint_recv(port, now) {
+            while let Some(bundle) = sw.endpoint_recv(port, now, obs) {
                 // Loop the bundle straight back into the fabric: same
                 // destination, so it egresses on this same port again.
-                if let Err(e) = sw.endpoint_send(port, bundle, now) {
+                if let Err(e) = sw.endpoint_send(port, bundle, now, obs) {
                     retry.push_back((port, e.into_bundle()));
                 }
             }
@@ -321,16 +328,20 @@ fn bench_engine_tick(warm: u64, iters: u64) -> Report {
                 )])
             })
             .collect();
-        engine.submit(TaskTrace::new(AppKind::FmSeeding, steps));
+        engine.submit(
+            TaskTrace::new(AppKind::FmSeeding, steps),
+            &mut Observer::default(),
+        );
     }
     let mut out = Vec::with_capacity(pes * 2);
 
     let drive = |engine: &mut TaskEngine, out: &mut Vec<_>, c: u64| {
         let now = Cycle::new(c);
-        engine.tick_into(now, out);
+        let obs = &mut Observer::default();
+        engine.tick_into(now, out, obs);
         let _ = engine.next_event();
         for ia in out.drain(..) {
-            engine.on_data(ia.token, now);
+            engine.on_data(ia.token, now, obs);
         }
     };
 

@@ -65,8 +65,9 @@ use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
 use beacon_pool::prelude::{run_service_with, JobKind, JobSpec, JobStatus, ServiceSpec};
 use beacon_sim::engine::RunOptions;
-use beacon_sim::journey::{self, JourneyRecorder};
+use beacon_sim::journey::JourneyRecorder;
 use beacon_sim::json::Writer;
+use beacon_sim::observer::Observer;
 use beacon_sim::rng::SimRng;
 
 /// Sampling period of the attribution leg (the `--report` default).
@@ -279,15 +280,17 @@ fn build_system(cell: &Cell) -> BeaconSystem {
 
 fn measure(cell: &Cell, run: RunOptions, attr: bool) -> Sample {
     let mut sys = build_system(cell);
-    if attr {
-        let salt = SimRng::from_seed(42).child(0xA77).below(u64::MAX);
-        journey::install(JourneyRecorder::new(ATTR_SAMPLE_EVERY, salt));
-    }
+    let mut obs = Observer {
+        journey: attr.then(|| {
+            let salt = SimRng::from_seed(42).child(0xA77).below(u64::MAX);
+            JourneyRecorder::new(ATTR_SAMPLE_EVERY, salt)
+        }),
+        ..Observer::default()
+    };
     let t = Instant::now();
-    let r = sys.run_with(run);
+    let r = sys.run_with(run, &mut obs);
     let wall_s = t.elapsed().as_secs_f64();
     if attr {
-        journey::uninstall().expect("recorder was installed");
         let a = r
             .attribution
             .as_ref()
@@ -315,7 +318,7 @@ fn measure(cell: &Cell, run: RunOptions, attr: bool) -> Sample {
 fn measure_snap(cell: &Cell, run: RunOptions, mid: u64) -> Sample {
     let mut sys = build_system(cell);
     let t = Instant::now();
-    let drained = sys.run_to(mid, run);
+    let drained = sys.run_to(mid, run, &mut Observer::default());
     assert!(
         !drained,
         "{}/{}: workload drained before the halfway checkpoint at cycle {mid}",
@@ -323,7 +326,7 @@ fn measure_snap(cell: &Cell, run: RunOptions, mid: u64) -> Sample {
     );
     let bytes = sys.snapshot();
     let mut resumed = BeaconSystem::resume(&bytes).expect("own snapshot must resume");
-    let r = resumed.run_with(run);
+    let r = resumed.run_with(run, &mut Observer::default());
     let wall_s = t.elapsed().as_secs_f64();
     Sample {
         wall_s,
@@ -359,7 +362,7 @@ fn measure_service(cell: &Cell, run: RunOptions) -> Sample {
         arrival_round: 0,
     }];
     let t = Instant::now();
-    let report = run_service_with(&spec, run);
+    let report = run_service_with(&spec, run, &mut Observer::default());
     let wall_s = t.elapsed().as_secs_f64();
     assert_eq!(report.jobs.len(), 1);
     assert_eq!(

@@ -16,6 +16,7 @@ use beacon_genomics::prelude::FmIndex;
 use beacon_genomics::reads::ReadSampler;
 use beacon_genomics::trace::{Access, AppKind, Region, Step, TaskTrace};
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 use beacon_sim::rng::SimRng;
 
 use crate::config::{BeaconConfig, BeaconVariant, Optimizations};
@@ -194,6 +195,7 @@ pub fn run_beacon(
     workload: &AppWorkload,
     pes_per_module: usize,
     run: RunOptions,
+    obs: &mut Observer,
 ) -> RunResult {
     let mut cfg = BeaconConfig::paper(variant, workload.app).with_opts(opts);
     cfg.pes_per_module = pes_per_module;
@@ -209,8 +211,8 @@ pub fn run_beacon(
         // merge (paper §IV-D).
         let r1 = {
             let mut s1 = BeaconSystem::new(cfg, build_layout(&cfg, &workload.layout));
-            s1.submit_round_robin(workload.traces.iter().cloned());
-            s1.run_with(run)
+            s1.submit_observed(workload.traces.iter().cloned(), obs);
+            s1.run_with(run, obs)
         };
         let merge = {
             let mut sm = BeaconSystem::new(cfg, build_layout(&cfg, &workload.layout));
@@ -220,15 +222,15 @@ pub fn run_beacon(
                 .find(|s| s.region == Region::Bloom)
                 .map(|s| s.bytes)
                 .unwrap_or(0);
-            sm.submit_round_robin(bulk_read_traces(Region::Bloom, cbf_bytes, 4096));
-            sm.run_with(run)
+            sm.submit_observed(bulk_read_traces(Region::Bloom, cbf_bytes, 4096), obs);
+            sm.run_with(run, obs)
         };
-        sys.submit_round_robin(workload.traces.iter().cloned());
-        let r3 = sys.run_with(run);
+        sys.submit_observed(workload.traces.iter().cloned(), obs);
+        let r3 = sys.run_with(run, obs);
         return combine(vec![r1, merge, r3], workload.traces.len());
     }
-    sys.submit_round_robin(workload.traces.iter().cloned());
-    sys.run_with(run)
+    sys.submit_observed(workload.traces.iter().cloned(), obs);
+    sys.run_with(run, obs)
 }
 
 /// Bulk sequential read traces covering `bytes` of `region` (used for the
@@ -250,10 +252,16 @@ pub fn bulk_read_traces(region: Region, bytes: u64, chunk: u64) -> Vec<TaskTrace
         .collect()
 }
 
-/// Runs the MEDAL baseline on a seeding/pre-alignment workload. Host-
-/// centric baselines do not take [`RunOptions`]: their engines always
-/// run with the defaults (results are identical under any options).
-pub fn run_medal(workload: &AppWorkload, ideal: bool, pes_per_dimm: usize) -> RunResult {
+/// Runs the MEDAL baseline on a seeding/pre-alignment workload,
+/// recording into `obs`. Host-centric baselines do not take
+/// [`RunOptions`]: their engines always run with the defaults (results
+/// are identical under any options).
+pub fn run_medal(
+    workload: &AppWorkload,
+    ideal: bool,
+    pes_per_dimm: usize,
+    obs: &mut Observer,
+) -> RunResult {
     let mut cfg = MedalConfig::paper(workload.app.pe_latency_cycles());
     cfg.pes_per_dimm = pes_per_dimm;
     cfg.refresh_enabled = false;
@@ -262,19 +270,26 @@ pub fn run_medal(workload: &AppWorkload, ideal: bool, pes_per_dimm: usize) -> Ru
     }
     let map = cfg.region_map(&workload.medal);
     let mut medal = Medal::with_shared_map(cfg, map);
-    medal.submit_round_robin(workload.traces.iter().cloned());
-    medal.run()
+    medal.submit_observed(workload.traces.iter().cloned(), obs);
+    medal.run_observed(obs)
 }
 
-/// Runs the NEST baseline (multi-pass) on the k-mer workload.
-pub fn run_nest(workload: &AppWorkload, cbf_bytes: u64, ideal: bool, pes: usize) -> RunResult {
+/// Runs the NEST baseline (multi-pass) on the k-mer workload, recording
+/// into `obs`.
+pub fn run_nest(
+    workload: &AppWorkload,
+    cbf_bytes: u64,
+    ideal: bool,
+    pes: usize,
+    obs: &mut Observer,
+) -> RunResult {
     let mut cfg = NestConfig::paper(cbf_bytes);
     cfg.hw.pes_per_dimm = pes;
     cfg.hw.refresh_enabled = false;
     if ideal {
         cfg = cfg.idealized();
     }
-    Nest::new(cfg).run_multipass(&workload.traces)
+    Nest::new(cfg).run_multipass(&workload.traces, obs)
 }
 
 /// Runs the CPU roofline baseline. For k-mer counting the software
@@ -329,9 +344,17 @@ mod tests {
     fn beacon_and_medal_run_the_same_workload() {
         let s = WorkloadScale::test();
         let w = fm_workload(GenomeId::Pt, &s);
-        let m = run_medal(&w, false, 8);
+        let mut obs = Observer::default();
+        let m = run_medal(&w, false, 8, &mut obs);
         let opts = Optimizations::full(BeaconVariant::D, w.app);
-        let d = run_beacon(BeaconVariant::D, opts, &w, 8, RunOptions::default());
+        let d = run_beacon(
+            BeaconVariant::D,
+            opts,
+            &w,
+            8,
+            RunOptions::default(),
+            &mut obs,
+        );
         assert_eq!(m.tasks, w.traces.len());
         assert_eq!(d.tasks, w.traces.len());
     }

@@ -9,6 +9,7 @@
 use beacon_accel::result::DegradedRun;
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 use crate::config::{BeaconConfig, BeaconVariant, FaultsConfig, Optimizations};
 use crate::mmf::build_layout;
@@ -49,7 +50,7 @@ pub struct FaultSweep {
     pub degraded_cycles: u64,
 }
 
-fn build(w: &AppWorkload, pes: usize, faults: FaultsConfig) -> BeaconSystem {
+fn build(w: &AppWorkload, pes: usize, faults: FaultsConfig, obs: &mut Observer) -> BeaconSystem {
     let variant = BeaconVariant::D;
     let mut cfg =
         BeaconConfig::paper(variant, w.app).with_opts(Optimizations::full(variant, w.app));
@@ -58,13 +59,20 @@ fn build(w: &AppWorkload, pes: usize, faults: FaultsConfig) -> BeaconSystem {
     cfg = cfg.with_faults(faults);
     let layout = build_layout(&cfg, &w.layout);
     let mut sys = BeaconSystem::new(cfg, layout);
-    sys.submit_round_robin(w.traces.iter().cloned());
+    sys.submit_observed(w.traces.iter().cloned(), obs);
     sys
 }
 
 /// Runs the sweep and the DIMM-loss experiment.
-pub fn run(scale: &WorkloadScale, pes: usize, seed: u64, run: RunOptions) -> FaultSweep {
-    let run_one = |w: &AppWorkload, faults: FaultsConfig| build(w, pes, faults).run_with(run);
+pub fn run(
+    scale: &WorkloadScale,
+    pes: usize,
+    seed: u64,
+    run: RunOptions,
+    obs: &mut Observer,
+) -> FaultSweep {
+    let mut run_one =
+        |w: &AppWorkload, faults: FaultsConfig| build(w, pes, faults, obs).run_with(run, obs);
 
     // Error-rate sweep: 0 (armed but quiet) up through rates far past
     // anything a healthy CXL link would show, to make the retry cost
@@ -166,7 +174,13 @@ mod tests {
     #[test]
     fn sweep_runs_and_degrades_monotonically_enough() {
         let scale = WorkloadScale::test();
-        let f = run(&scale, 8, 42, RunOptions::default());
+        let f = run(
+            &scale,
+            8,
+            42,
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         assert_eq!(f.sweep.len(), 4);
         assert_eq!(f.sweep[0].slowdown, 1.0, "rate 0 is the baseline");
         assert!(f.sweep[0].degraded.is_clean());

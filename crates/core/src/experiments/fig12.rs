@@ -3,6 +3,7 @@
 
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 use crate::config::BeaconVariant;
 use crate::energy::{EnergyModel, PeHardware};
@@ -63,6 +64,7 @@ pub fn run_genomes(
     pes: usize,
     genomes: &[GenomeId],
     run: RunOptions,
+    obs: &mut Observer,
 ) -> Fig12 {
     let medal_energy_model = EnergyModel::ddr_baseline(PeHardware::MEDAL, 4 * pes);
     let mut d = Vec::new();
@@ -70,9 +72,20 @@ pub fn run_genomes(
     for &g in genomes {
         let w = fm_workload(g, scale);
         let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, pes);
+        let medal = run_medal(&w, false, pes, obs);
         let medal_energy = medal_energy_model.breakdown(&medal);
-        let ladder = |v| run_ladder(v, g.label(), &w, &cpu, (&medal, &medal_energy), pes, run);
+        let mut ladder = |v| {
+            run_ladder(
+                v,
+                g.label(),
+                &w,
+                &cpu,
+                (&medal, &medal_energy),
+                pes,
+                run,
+                obs,
+            )
+        };
         d.push(ladder(BeaconVariant::D));
         s.push(ladder(BeaconVariant::S));
     }
@@ -80,8 +93,8 @@ pub fn run_genomes(
 }
 
 /// Runs the full five-genome figure.
-pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig12 {
-    run_genomes(scale, pes, &GenomeId::FIVE, run)
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions, obs: &mut Observer) -> Fig12 {
+    run_genomes(scale, pes, &GenomeId::FIVE, run, obs)
 }
 
 #[cfg(test)]
@@ -91,7 +104,13 @@ mod tests {
     #[test]
     fn fm_ladder_shapes_hold_on_one_genome() {
         let scale = WorkloadScale::test();
-        let fig = run_genomes(&scale, 8, &[GenomeId::Pt], RunOptions::default());
+        let fig = run_genomes(
+            &scale,
+            8,
+            &[GenomeId::Pt],
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         let d = &fig.d[0];
         let s = &fig.s[0];
 

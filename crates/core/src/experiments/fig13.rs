@@ -3,6 +3,7 @@
 
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 use beacon_sim::stats::Histogram;
 
 use crate::config::{BeaconConfig, BeaconVariant, Optimizations};
@@ -67,7 +68,7 @@ impl Fig13 {
 /// prefixes); its relative magnitude shrinks as the scaled index grows,
 /// so the experiment pins the genome to the size whose skew matches the
 /// full-size system (≈2-4x over the mean, as in the paper's figure).
-pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig13 {
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions, obs: &mut Observer) -> Fig13 {
     let mut scale = *scale;
     scale.pt_genome_len = scale.pt_genome_len.min(60_000);
     let w = fm_workload(GenomeId::Pt, &scale);
@@ -85,8 +86,8 @@ pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig13 {
         cfg.refresh_enabled = false;
         let layout = build_layout(&cfg, &w.layout);
         let mut sys = BeaconSystem::new(cfg, layout);
-        sys.submit_round_robin(w.traces.iter().cloned());
-        let _ = sys.run_with(run);
+        sys.submit_observed(w.traces.iter().cloned(), obs);
+        let _ = sys.run_with(run, obs);
         histograms.push(sys.cxlg_chip_histogram().expect("CXLG DIMMs exist"));
     }
     let with_coalescing = histograms.pop().expect("two runs");
@@ -104,7 +105,7 @@ mod tests {
     #[test]
     fn coalescing_balances_chip_load() {
         let scale = WorkloadScale::test();
-        let fig = run(&scale, 8, RunOptions::default());
+        let fig = run(&scale, 8, RunOptions::default(), &mut Observer::default());
         assert!(fig.without.total() > 0);
         assert!(fig.with_coalescing.total() > 0);
         // The paper's claim: coalescing evens out per-chip access.

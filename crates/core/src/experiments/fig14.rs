@@ -3,6 +3,7 @@
 
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 use crate::config::BeaconVariant;
 use crate::energy::{EnergyModel, PeHardware};
@@ -49,6 +50,7 @@ pub fn run_genomes(
     pes: usize,
     genomes: &[GenomeId],
     run: RunOptions,
+    obs: &mut Observer,
 ) -> Fig14 {
     let medal_energy_model = EnergyModel::ddr_baseline(PeHardware::MEDAL, 4 * pes);
     let mut d = Vec::new();
@@ -56,9 +58,20 @@ pub fn run_genomes(
     for &g in genomes {
         let w = hash_workload(g, scale);
         let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, pes);
+        let medal = run_medal(&w, false, pes, obs);
         let medal_energy = medal_energy_model.breakdown(&medal);
-        let ladder = |v| run_ladder(v, g.label(), &w, &cpu, (&medal, &medal_energy), pes, run);
+        let mut ladder = |v| {
+            run_ladder(
+                v,
+                g.label(),
+                &w,
+                &cpu,
+                (&medal, &medal_energy),
+                pes,
+                run,
+                obs,
+            )
+        };
         d.push(ladder(BeaconVariant::D));
         s.push(ladder(BeaconVariant::S));
     }
@@ -66,8 +79,8 @@ pub fn run_genomes(
 }
 
 /// Runs the full five-genome figure.
-pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig14 {
-    run_genomes(scale, pes, &GenomeId::FIVE, run)
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions, obs: &mut Observer) -> Fig14 {
+    run_genomes(scale, pes, &GenomeId::FIVE, run, obs)
 }
 
 #[cfg(test)]
@@ -77,7 +90,13 @@ mod tests {
     #[test]
     fn hash_ladder_shapes_hold() {
         let scale = WorkloadScale::test();
-        let fig = run_genomes(&scale, 8, &[GenomeId::Pg], RunOptions::default());
+        let fig = run_genomes(
+            &scale,
+            8,
+            &[GenomeId::Pg],
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         let d = &fig.d[0];
         let s = &fig.s[0];
         assert_eq!(d.points.len(), 4, "no coalescing step for hash seeding");

@@ -2,6 +2,7 @@
 //! BEACON-D (a, b) and BEACON-S (c, d) against NEST.
 
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 use crate::config::BeaconVariant;
 use crate::energy::{EnergyModel, PeHardware};
@@ -37,13 +38,24 @@ impl Fig15 {
 }
 
 /// Runs the figure.
-pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig15 {
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions, obs: &mut Observer) -> Fig15 {
     let w = kmer_workload(scale);
     let cpu = run_cpu(&w);
-    let nest = run_nest(&w, scale.cbf_bytes, false, pes);
+    let nest = run_nest(&w, scale.cbf_bytes, false, pes, obs);
     let nest_energy = EnergyModel::ddr_baseline(PeHardware::NEST, 4 * pes).breakdown(&nest);
 
-    let ladder = |v| run_ladder(v, "human 50x", &w, &cpu, (&nest, &nest_energy), pes, run);
+    let mut ladder = |v| {
+        run_ladder(
+            v,
+            "human 50x",
+            &w,
+            &cpu,
+            (&nest, &nest_energy),
+            pes,
+            run,
+            obs,
+        )
+    };
     Fig15 {
         d: ladder(BeaconVariant::D),
         s: ladder(BeaconVariant::S),
@@ -57,7 +69,7 @@ mod tests {
     #[test]
     fn kmer_ladder_shapes_hold() {
         let scale = WorkloadScale::test();
-        let fig = run(&scale, 8, RunOptions::default());
+        let fig = run(&scale, 8, RunOptions::default(), &mut Observer::default());
 
         // The S ladder ends with single-pass k-mer counting.
         assert_eq!(fig.s.points.last().unwrap().label, "+single-pass k-mer");

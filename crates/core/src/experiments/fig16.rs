@@ -4,6 +4,7 @@
 
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 use crate::config::{BeaconVariant, Optimizations};
 use crate::energy::EnergyModel;
@@ -59,6 +60,7 @@ pub fn run_genomes(
     pes: usize,
     genomes: &[GenomeId],
     run: RunOptions,
+    obs: &mut Observer,
 ) -> Fig16 {
     let model = EnergyModel::beacon(512.min(4 * pes));
     let mut bars = Vec::new();
@@ -67,7 +69,7 @@ pub fn run_genomes(
         let cpu = run_cpu(&w);
         let cpu_pj = cpu.energy_joules * 1e12;
 
-        let full = |v| run_beacon(v, Optimizations::full(v, w.app), &w, pes, run);
+        let mut full = |v| run_beacon(v, Optimizations::full(v, w.app), &w, pes, run, obs);
         let d = full(BeaconVariant::D);
         let s = full(BeaconVariant::S);
         let de = model.breakdown(&d);
@@ -84,8 +86,8 @@ pub fn run_genomes(
 }
 
 /// Runs the full five-genome figure.
-pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig16 {
-    run_genomes(scale, pes, &GenomeId::FIVE, run)
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions, obs: &mut Observer) -> Fig16 {
+    run_genomes(scale, pes, &GenomeId::FIVE, run, obs)
 }
 
 #[cfg(test)]
@@ -95,7 +97,13 @@ mod tests {
     #[test]
     fn prealign_beats_cpu_on_both_designs() {
         let scale = WorkloadScale::test();
-        let fig = run_genomes(&scale, 8, &[GenomeId::Nf], RunOptions::default());
+        let fig = run_genomes(
+            &scale,
+            8,
+            &[GenomeId::Nf],
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         let b = &fig.bars[0];
         assert!(b.d_speedup > 1.5, "D speedup {:.1}", b.d_speedup);
         assert!(b.s_speedup > 1.5, "S speedup {:.1}", b.s_speedup);

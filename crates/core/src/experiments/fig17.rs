@@ -3,6 +3,7 @@
 
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 use crate::config::BeaconVariant;
 use crate::report::{fmt_pct, Table};
@@ -105,7 +106,7 @@ fn average_steps(ladders: &[LadderResult], variant: BeaconVariant) -> Fig17Half 
 
 /// Runs the figure: ladders for the three ladder apps (FM seeding, hash
 /// seeding on Pt, k-mer counting) and averages their shares per step.
-pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig17 {
+pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions, obs: &mut Observer) -> Fig17 {
     let medal_model = EnergyModel::ddr_baseline(PeHardware::MEDAL, 4 * pes);
     let nest_model = EnergyModel::ddr_baseline(PeHardware::NEST, 4 * pes);
 
@@ -120,19 +121,37 @@ pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig17 {
         // FM seeding.
         let w = fm_workload(GenomeId::Pt, scale);
         let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, pes);
+        let medal = run_medal(&w, false, pes, obs);
         let me = medal_model.breakdown(&medal);
-        out.push(run_ladder(variant, "Pt", &w, &cpu, (&medal, &me), pes, run));
+        out.push(run_ladder(
+            variant,
+            "Pt",
+            &w,
+            &cpu,
+            (&medal, &me),
+            pes,
+            run,
+            obs,
+        ));
         // Hash seeding.
         let w = hash_workload(GenomeId::Pt, scale);
         let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, pes);
+        let medal = run_medal(&w, false, pes, obs);
         let me = medal_model.breakdown(&medal);
-        out.push(run_ladder(variant, "Pt", &w, &cpu, (&medal, &me), pes, run));
+        out.push(run_ladder(
+            variant,
+            "Pt",
+            &w,
+            &cpu,
+            (&medal, &me),
+            pes,
+            run,
+            obs,
+        ));
         // k-mer counting.
         let w = kmer_workload(scale);
         let cpu = run_cpu(&w);
-        let nest = run_nest(&w, scale.cbf_bytes, false, pes);
+        let nest = run_nest(&w, scale.cbf_bytes, false, pes, obs);
         let ne = nest_model.breakdown(&nest);
         out.push(run_ladder(
             variant,
@@ -142,6 +161,7 @@ pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> Fig17 {
             (&nest, &ne),
             pes,
             run,
+            obs,
         ));
     }
 
@@ -158,7 +178,7 @@ mod tests {
     #[test]
     fn optimisations_shrink_communication_share() {
         let scale = WorkloadScale::test();
-        let fig = run(&scale, 4, RunOptions::default());
+        let fig = run(&scale, 4, RunOptions::default(), &mut Observer::default());
         for half in [&fig.d, &fig.s] {
             assert!(half.steps.len() >= 4);
             let first = &half.steps[0];

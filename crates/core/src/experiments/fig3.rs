@@ -3,6 +3,7 @@
 //! bottlenecks MEDAL/NEST.
 
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::observer::Observer;
 
 use crate::energy::{EnergyModel, PeHardware};
 use crate::report::{fmt_ratio, Table};
@@ -73,15 +74,15 @@ fn geo<I: Iterator<Item = f64>>(xs: I) -> f64 {
 
 /// Runs the figure: MEDAL on FM and hash seeding over the five genomes,
 /// NEST on k-mer counting, each real vs idealised communication.
-pub fn run(scale: &WorkloadScale, pes: usize) -> Fig3 {
+pub fn run(scale: &WorkloadScale, pes: usize, obs: &mut Observer) -> Fig3 {
     let medal_energy = EnergyModel::ddr_baseline(PeHardware::MEDAL, 4 * pes);
     let nest_energy = EnergyModel::ddr_baseline(PeHardware::NEST, 4 * pes);
     let mut bars = Vec::new();
 
     for g in GenomeId::FIVE {
         let w = fm_workload(g, scale);
-        let real = run_medal(&w, false, pes);
-        let ideal = run_medal(&w, true, pes);
+        let real = run_medal(&w, false, pes, obs);
+        let ideal = run_medal(&w, true, pes, obs);
         bars.push(Fig3Bar {
             label: format!("MEDAL FM-seeding {}", g.label()),
             perf_improvement: real.cycles as f64 / ideal.cycles as f64,
@@ -91,8 +92,8 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig3 {
     }
     for g in GenomeId::FIVE {
         let w = hash_workload(g, scale);
-        let real = run_medal(&w, false, pes);
-        let ideal = run_medal(&w, true, pes);
+        let real = run_medal(&w, false, pes, obs);
+        let ideal = run_medal(&w, true, pes, obs);
         bars.push(Fig3Bar {
             label: format!("MEDAL hash-seeding {}", g.label()),
             perf_improvement: real.cycles as f64 / ideal.cycles as f64,
@@ -102,8 +103,8 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig3 {
     }
     {
         let w = kmer_workload(scale);
-        let real = run_nest(&w, scale.cbf_bytes, false, pes);
-        let ideal = run_nest(&w, scale.cbf_bytes, true, pes);
+        let real = run_nest(&w, scale.cbf_bytes, false, pes, obs);
+        let ideal = run_nest(&w, scale.cbf_bytes, true, pes, obs);
         bars.push(Fig3Bar {
             label: "NEST k-mer counting (human 50x)".into(),
             perf_improvement: real.cycles as f64 / ideal.cycles as f64,
@@ -121,7 +122,7 @@ mod tests {
     #[test]
     fn communication_bottlenecks_the_baselines() {
         let scale = WorkloadScale::test();
-        let fig = run(&scale, 8);
+        let fig = run(&scale, 8, &mut Observer::default());
         assert_eq!(fig.bars.len(), 11);
         // Idealised communication must help on average — the paper's
         // motivation (its averages: 4.36x perf, 2.32x energy).

@@ -4,6 +4,7 @@
 use beacon_accel::cpu_model::CpuRun;
 use beacon_accel::result::RunResult;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 use crate::config::{BeaconVariant, Optimizations};
 use crate::energy::{EnergyBreakdown, EnergyModel};
@@ -68,7 +69,8 @@ impl LadderResult {
 }
 
 /// Runs the cumulative ladder for one workload against precomputed
-/// baselines.
+/// baselines, recording every run into `obs`.
+#[allow(clippy::too_many_arguments)]
 pub fn run_ladder(
     variant: BeaconVariant,
     dataset: &str,
@@ -77,13 +79,14 @@ pub fn run_ladder(
     (baseline, baseline_energy): (&RunResult, &EnergyBreakdown),
     pes_per_module: usize,
     run: RunOptions,
+    obs: &mut Observer,
 ) -> LadderResult {
     let total_pes = 512.min(pes_per_module * 4);
     let model = EnergyModel::beacon(total_pes);
 
     let mut points = Vec::new();
     for (label, opts) in Optimizations::ladder(variant, workload.app) {
-        let result = run_beacon(variant, opts, workload, pes_per_module, run);
+        let result = run_beacon(variant, opts, workload, pes_per_module, run, obs);
         let energy = model.breakdown(&result);
         points.push(make_point(
             label,
@@ -97,7 +100,7 @@ pub fn run_ladder(
 
     // Idealised-communication reference for the "% of ideal" statistic.
     let ideal_opts = Optimizations::full_ideal(variant, workload.app);
-    let ideal = run_beacon(variant, ideal_opts, workload, pes_per_module, run);
+    let ideal = run_beacon(variant, ideal_opts, workload, pes_per_module, run, obs);
     let ideal_energy = model.breakdown(&ideal);
 
     let full = points.last().expect("ladder non-empty");
@@ -196,7 +199,7 @@ mod tests {
         let scale = WorkloadScale::test();
         let w = fm_workload(GenomeId::Pt, &scale);
         let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, 8);
+        let medal = run_medal(&w, false, 8, &mut Observer::default());
         let medal_energy = EnergyModel::ddr_baseline(PeHardware::MEDAL, 32).breakdown(&medal);
         let baseline = (&medal, &medal_energy);
         let l = run_ladder(
@@ -207,6 +210,7 @@ mod tests {
             baseline,
             8,
             RunOptions::default(),
+            &mut Observer::default(),
         );
         assert_eq!(l.points.len(), 5);
         assert!(l.full().speedup_vs_cpu > 1.0, "NDP must beat the CPU");
@@ -226,7 +230,7 @@ mod tests {
         let scale = WorkloadScale::test();
         let w = fm_workload(GenomeId::Pt, &scale);
         let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, 8);
+        let medal = run_medal(&w, false, 8, &mut Observer::default());
         let medal_energy = EnergyModel::ddr_baseline(PeHardware::MEDAL, 32).breakdown(&medal);
         let baseline = (&medal, &medal_energy);
         let l = run_ladder(
@@ -237,6 +241,7 @@ mod tests {
             baseline,
             8,
             RunOptions::default(),
+            &mut Observer::default(),
         );
         let g = geomean(&[l.clone(), l], |x| x.optimisation_gain());
         assert!(g > 0.0);

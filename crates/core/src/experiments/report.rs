@@ -8,8 +8,9 @@
 
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
-use beacon_sim::journey::{self, Attribution, JourneyRecorder};
+use beacon_sim::journey::{Attribution, JourneyRecorder};
 use beacon_sim::json::Writer;
+use beacon_sim::observer::Observer;
 use beacon_sim::rng::SimRng;
 
 use crate::config::{BeaconVariant, Optimizations};
@@ -70,30 +71,28 @@ impl AttributionReport {
     }
 }
 
-/// Runs the attribution sweep over `genomes` at `sample_every`.
+/// Runs the attribution sweep over `genomes` at `sample_every`,
+/// recording into `obs`.
 ///
-/// Installs a fresh [`JourneyRecorder`] around each run (salted from the
-/// workload seed via [`SimRng::child`], so the tracked subset is a
-/// deterministic function of the scale alone) and restores the previous
-/// recorder state afterwards.
+/// Each run gets a fresh [`JourneyRecorder`] as `obs`'s journey part
+/// (salted from the workload seed via [`SimRng::child`], so the tracked
+/// subset is a deterministic function of the scale alone); the sweep
+/// leaves `obs` without one.
 pub fn run_genomes(
     scale: &WorkloadScale,
     pes: usize,
     sample_every: u64,
     genomes: &[GenomeId],
     run: RunOptions,
+    obs: &mut Observer,
 ) -> AttributionReport {
     let mut rows = Vec::with_capacity(genomes.len());
     for &g in genomes {
         let w = fm_workload(g, scale);
         let salt = SimRng::from_seed(scale.seed).child(0xA77).below(u64::MAX);
-        let prev = journey::install(JourneyRecorder::new(sample_every, salt));
+        obs.journey = Some(JourneyRecorder::new(sample_every, salt));
         let opts = Optimizations::full(BeaconVariant::D, w.app);
-        let r = run_beacon(BeaconVariant::D, opts, &w, pes, run);
-        journey::uninstall();
-        if let Some(prev) = prev {
-            journey::install(prev);
-        }
+        let r = run_beacon(BeaconVariant::D, opts, &w, pes, run, obs);
         let attribution = r.attribution.expect("attribution was enabled for this run");
         rows.push(ReportRow {
             genome: g.label(),
@@ -101,12 +100,18 @@ pub fn run_genomes(
             attribution,
         });
     }
+    obs.journey = None;
     AttributionReport { rows }
 }
 
 /// Runs the full five-genome sweep at the harness sampling period.
-pub fn run(scale: &WorkloadScale, pes: usize, run: RunOptions) -> AttributionReport {
-    run_genomes(scale, pes, REPORT_SAMPLE_EVERY, &GenomeId::FIVE, run)
+pub fn run(
+    scale: &WorkloadScale,
+    pes: usize,
+    run: RunOptions,
+    obs: &mut Observer,
+) -> AttributionReport {
+    run_genomes(scale, pes, REPORT_SAMPLE_EVERY, &GenomeId::FIVE, run, obs)
 }
 
 #[cfg(test)]
@@ -118,7 +123,14 @@ mod tests {
     #[test]
     fn sweep_produces_populated_reports() {
         let scale = WorkloadScale::test();
-        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
+        let rep = run_genomes(
+            &scale,
+            4,
+            1,
+            &[GenomeId::Pt],
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         assert_eq!(rep.rows.len(), 1);
         let row = &rep.rows[0];
         assert_eq!(row.genome, "Pt");
@@ -141,10 +153,14 @@ mod tests {
         let scale = WorkloadScale::test();
         let w = fm_workload(GenomeId::Pt, &scale);
         let opts = Optimizations::full(BeaconVariant::D, w.app);
-        let plain = run_beacon(BeaconVariant::D, opts, &w, 4, RunOptions::default());
-        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
-        assert!(rep.rows[0].attribution.tracked > 0);
-        let attributed = run_beacon(BeaconVariant::D, opts, &w, 4, RunOptions::default());
+        let run = RunOptions::default();
+        let plain = run_beacon(BeaconVariant::D, opts, &w, 4, run, &mut Observer::default());
+        let mut obs = Observer {
+            journey: Some(JourneyRecorder::new(1, 3)),
+            ..Observer::default()
+        };
+        let attributed = run_beacon(BeaconVariant::D, opts, &w, 4, run, &mut obs);
+        assert!(attributed.attribution.as_ref().expect("on").tracked > 0);
         assert_eq!(plain.digest(), attributed.digest());
         assert_eq!(plain.diff(&attributed), None);
     }
@@ -152,15 +168,36 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_across_runs() {
         let scale = WorkloadScale::test();
-        let a = run_genomes(&scale, 4, 2, &[GenomeId::Pt], RunOptions::default());
-        let b = run_genomes(&scale, 4, 2, &[GenomeId::Pt], RunOptions::default());
+        let a = run_genomes(
+            &scale,
+            4,
+            2,
+            &[GenomeId::Pt],
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
+        let b = run_genomes(
+            &scale,
+            4,
+            2,
+            &[GenomeId::Pt],
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         assert_eq!(a.rows[0].attribution, b.rows[0].attribution);
     }
 
     #[test]
     fn json_report_is_well_formed() {
         let scale = WorkloadScale::test();
-        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
+        let rep = run_genomes(
+            &scale,
+            4,
+            1,
+            &[GenomeId::Pt],
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         JsonValue::parse(&rep.render_json()).expect("well-formed report JSON");
         let text = rep.render();
         assert!(text.contains("=== Pt"));
@@ -179,7 +216,14 @@ mod tests {
         .expect("schemas/report.schema.json is checked in");
         let schema = JsonValue::parse(&schema_text).expect("schema parses");
         let scale = WorkloadScale::test();
-        let rep = run_genomes(&scale, 4, 1, &[GenomeId::Pt], RunOptions::default());
+        let rep = run_genomes(
+            &scale,
+            4,
+            1,
+            &[GenomeId::Pt],
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         let doc = JsonValue::parse(&rep.render_json()).expect("report parses");
         check_schema(&doc, &schema).expect("report conforms to the schema");
     }

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::config::{BeaconConfig, BeaconVariant, FaultsConfig, Optimizations};
     pub use crate::energy::{EnergyBreakdown, EnergyModel};
     pub use crate::mmf::{build_layout, plan_dimm_loss, LayoutSpec, MemoryLayout, RemapPlan};
-    pub use crate::obs::ObsConfig;
     pub use crate::system::BeaconSystem;
     pub use beacon_sim::engine::RunOptions;
+    pub use beacon_sim::observer::{ObsConfig, Observer};
 }

@@ -16,10 +16,11 @@ use std::fmt::Write as _;
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::faults::{stream, FaultSchedule};
-use beacon_sim::journey::{self, JGate, JStamp, Phase, QueueAcc};
+use beacon_sim::journey::{JGate, JStamp, Phase, QueueAcc};
+use beacon_sim::observer::Observer;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::Stats;
-use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
+use beacon_sim::trace::{TraceCategory, TraceEvent, TraceLevel};
 
 use beacon_accel::pending::PendingTable;
 use beacon_accel::server::{DimmServer, ServiceOp};
@@ -117,6 +118,16 @@ fn alloc_serve<T>(table: &mut Vec<T>, free: &mut Vec<u32>, entry: T) -> u32 {
     }
 }
 
+/// Moves a tracked request's stamp to phase `next` at `now`, recording
+/// the phase it leaves into `obs`'s journey recorder.
+#[inline]
+fn hop(obs: &mut Observer, mut stamp: JStamp, now: Cycle, next: Phase) -> JStamp {
+    if let Some(j) = &mut obs.journey {
+        j.hop(&mut stamp, now, next);
+    }
+    stamp
+}
+
 /// Removes and returns the journey stamp the server finished alongside
 /// request `id`, if the request was tracked.
 #[inline]
@@ -144,17 +155,17 @@ impl Egress {
         }
     }
 
-    fn push(&mut self, msg: Message, now: Cycle) {
+    fn push(&mut self, msg: Message, now: Cycle, obs: &mut Observer) {
         match &mut self.packer {
-            Some(p) => p.push(msg, now),
+            Some(p) => p.push(msg, now, obs),
             None => self.queue.push_back(Bundle::single(msg)),
         }
     }
 
     /// Moves packer output into the retry queue.
-    fn collect(&mut self, now: Cycle) {
+    fn collect(&mut self, now: Cycle, obs: &mut Observer) {
         if let Some(p) = &mut self.packer {
-            p.tick(now);
+            p.tick(now, obs);
             while let Some(b) = p.pop_ready() {
                 self.queue.push_back(b);
             }
@@ -206,13 +217,13 @@ impl Compute {
     /// Closes one segment of this module's access `pid`: the tracked
     /// journey (if any) ends here, and the last segment hands the data
     /// token back to the engine.
-    fn complete(&mut self, pid: u64, stamp: Option<&JStamp>, now: Cycle) {
+    fn complete(&mut self, pid: u64, stamp: Option<&JStamp>, now: Cycle, obs: &mut Observer) {
         if let Some(stamp) = stamp {
-            SwitchNode::journey_finish(stamp, &self.jny_label, now);
+            SwitchNode::journey_finish(stamp, &self.jny_label, now, obs);
         }
         if let Some((token, _)) = self.pending.complete_one(pid) {
             ras_done(&mut self.ras, pid);
-            self.engine.on_data(token, now);
+            self.engine.on_data(token, now, obs);
         }
     }
 }
@@ -229,6 +240,10 @@ pub(crate) struct Slot {
     pub(crate) egress: Egress,
     /// `Some` on a CXLG-DIMM, `None` on an unmodified CXL-DIMM.
     pub(crate) compute: Option<Compute>,
+    /// Backlog-depth integral for the attribution report (server
+    /// backlog plus DRAM queue), observed after each drive of the slot
+    /// and after its injected failure. Plain field, never digested.
+    pub(crate) q_backlog: QueueAcc,
 }
 
 impl Slot {
@@ -239,6 +254,16 @@ impl Slot {
         match &self.compute {
             Some(c) => c.engine.next_event().min(h),
             None => h,
+        }
+    }
+
+    /// Folds the backlog depth into its integral when the run records
+    /// journeys (no-op otherwise).
+    #[inline]
+    fn observe_depth(&mut self, now: Cycle, obs: &Observer) {
+        if obs.journey.is_some() {
+            let depth = self.server.backlog_len() + self.server.dimm().queue_len();
+            self.q_backlog.observe_if_changed(depth, now);
         }
     }
 
@@ -277,14 +302,14 @@ pub(crate) struct LogicNode {
 impl LogicNode {
     /// Closes one segment of the logic's own access `pid` (see
     /// [`Compute::complete`]).
-    fn complete(&mut self, pid: u64, stamp: Option<&JStamp>, now: Cycle) {
+    fn complete(&mut self, pid: u64, stamp: Option<&JStamp>, now: Cycle, obs: &mut Observer) {
         if let Some(stamp) = stamp {
-            SwitchNode::journey_finish(stamp, &self.jny_label, now);
+            SwitchNode::journey_finish(stamp, &self.jny_label, now, obs);
         }
         if let Some((token, _)) = self.pending.complete_one(pid) {
             ras_done(&mut self.ras, pid);
             if let Some(e) = self.engine.as_mut() {
-                e.on_data(token, now);
+                e.on_data(token, now, obs);
             }
         }
     }
@@ -315,14 +340,12 @@ pub(crate) struct SwitchNode {
     comp_scratch: Vec<u64>,
     poison_scratch: Vec<u64>,
     jny_scratch: Vec<(u64, JStamp)>,
-    /// Queue-depth integrals for the attribution report, observed where
-    /// the depth can change: the switch queues once per executed tick,
-    /// a slot's backlog after each drive of that slot and after its
-    /// injected failure. Fast-forwarded spans extend the last plateau,
-    /// so the accounting stays exact. Plain fields, never digested.
+    /// Queue-depth integrals for the attribution report, observed once
+    /// per executed tick (each slot keeps its own backlog integral).
+    /// Fast-forwarded spans extend the last plateau, so the accounting
+    /// stays exact. Plain fields, never digested.
     pub(crate) q_staged: QueueAcc,
     pub(crate) q_inbox: QueueAcc,
-    pub(crate) q_backlog: Vec<QueueAcc>,
     /// Memoized endpoint term of [`SwitchNode::slot_due`] per slot
     /// (engine ∧ server ∧ egress next-event), filled whenever a probe
     /// finds nothing due. A slot's endpoints mutate only inside
@@ -333,10 +356,10 @@ pub(crate) struct SwitchNode {
     /// probes (DESIGN.md §15.5).
     slot_h: Vec<Cycle>,
     slot_h_valid: Vec<bool>,
-    /// Run-local sampling gate: refreshed from the installed recorder at
-    /// run start, consulted (without thread-local traffic) on every
-    /// access this subtree issues, summed into the report at collect.
-    /// Plain field, never digested.
+    /// Run-local sampling gate: armed from the run's journey recorder at
+    /// run entry ([`crate::system::BeaconSystem`]'s `arm`), consulted on
+    /// every access this subtree issues, summed into the report at
+    /// collect. Plain field, never digested.
     pub(crate) jgate: Option<JGate>,
     /// Scheduled hard failure of one of this switch's DIMMs. A pending
     /// failure is a time-driven fault: `subtree_next_event` surfaces it
@@ -418,6 +441,7 @@ impl SwitchNode {
                     free_serve: Vec::new(),
                     egress,
                     compute,
+                    q_backlog: QueueAcc::default(),
                 }
             })
             .collect();
@@ -458,10 +482,9 @@ impl SwitchNode {
             jny_scratch: Vec::new(),
             q_staged: QueueAcc::default(),
             q_inbox: QueueAcc::default(),
-            q_backlog: vec![QueueAcc::default(); slots],
             slot_h: vec![Cycle::ZERO; slots],
             slot_h_valid: vec![false; slots],
-            jgate: journey::gate(),
+            jgate: None,
             ras_fail: None,
         };
         if let Some(fc) = &cfg.faults {
@@ -525,8 +548,9 @@ impl SwitchNode {
         }
     }
 
-    /// Submits a task to the compute part of `slot` (BEACON-D).
-    pub(crate) fn submit_to_slot(&mut self, slot: usize, trace: TaskTrace) {
+    /// Submits a task to the compute part of `slot` (BEACON-D), tracing
+    /// the submission into `obs`.
+    pub(crate) fn submit_to_slot(&mut self, slot: usize, trace: TaskTrace, obs: &mut Observer) {
         let Some(c) = &mut self.dimms[slot].compute else {
             panic!(
                 "compute modules map to CXLG slots, but switch {} slot {slot} is unmodified",
@@ -535,18 +559,20 @@ impl SwitchNode {
         };
         // Multi-purpose PEs: pick the engine (and its latency) from the
         // task's application.
-        c.engine.submit_for_app(trace);
+        c.engine.submit_for_app(trace, obs);
         self.slot_h_valid[slot] = false;
     }
 
     /// Terminal attribution for a tracked request: record the residency
     /// of the final phase, the end-to-end total under `class`, and emit
     /// the closing flow event.
-    fn journey_finish(stamp: &JStamp, class: &str, now: Cycle) {
-        journey::arrive(stamp, now);
-        journey::total(stamp, now, class);
-        if trace::enabled(TraceLevel::Flit) {
-            trace::emit(
+    fn journey_finish(stamp: &JStamp, class: &str, now: Cycle, obs: &mut Observer) {
+        if let Some(j) = &mut obs.journey {
+            j.arrive(stamp, now);
+            j.total(stamp, now, class);
+        }
+        if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+            tr.record(
                 "journey",
                 TraceEvent::instant(
                     now.as_u64(),
@@ -586,6 +612,7 @@ impl SwitchNode {
         jny_gate: Option<&mut JGate>,
         ras: Option<(&mut RasState, u32)>,
         now: Cycle,
+        obs: &mut Observer,
     ) {
         let segments = map.translate(&access.access);
         let pid = pending.alloc(access.token, segments.len() as u32, access.blocking);
@@ -597,8 +624,7 @@ impl SwitchNode {
         // contribute one phase sample per segment (per-message
         // semantics). `None` whenever attribution is off. The decision
         // runs through the caller's run-local gate — a plain field, so
-        // the per-access fast path costs a hash and a compare, with no
-        // thread-local traffic.
+        // the per-access fast path costs a hash and a compare.
         let jny = jny_gate.and_then(|g| {
             let (jsw, jmod) = match self_node {
                 NodeId::Dimm { switch_idx, slot } => (switch_idx, slot),
@@ -609,8 +635,8 @@ impl SwitchNode {
                 .map(|id| JStamp::fresh(id, now))
         });
         if let Some(stamp) = &jny {
-            if trace::enabled(TraceLevel::Flit) {
-                trace::emit(
+            if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+                tr.record(
                     "journey",
                     TraceEvent::instant(
                         now.as_u64(),
@@ -628,10 +654,7 @@ impl SwitchNode {
                 matches!(seg.node, NodeId::Dimm { slot, .. } if cfg.slot_is_cxlg(slot));
             if seg.node == self_node {
                 if let Some(server) = local_server.as_deref_mut() {
-                    let seg_jny = jny.map(|mut st| {
-                        journey::hop(&mut st, now, Phase::BankQueue);
-                        st
-                    });
+                    let seg_jny = jny.map(|st| hop(obs, st, now, Phase::BankQueue));
                     server.request_with(pid, seg.coord, seg.bytes, op, seg_jny);
                     continue;
                 }
@@ -656,22 +679,22 @@ impl SwitchNode {
                 via_host,
                 jny,
             };
-            egress.push(msg, now);
+            egress.push(msg, now, obs);
         }
     }
 
     // ----- switch logic -------------------------------------------------
 
     /// Issues the read phase of an atomic served by this switch's logic.
-    fn logic_start_atomic(&mut self, entry: LogicServe, now: Cycle) {
+    fn logic_start_atomic(&mut self, entry: LogicServe, now: Cycle, obs: &mut Observer) {
         let sidx = alloc_serve(&mut self.logic.serve, &mut self.logic.free_serve, entry);
         self.logic.stats.incr("logic.atomics");
-        self.logic_phase(MsgKind::ReadReq, sidx, now);
+        self.logic_phase(MsgKind::ReadReq, sidx, now, obs);
     }
 
     /// Sends one DIMM phase (`ReadReq` or `WriteReq`) of the atomic in
     /// logic serve slot `sidx`.
-    fn logic_phase(&mut self, kind: MsgKind, sidx: u32, now: Cycle) {
+    fn logic_phase(&mut self, kind: MsgKind, sidx: u32, now: Cycle, obs: &mut Observer) {
         let entry = self.logic.serve[sidx as usize];
         let msg = Message {
             src: NodeId::SwitchLogic(self.index as u32),
@@ -685,14 +708,14 @@ impl SwitchNode {
             // its internal phase operations are not separately stamped.
             jny: None,
         };
-        self.logic.egress.push(msg, now);
+        self.logic.egress.push(msg, now, obs);
     }
 
-    fn drive_logic(&mut self, ctx: SysCtx<'_>, now: Cycle) {
+    fn drive_logic(&mut self, ctx: SysCtx<'_>, now: Cycle, obs: &mut Observer) {
         // 1. Incoming bundles addressed to this logic.
         while let Some(bundle) = self.fabric.logic_recv() {
             for msg in bundle.messages {
-                self.handle_logic_message(ctx, msg, now);
+                self.handle_logic_message(ctx, msg, now, obs);
             }
         }
 
@@ -702,7 +725,7 @@ impl SwitchNode {
                 break;
             }
             self.logic.alu_stage.pop_front();
-            self.logic_phase(MsgKind::WriteReq, sidx, now);
+            self.logic_phase(MsgKind::WriteReq, sidx, now, obs);
         }
 
         // 3. The S-variant compute engine. Issued accesses and the
@@ -711,11 +734,11 @@ impl SwitchNode {
         // `&mut self` methods).
         if self.logic.engine.is_some() {
             debug_assert!(self.issued_scratch.is_empty());
-            self.logic
-                .engine
-                .as_mut()
-                .expect("checked")
-                .tick_into(now, &mut self.issued_scratch);
+            self.logic.engine.as_mut().expect("checked").tick_into(
+                now,
+                &mut self.issued_scratch,
+                obs,
+            );
             let self_node = NodeId::SwitchLogic(self.index as u32);
             let map_idx = self.logic.map_idx;
             debug_assert!(self.rmw_scratch.is_empty());
@@ -734,20 +757,27 @@ impl SwitchNode {
                     self.jgate.as_mut(),
                     self.logic.ras.as_deref_mut().map(|r| (r, 0)),
                     now,
+                    obs,
                 );
             }
             self.issued_scratch = issued;
-            self.start_local_rmws(ctx, local_rmws, now);
+            self.start_local_rmws(ctx, local_rmws, now, obs);
         }
 
         // 4. Pump egress onto the switch-bus.
-        self.logic.egress.collect(now);
+        self.logic.egress.collect(now, obs);
         while let Some(bundle) = self.logic.egress.queue.pop_front() {
-            self.fabric.logic_send(bundle, now);
+            self.fabric.logic_send(bundle, now, obs);
         }
     }
 
-    fn handle_logic_message(&mut self, ctx: SysCtx<'_>, msg: Message, now: Cycle) {
+    fn handle_logic_message(
+        &mut self,
+        ctx: SysCtx<'_>,
+        msg: Message,
+        now: Cycle,
+        obs: &mut Observer,
+    ) {
         match msg.kind {
             MsgKind::AtomicReq => {
                 // Atomic intercepted for an unmodified DIMM of this switch.
@@ -760,12 +790,9 @@ impl SwitchNode {
                     phase: AtomicPhase::Read,
                     via_host: msg.via_host || !ctx.cfg.opts.mem_access_opt,
                     in_use: true,
-                    jny: msg.jny.map(|mut st| {
-                        journey::hop(&mut st, now, Phase::Serve);
-                        st
-                    }),
+                    jny: msg.jny.map(|st| hop(obs, st, now, Phase::Serve)),
                 };
-                self.logic_start_atomic(entry, now);
+                self.logic_start_atomic(entry, now, obs);
             }
             MsgKind::ReadResp | MsgKind::Ack if msg.tag & LOGIC_BIT != 0 => {
                 let sidx = (msg.tag & !LOGIC_BIT) as u32;
@@ -784,7 +811,8 @@ impl SwitchNode {
                         let requester = entry.requester;
                         if requester == NodeId::SwitchLogic(self.index as u32) {
                             // Our own engine's RMW (BEACON-S local case).
-                            self.logic.complete(entry.orig_tag, entry.jny.as_ref(), now);
+                            self.logic
+                                .complete(entry.orig_tag, entry.jny.as_ref(), now, obs);
                         } else {
                             let ack = Message {
                                 src: NodeId::SwitchLogic(self.index as u32),
@@ -794,20 +822,19 @@ impl SwitchNode {
                                 tag: entry.orig_tag,
                                 aux: 0,
                                 via_host: entry.via_host,
-                                jny: entry.jny.map(|mut st| {
-                                    journey::hop(&mut st, now, Phase::Return);
-                                    st.resp = true;
-                                    st
+                                jny: entry.jny.map(|st| JStamp {
+                                    resp: true,
+                                    ..hop(obs, st, now, Phase::Return)
                                 }),
                             };
-                            self.logic.egress.push(ack, now);
+                            self.logic.egress.push(ack, now, obs);
                         }
                     }
                 }
             }
             MsgKind::ReadResp | MsgKind::Ack => {
                 // Response for the S-variant engine's plain access.
-                self.logic.complete(msg.tag, msg.jny.as_ref(), now);
+                self.logic.complete(msg.tag, msg.jny.as_ref(), now, obs);
             }
             MsgKind::Nak if msg.tag & LOGIC_BIT != 0 => {
                 // A DIMM serving one phase of an atomic is gone: abort
@@ -820,19 +847,20 @@ impl SwitchNode {
                 self.logic.free_serve.push(sidx);
                 let self_node = NodeId::SwitchLogic(self.index as u32);
                 if entry.requester == self_node {
-                    self.logic_retry_or_drop(ctx, entry.orig_tag, now);
+                    self.logic_retry_or_drop(ctx, entry.orig_tag, now, obs);
                 } else {
                     self.logic.stats.incr("ras.naks");
                     self.logic.egress.push(
                         Message::nak_to(self_node, entry.requester, entry.orig_tag, entry.via_host),
                         now,
+                        obs,
                     );
                 }
             }
             MsgKind::Nak => {
                 // A plain access of the S engine hit a dead or poisoned
                 // DIMM.
-                self.logic_retry_or_drop(ctx, msg.tag, now);
+                self.logic_retry_or_drop(ctx, msg.tag, now, obs);
             }
             other => {
                 debug_assert!(false, "unexpected {other:?} at switch logic");
@@ -846,7 +874,7 @@ impl SwitchNode {
     /// `now`. After [`MAX_ACCESS_RETRIES`] the access is dropped — the
     /// task resumes without its data rather than wedging the run, and
     /// the loss is reported in the degraded-run section.
-    fn logic_retry_or_drop(&mut self, ctx: SysCtx<'_>, pid: u64, now: Cycle) {
+    fn logic_retry_or_drop(&mut self, ctx: SysCtx<'_>, pid: u64, now: Cycle, obs: &mut Observer) {
         let Some((_token, _)) = self.logic.pending.poison_one(pid) else {
             return; // straggler segment of an already-retried access
         };
@@ -859,7 +887,7 @@ impl SwitchNode {
         if retries >= MAX_ACCESS_RETRIES {
             self.logic.stats.incr("ras.dropped");
             if let Some(e) = self.logic.engine.as_mut() {
-                e.on_data(ia.token, now);
+                e.on_data(ia.token, now, obs);
             }
             return;
         }
@@ -880,13 +908,20 @@ impl SwitchNode {
             self.jgate.as_mut(),
             self.logic.ras.as_deref_mut().map(|r| (r, retries + 1)),
             now,
+            obs,
         );
-        self.start_local_rmws(ctx, local_rmws, now);
+        self.start_local_rmws(ctx, local_rmws, now, obs);
     }
 
     /// Starts the same-switch RMWs the logic's own engine issued, then
     /// returns the drained buffer to its scratch slot.
-    fn start_local_rmws(&mut self, ctx: SysCtx<'_>, mut local_rmws: Vec<LocalRmw>, now: Cycle) {
+    fn start_local_rmws(
+        &mut self,
+        ctx: SysCtx<'_>,
+        mut local_rmws: Vec<LocalRmw>,
+        now: Cycle,
+        obs: &mut Observer,
+    ) {
         let self_node = NodeId::SwitchLogic(self.index as u32);
         for (pid, coord, bytes, dimm, jny) in local_rmws.drain(..) {
             let entry = LogicServe {
@@ -898,25 +933,22 @@ impl SwitchNode {
                 phase: AtomicPhase::Read,
                 via_host: !ctx.cfg.opts.mem_access_opt,
                 in_use: true,
-                jny: jny.map(|mut st| {
-                    journey::hop(&mut st, now, Phase::Serve);
-                    st
-                }),
+                jny: jny.map(|st| hop(obs, st, now, Phase::Serve)),
             };
-            self.logic_start_atomic(entry, now);
+            self.logic_start_atomic(entry, now, obs);
         }
         self.rmw_scratch = local_rmws;
     }
 
     // ----- DIMM slots ----------------------------------------------------
 
-    fn drive_slot(&mut self, ctx: SysCtx<'_>, slot: usize, now: Cycle) {
+    fn drive_slot(&mut self, ctx: SysCtx<'_>, slot: usize, now: Cycle, obs: &mut Observer) {
         let port = self.fabric.dimm_port(slot as u32);
 
         // 1. Deliver incoming bundles.
-        while let Some(bundle) = self.fabric.endpoint_recv(port, now) {
+        while let Some(bundle) = self.fabric.endpoint_recv(port, now, obs) {
             for msg in bundle.messages {
-                self.handle_slot_message(ctx, slot, msg, now);
+                self.handle_slot_message(ctx, slot, msg, now, obs);
             }
         }
 
@@ -924,7 +956,7 @@ impl SwitchNode {
         let d = &mut self.dimms[slot];
         if let Some(c) = &mut d.compute {
             debug_assert!(self.issued_scratch.is_empty());
-            c.engine.tick_into(now, &mut self.issued_scratch);
+            c.engine.tick_into(now, &mut self.issued_scratch, obs);
             for ia in self.issued_scratch.drain(..) {
                 Self::dispatch_access(
                     ctx.cfg,
@@ -938,6 +970,7 @@ impl SwitchNode {
                     self.jgate.as_mut(),
                     c.ras.as_deref_mut().map(|r| (r, 0)),
                     now,
+                    obs,
                 );
             }
         }
@@ -952,7 +985,7 @@ impl SwitchNode {
                 && self.comp_scratch.is_empty()
                 && self.poison_scratch.is_empty()
         );
-        d.server.tick(now);
+        d.server.tick_observed(now, obs);
         d.server.drain_done_into(&mut self.done_scratch);
         d.server.drain_poisoned_into(&mut self.poison_scratch);
         d.server.drain_jny_done_into(&mut self.jny_scratch);
@@ -978,14 +1011,14 @@ impl SwitchNode {
             self.poison_scratch.clear();
         }
         for msg in self.resp_scratch.drain(..) {
-            d.egress.push(msg, now);
+            d.egress.push(msg, now, obs);
         }
         // Only a compute part issues local accesses, so an unmodified
         // DIMM has no completions to close.
         if let Some(c) = &mut d.compute {
             for pid in self.comp_scratch.drain(..) {
                 let stamp = take_stamp(&mut self.jny_scratch, pid);
-                c.complete(pid, stamp.as_ref(), now);
+                c.complete(pid, stamp.as_ref(), now, obs);
             }
         }
         // Every finished stamp was attached to a response or closed
@@ -994,29 +1027,24 @@ impl SwitchNode {
         self.jny_scratch.clear();
 
         // 4. Pump egress onto the port link (with back-pressure retry).
-        d.egress.collect(now);
-        Self::pump_port(&mut self.fabric, port, &mut d.egress, now);
+        d.egress.collect(now, obs);
+        Self::pump_port(&mut self.fabric, port, &mut d.egress, now, obs);
+        d.observe_depth(now, obs);
         // The drive above is the only steady-state mutator of this
         // slot's endpoints; recompute the memoized horizon lazily on
         // the next probe.
         self.slot_h_valid[slot] = false;
-        self.observe_depth(slot, now);
     }
 
-    /// Folds slot `slot`'s backlog depth (server backlog plus DRAM
-    /// queue) into its attribution integral (no-op with attribution off).
-    #[inline]
-    fn observe_depth(&mut self, slot: usize, now: Cycle) {
-        if journey::active() {
-            let server = &self.dimms[slot].server;
-            let depth = server.backlog_len() + server.dimm().queue_len();
-            self.q_backlog[slot].observe_if_changed(depth, now);
-        }
-    }
-
-    fn pump_port(fabric: &mut Switch, port: usize, egress: &mut Egress, now: Cycle) {
+    fn pump_port(
+        fabric: &mut Switch,
+        port: usize,
+        egress: &mut Egress,
+        now: Cycle,
+        obs: &mut Observer,
+    ) {
         while let Some(bundle) = egress.queue.pop_front() {
-            match fabric.endpoint_send(port, bundle, now) {
+            match fabric.endpoint_send(port, bundle, now, obs) {
                 Ok(()) => {}
                 Err(e) => {
                     egress.queue.push_front(e.into_bundle());
@@ -1091,7 +1119,14 @@ impl SwitchNode {
         }
     }
 
-    fn handle_slot_message(&mut self, ctx: SysCtx<'_>, slot: usize, msg: Message, now: Cycle) {
+    fn handle_slot_message(
+        &mut self,
+        ctx: SysCtx<'_>,
+        slot: usize,
+        msg: Message,
+        now: Cycle,
+        obs: &mut Observer,
+    ) {
         let d = &mut self.dimms[slot];
         match msg.kind {
             MsgKind::ReadReq | MsgKind::WriteReq | MsgKind::AtomicReq => {
@@ -1113,10 +1148,10 @@ impl SwitchNode {
                 // Arrival at the serving DIMM: everything since the last
                 // transition was transport; residency from here is
                 // `BankQueue` until the first DRAM command issues.
-                let jny = msg.jny.map(|mut st| {
-                    journey::hop(&mut st, now, Phase::BankQueue);
-                    if trace::enabled(TraceLevel::Flit) {
-                        trace::emit(
+                let jny = msg.jny.map(|st| {
+                    let st = hop(obs, st, now, Phase::BankQueue);
+                    if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+                        tr.record(
                             "journey",
                             TraceEvent::instant(
                                 now.as_u64(),
@@ -1137,8 +1172,11 @@ impl SwitchNode {
                     // The DIMM is dead: bounce the request straight back
                     // so the requester re-homes it (the tracked journey,
                     // if any, is dropped).
-                    d.egress
-                        .push(Message::nak_to(d.node, msg.src, msg.tag, msg.via_host), now);
+                    d.egress.push(
+                        Message::nak_to(d.node, msg.src, msg.tag, msg.via_host),
+                        now,
+                        obs,
+                    );
                     self.logic.stats.incr("ras.naks");
                     return;
                 }
@@ -1147,7 +1185,7 @@ impl SwitchNode {
                     .request_with(SERVE_BIT | sidx as u64, coord, msg.payload_bytes, op, jny);
             }
             MsgKind::ReadResp | MsgKind::Ack => match &mut d.compute {
-                Some(c) => c.complete(msg.tag, msg.jny.as_ref(), now),
+                Some(c) => c.complete(msg.tag, msg.jny.as_ref(), now, obs),
                 None => debug_assert!(false, "unmodified DIMM received a response"),
             },
             MsgKind::Nak => {
@@ -1169,7 +1207,7 @@ impl SwitchNode {
                     .expect("nak'd access must be tracked");
                 if retries >= MAX_ACCESS_RETRIES {
                     self.logic.stats.incr("ras.dropped");
-                    c.engine.on_data(ia.token, now);
+                    c.engine.on_data(ia.token, now, obs);
                 } else {
                     self.logic.stats.incr("ras.requeued");
                     Self::dispatch_access(
@@ -1184,6 +1222,7 @@ impl SwitchNode {
                         self.jgate.as_mut(),
                         c.ras.as_deref_mut().map(|r| (r, retries + 1)),
                         now,
+                        obs,
                     );
                 }
             }
@@ -1198,7 +1237,7 @@ impl SwitchNode {
     /// operation naks its remote requester (unmodified DIMMs never issue
     /// requests of their own, so every casualty has one). Shard-local
     /// and identical under the sequential and parallel engines.
-    fn apply_dimm_failure(&mut self, now: Cycle) {
+    fn apply_dimm_failure(&mut self, now: Cycle, obs: &mut Observer) {
         let Some(f) = &mut self.ras_fail else { return };
         if f.done || now < f.at {
             return;
@@ -1224,34 +1263,36 @@ impl SwitchNode {
             d.egress.push(
                 Message::nak_to(d.node, entry.requester, entry.orig_tag, entry.via_host),
                 now,
+                obs,
             );
         }
         self.logic.stats.incr("ras.dimm_killed");
         self.logic.stats.add("ras.naks", lost.len() as u64);
         self.slot_h_valid[slot] = false;
-        self.observe_depth(slot, now);
+        self.dimms[slot].observe_depth(now, obs);
     }
 
     /// Advances this switch subtree by one cycle: fabric, in-switch
     /// logic, then every DIMM slot — exactly the per-switch slice of the
-    /// sequential [`beacon_sim::component::Tick::tick`] loop.
-    pub(crate) fn tick_cycle(&mut self, ctx: SysCtx<'_>, now: Cycle) {
-        self.apply_dimm_failure(now);
-        self.fabric.tick(now);
+    /// sequential [`beacon_sim::component::Tick::tick`] loop. Trace
+    /// events and journey records go to `obs`.
+    pub(crate) fn tick_cycle(&mut self, ctx: SysCtx<'_>, now: Cycle, obs: &mut Observer) {
+        self.apply_dimm_failure(now, obs);
+        self.fabric.tick_observed(now, obs);
         // Drive only the endpoints that can act this cycle. Each gate is
         // the same per-component horizon the engine-level skip already
         // trusts, plus the port's link-arrival horizon — before it, the
         // endpoint's receive pump is guaranteed empty and every drive
         // step below is a no-op.
         if self.logic_horizon() <= now {
-            self.drive_logic(ctx, now);
+            self.drive_logic(ctx, now, obs);
         }
         for slot in 0..self.dimms.len() {
             if self.slot_due(slot, now) {
-                self.drive_slot(ctx, slot, now);
+                self.drive_slot(ctx, slot, now, obs);
             }
         }
-        self.observe_switch_queues(now);
+        self.observe_switch_queues(now, obs);
     }
 
     /// [`SwitchNode::tick_cycle`] without its gates: drives the fabric,
@@ -1259,22 +1300,22 @@ impl SwitchNode {
     /// drive that would have been a no-op, so this is the reference the
     /// gated tick must match cycle for cycle.
     #[cfg(test)]
-    pub(crate) fn tick_cycle_ungated(&mut self, ctx: SysCtx<'_>, now: Cycle) {
-        self.apply_dimm_failure(now);
-        self.fabric.tick(now);
-        self.drive_logic(ctx, now);
+    pub(crate) fn tick_cycle_ungated(&mut self, ctx: SysCtx<'_>, now: Cycle, obs: &mut Observer) {
+        self.apply_dimm_failure(now, obs);
+        self.fabric.tick_observed(now, obs);
+        self.drive_logic(ctx, now, obs);
         for slot in 0..self.dimms.len() {
-            self.drive_slot(ctx, slot, now);
+            self.drive_slot(ctx, slot, now, obs);
         }
-        self.observe_switch_queues(now);
+        self.observe_switch_queues(now, obs);
     }
 
     /// Folds the switch-level queue depths into their attribution
     /// integrals. They only mutate inside a tick, so a check per executed
     /// tick is exact; the unchanged case (the common one) is a compare
     /// per queue.
-    fn observe_switch_queues(&mut self, now: Cycle) {
-        if journey::active() {
+    fn observe_switch_queues(&mut self, now: Cycle, obs: &Observer) {
+        if obs.journey.is_some() {
             self.q_staged
                 .observe_if_changed(self.fabric.staged_len(), now);
             self.q_inbox
@@ -1473,8 +1514,13 @@ impl SwitchNode {
 
     /// Pops one bundle that fully arrived at the uplink endpoint before
     /// `horizon`, with its exact arrival cycle.
-    pub(crate) fn uplink_recv_before(&mut self, horizon: Cycle) -> Option<(Cycle, Bundle)> {
-        self.fabric.endpoint_recv_before(Switch::UPLINK, horizon)
+    pub(crate) fn uplink_recv_before(
+        &mut self,
+        horizon: Cycle,
+        obs: &mut Observer,
+    ) -> Option<(Cycle, Bundle)> {
+        self.fabric
+            .endpoint_recv_before(Switch::UPLINK, horizon, obs)
     }
 
     /// Injects a host-forwarded bundle into the uplink ingress.
@@ -1482,8 +1528,9 @@ impl SwitchNode {
         &mut self,
         bundle: Bundle,
         now: Cycle,
+        obs: &mut Observer,
     ) -> Result<(), beacon_cxl::link::SendError> {
-        self.fabric.endpoint_send(Switch::UPLINK, bundle, now)
+        self.fabric.endpoint_send(Switch::UPLINK, bundle, now, obs)
     }
 }
 
@@ -1894,8 +1941,8 @@ impl Restore for SwitchNode {
         self.jny_scratch.clear();
         self.q_staged = QueueAcc::default();
         self.q_inbox = QueueAcc::default();
-        for q in &mut self.q_backlog {
-            *q = QueueAcc::default();
+        for d in &mut self.dimms {
+            d.q_backlog = QueueAcc::default();
         }
         for v in &mut self.slot_h_valid {
             *v = false;
@@ -1910,7 +1957,7 @@ mod tests {
     use super::*;
     use crate::config::Optimizations;
     use crate::experiments::common::{
-        fm_workload, kmer_workload, prealign_workload, AppWorkload, WorkloadScale,
+        fm_workload, hash_workload, kmer_workload, prealign_workload, AppWorkload, WorkloadScale,
     };
     use crate::mmf::build_layout;
     use crate::system::BeaconSystem;
@@ -1918,6 +1965,7 @@ mod tests {
     use beacon_genomics::genome::GenomeId;
     use beacon_sim::component::Probe;
     use beacon_sim::journey::JourneyRecorder;
+    use proptest::prelude::*;
 
     /// Test scale with 4× the reads, so every cell runs thousands of
     /// cycles with slots going idle and waking again.
@@ -1966,8 +2014,8 @@ mod tests {
 
     /// One whole-system cycle on the ungated reference: the sequential
     /// tick with [`SwitchNode::tick_cycle_ungated`] per switch.
-    fn tick_ungated(sys: &mut BeaconSystem, now: Cycle) {
-        sys.pump_host(now);
+    fn tick_ungated(sys: &mut BeaconSystem, now: Cycle, obs: &mut Observer) {
+        sys.pump_host(now, obs);
         let ctx = SysCtx {
             cfg: &sys.cfg,
             maps: &sys.maps,
@@ -1975,7 +2023,7 @@ mod tests {
             remap: sys.remap.as_deref(),
         };
         for sw in &mut sys.switches {
-            sw.tick_cycle_ungated(ctx, now);
+            sw.tick_cycle_ungated(ctx, now, obs);
         }
     }
 
@@ -1984,22 +2032,27 @@ mod tests {
     /// the workload drains. After every cycle both must have made the
     /// same progress and agree on idleness; at the drain both runs must
     /// digest alike. With `resume_at`, the gated side is snapshotted and
-    /// replaced by its resumed image at that cycle. Returns the two
-    /// collected results.
+    /// replaced by its resumed image at that cycle. Each side records
+    /// into its own observer from `observer`. Returns the two collected
+    /// results.
     fn assert_lockstep(
         build_sys: impl Fn() -> BeaconSystem,
         resume_at: Option<u64>,
+        observer: impl Fn() -> Observer,
     ) -> (RunResult, RunResult) {
         let (mut gated, mut reference) = (build_sys(), build_sys());
+        let (mut g_obs, mut r_obs) = (observer(), observer());
+        gated.arm(&g_obs);
+        reference.arm(&r_obs);
         let mut now = Cycle::ZERO;
         while !gated.is_idle() {
             if resume_at == Some(now.as_u64()) {
                 gated.clock = now;
                 gated = BeaconSystem::resume(&gated.snapshot()).expect("snapshot must resume");
-                gated.arm();
+                gated.arm(&g_obs);
             }
-            gated.tick(now);
-            tick_ungated(&mut reference, now);
+            gated.tick_observed(now, &mut g_obs);
+            tick_ungated(&mut reference, now, &mut r_obs);
             assert_eq!(
                 gated.progress_counter(),
                 reference.progress_counter(),
@@ -2019,7 +2072,10 @@ mod tests {
         );
         gated.finished_at = now;
         reference.finished_at = now;
-        let (g, r) = (gated.collect(), reference.collect());
+        let (g, r) = (
+            gated.collect_with(g_obs.journey.as_ref()),
+            reference.collect_with(r_obs.journey.as_ref()),
+        );
         assert!(g.tasks > 0, "cell must do work to be meaningful");
         assert_eq!(
             g.digest(),
@@ -2043,6 +2099,7 @@ mod tests {
                 assert_lockstep(
                     || build_with(BeaconVariant::D, &w, switches, None, opts),
                     None,
+                    Observer::default,
                 );
             }
         }
@@ -2052,7 +2109,11 @@ mod tests {
     fn gates_match_ungated_reference_kmer_counting_on_s() {
         let w = kmer_workload(&scale());
         for switches in [1, 2] {
-            assert_lockstep(|| build(BeaconVariant::S, &w, switches, None), None);
+            assert_lockstep(
+                || build(BeaconVariant::S, &w, switches, None),
+                None,
+                Observer::default,
+            );
         }
     }
 
@@ -2067,7 +2128,11 @@ mod tests {
         let mut faults = FaultsConfig::noisy(42, 400.0);
         faults.dimm_fail_at = healthy.cycles / 3;
         faults.dimm_fail_slot = 2;
-        let (g, _) = assert_lockstep(|| build(BeaconVariant::D, &w, 2, Some(faults)), None);
+        let (g, _) = assert_lockstep(
+            || build(BeaconVariant::D, &w, 2, Some(faults)),
+            None,
+            Observer::default,
+        );
         let d = g.degraded.expect("armed run carries a RAS report");
         assert_eq!(d.failed_dimms, 1, "the scheduled kill must have fired");
         assert!(
@@ -2083,20 +2148,49 @@ mod tests {
         assert_lockstep(
             || build(BeaconVariant::D, &w, 2, None),
             Some(golden.cycles / 2),
+            Observer::default,
         );
     }
 
     #[test]
     fn gates_match_ungated_reference_with_attribution() {
         let w = prealign_workload(GenomeId::Pg, &scale());
-        journey::install(JourneyRecorder::new(1, 7));
-        let (g, r) = assert_lockstep(|| build(BeaconVariant::D, &w, 2, None), None);
-        journey::uninstall();
+        let attributed = || Observer {
+            journey: Some(JourneyRecorder::new(1, 7)),
+            ..Observer::default()
+        };
+        let (g, r) = assert_lockstep(|| build(BeaconVariant::D, &w, 2, None), None, attributed);
         // The ungated reference observes every slot's depth on every
         // cycle; the gated run only where it changes. The integrals
         // must agree.
         let (ga, ra) = (g.attribution.expect("on"), r.attribution.expect("on"));
         assert!(ga.queues.iter().any(|q| q.peak_depth > 0));
         assert_eq!(ga.queues, ra.queues);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The gates against the ungated reference on random cells: any
+        /// kernel, genome, pool size and workload seed, at test scale.
+        #[test]
+        fn gates_match_ungated_reference_on_random_cells(
+            kernel in 0usize..4,
+            genome in prop::sample::select(GenomeId::FIVE.to_vec()),
+            switches in 1u32..5,
+            seed in 0u64..1_000,
+        ) {
+            let scale = WorkloadScale {
+                seed,
+                ..WorkloadScale::test()
+            };
+            let (variant, w) = match kernel {
+                0 => (BeaconVariant::D, fm_workload(genome, &scale)),
+                1 => (BeaconVariant::S, hash_workload(genome, &scale)),
+                2 => (BeaconVariant::S, kmer_workload(&scale)),
+                _ => (BeaconVariant::D, prealign_workload(genome, &scale)),
+            };
+            assert_lockstep(|| build(variant, &w, switches, None), None, Observer::default);
+        }
     }
 }

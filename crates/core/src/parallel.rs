@@ -21,15 +21,14 @@
 
 use std::collections::VecDeque;
 
-use beacon_sim::journey::{self, Phase};
-
-use beacon_accel::result::RunResult;
 use beacon_accel::translate::RegionMap;
 use beacon_cxl::bundle::Bundle;
 use beacon_sim::cycle::{Cycle, Duration};
-use beacon_sim::engine::{Progress, RunOptions};
+use beacon_sim::engine::{Progress, RunOptions, RunOutcome};
 use beacon_sim::horizon::Backoff;
+use beacon_sim::journey::Phase;
 use beacon_sim::metrics::MetricsSample;
+use beacon_sim::observer::{Observer, Sampler, DEFAULT_STALL_WINDOW};
 use beacon_sim::parallel::{EpochHub, EpochShard, ParallelEngine, ParallelHooks};
 
 use crate::config::BeaconConfig;
@@ -95,7 +94,7 @@ impl<'a> PoolShard<'a> {
 }
 
 impl EpochShard for PoolShard<'_> {
-    fn advance(&mut self, to: Cycle) {
+    fn advance(&mut self, to: Cycle, obs: &mut Observer) {
         while self.pos < to {
             if self.inbox.is_empty() && self.node.subtree_idle() {
                 return; // pause — resumable if the hub delivers more
@@ -105,7 +104,7 @@ impl EpochShard for PoolShard<'_> {
             //    sequential pump_host would pop at `now` (the egress is
             //    drained every cycle, so arrivals surface the cycle
             //    they complete).
-            while let Some((arrival, bundle)) = self.node.uplink_recv_before(now.next()) {
+            while let Some((arrival, bundle)) = self.node.uplink_recv_before(now.next(), obs) {
                 self.outbox.push((arrival, self.index, self.seq, bundle));
                 self.seq += 1;
             }
@@ -119,7 +118,7 @@ impl EpochShard for PoolShard<'_> {
                     break;
                 }
                 let (ready, bundle) = self.inbox.pop_front().expect("checked front");
-                match self.node.uplink_send(bundle, now) {
+                match self.node.uplink_send(bundle, now, obs) {
                     Ok(()) => {}
                     Err(e) => {
                         self.inbox.push_front((ready, e.into_bundle()));
@@ -128,7 +127,7 @@ impl EpochShard for PoolShard<'_> {
                 }
             }
             // 3. The per-switch slice of the sequential tick.
-            self.node.tick_cycle(self.ctx(), now);
+            self.node.tick_cycle(self.ctx(), now, obs);
             self.ticked += 1;
             // 4. Fast-forward over dead cycles. The subtree horizon
             //    already covers uplink-egress arrivals (they are fabric
@@ -158,13 +157,13 @@ impl EpochShard for PoolShard<'_> {
         }
     }
 
-    fn finish_to(&mut self, to: Cycle) {
+    fn finish_to(&mut self, to: Cycle, obs: &mut Observer) {
         // Only reached when quiescent: no egress to drain, no inbox to
         // inject. Background state (DRAM refresh) still advances
         // exactly as the sequential engine's idle-subtree ticks do —
         // under skipping the shard jumps refresh-to-refresh.
         while self.pos < to {
-            self.node.tick_cycle(self.ctx(), self.pos);
+            self.node.tick_cycle(self.ctx(), self.pos, obs);
             self.ticked += 1;
             let stepped = self.pos.next();
             self.pos = if self.skip {
@@ -221,7 +220,12 @@ impl HostHub {
 }
 
 impl<'a> EpochHub<PoolShard<'a>> for HostHub {
-    fn exchange(&mut self, shards: &mut [PoolShard<'a>], horizon: Cycle) -> bool {
+    fn exchange(
+        &mut self,
+        shards: &mut [PoolShard<'a>],
+        horizon: Cycle,
+        obs: &mut Observer,
+    ) -> bool {
         let mut collected: Vec<HubEntry> = Vec::new();
         for shard in shards.iter_mut() {
             collected.append(&mut shard.outbox);
@@ -231,13 +235,13 @@ impl<'a> EpochHub<PoolShard<'a>> for HostHub {
         // arrived in an earlier epoch, so their ready cycles precede
         // every new one.
         for (arrival, _src, _seq, mut bundle) in collected {
-            if journey::active() {
+            if let Some(j) = &mut obs.journey {
                 // Same transition the sequential `pump_host` records on
                 // uplink receive, at the same canonical arrival cycle —
                 // phase aggregates stay thread-count-independent.
                 for m in &mut bundle.messages {
                     if let Some(stamp) = &mut m.jny {
-                        journey::hop(stamp, arrival, Phase::HostForward);
+                        j.hop(stamp, arrival, Phase::HostForward);
                     }
                 }
             }
@@ -263,28 +267,32 @@ impl<'a> EpochHub<PoolShard<'a>> for HostHub {
 }
 
 impl BeaconSystem {
-    /// Runs until the workload drains on `run.threads` worker threads
-    /// and returns measurements **bit-identical** to the sequential
-    /// engine (the [`BeaconSystem::run_with`] route for more than one
-    /// thread):
-    /// same `RunResult` digest, same per-component stats, same
-    /// canonicalised trace stream, for any thread count.
+    /// Runs until the workload drains on `run.threads` worker threads,
+    /// **bit-identical** to the sequential engine (the
+    /// [`BeaconSystem::run_with`] route for more than one thread): same
+    /// `RunResult` digest, same per-component stats, same canonicalised
+    /// trace stream, for any thread count. Trace events and journeys go
+    /// to `obs`, through per-shard forks merged at the end of the run.
     ///
-    /// Metrics sampling and progress reporting fire at epoch barriers
-    /// (every `host_latency` cycles) rather than exact cycles, and the
-    /// `host.staged` gauge counts hub deliveries staged at the shards —
-    /// equivalent in spirit but not sample-for-sample identical to the
-    /// sequential observer output.
+    /// With `sampler`, metrics sampling and progress reporting fire at
+    /// epoch barriers (every `host_latency` cycles) rather than exact
+    /// cycles, and the `host.staged` gauge counts hub deliveries staged
+    /// at the shards — equivalent in spirit but not sample-for-sample
+    /// identical to the sequential observer output.
     ///
     /// # Panics
     /// Panics when `host_latency` is zero (the epoch scheme's lookahead
     /// would vanish) or when the model deadlocks (cycle limit / stall).
-    pub(crate) fn run_parallel(&mut self, run: RunOptions) -> RunResult {
+    pub(crate) fn run_parallel(
+        &mut self,
+        run: RunOptions,
+        obs: &mut Observer,
+        sampler: Option<&mut Sampler>,
+    ) -> RunOutcome {
         assert!(
             self.cfg.host_latency >= 1,
             "parallel runs need host_latency >= 1 for a non-zero lookahead"
         );
-        self.arm();
         let cfg = self.cfg;
         let start = self.clock;
         let maps = std::mem::take(&mut self.maps);
@@ -329,60 +337,52 @@ impl BeaconSystem {
             .collect();
         let engine = ParallelEngine::new(cfg.host_latency, run.threads).starting_at(start);
 
-        // Mirror obs::drive at barrier granularity.
-        let installed = obs::snapshot();
-        let mut samples: Vec<MetricsSample> = Vec::new();
+        // Mirror obs::drive_with at barrier granularity.
         let mut hooks: ParallelHooks<'_, PoolShard<'_>> = ParallelHooks {
+            stall_window: DEFAULT_STALL_WINDOW,
             on_stall: Some(Box::new(obs::report_stall)),
             ..ParallelHooks::default()
         };
-        match installed {
-            None => hooks.stall_window = obs::DEFAULT_STALL_WINDOW,
-            Some((ocfg, index)) => {
-                hooks.stall_window = ocfg.stall_window;
-                if ocfg.metrics_every > 0 {
-                    hooks.sample_every = ocfg.metrics_every;
-                    let samples = &mut samples;
-                    hooks.on_sample =
-                        Some(Box::new(move |now: Cycle, shards: &[PoolShard<'_>]| {
-                            let mut acc = GaugeAcc::default();
-                            let mut staged = 0usize;
-                            for sh in shards {
-                                sh.node.accumulate_gauges(&mut acc);
-                                staged += sh.inbox.len();
-                            }
-                            let mut values = Vec::new();
-                            acc.push_into(staged, &mut values);
-                            let events: u64 =
-                                shards.iter().map(|sh| sh.node.progress_counter()).sum();
-                            values.push(("events".to_owned(), events as f64));
-                            samples.push(MetricsSample {
-                                run: index,
-                                cycle: now.as_u64(),
-                                values,
-                            });
-                        }));
-                }
-                if ocfg.progress_every > 0 {
-                    hooks.progress_every = ocfg.progress_every;
-                    hooks.on_progress =
-                        Some(Box::new(move |p: &Progress| obs::print_progress(index, p)));
-                }
+        if let Some(sampler) = sampler {
+            let ocfg = sampler.cfg;
+            let index = sampler.runs;
+            sampler.runs += 1;
+            hooks.stall_window = ocfg.stall_window;
+            if ocfg.metrics_every > 0 {
+                hooks.sample_every = ocfg.metrics_every;
+                let series = &mut sampler.series;
+                hooks.on_sample = Some(Box::new(move |now: Cycle, shards: &[PoolShard<'_>]| {
+                    let mut acc = GaugeAcc::default();
+                    let mut staged = 0usize;
+                    for sh in shards {
+                        sh.node.accumulate_gauges(&mut acc);
+                        staged += sh.inbox.len();
+                    }
+                    let mut values = Vec::new();
+                    acc.push_into(staged, &mut values);
+                    let events: u64 = shards.iter().map(|sh| sh.node.progress_counter()).sum();
+                    values.push(("events".to_owned(), events as f64));
+                    series.push(MetricsSample {
+                        run: index,
+                        cycle: now.as_u64(),
+                        values,
+                    });
+                }));
+            }
+            if ocfg.progress_every > 0 {
+                hooks.progress_every = ocfg.progress_every;
+                hooks.on_progress =
+                    Some(Box::new(move |p: &Progress| obs::print_progress(index, p)));
             }
         }
 
-        let outcome = engine.run_instrumented(&mut shards, &mut hub, &mut hooks);
+        let outcome = engine.run_instrumented(&mut shards, &mut hub, &mut hooks, obs);
         drop(hooks);
 
         self.switches = shards.into_iter().map(|s| s.node).collect();
         self.maps = maps;
         self.remap = remap;
-        if installed.is_some() {
-            obs::commit(samples);
-        }
-        self.finished_at = outcome.finished_at();
-        self.clock = self.finished_at;
-        self.collect()
+        outcome
     }
 }
 
@@ -391,6 +391,7 @@ mod tests {
     use super::*;
     use crate::config::{BeaconVariant, Optimizations};
     use crate::mmf::{build_layout, LayoutSpec};
+    use beacon_accel::result::RunResult;
     use beacon_genomics::genome::{Genome, GenomeId};
     use beacon_genomics::prelude::FmIndex;
     use beacon_genomics::reads::ReadSampler;
@@ -417,15 +418,23 @@ mod tests {
         sys
     }
 
+    /// Runs `sys` on the epoch engine, even at one thread.
+    fn run_epochs(mut sys: BeaconSystem, threads: usize) -> RunResult {
+        let run = RunOptions {
+            threads,
+            ..RunOptions::default()
+        };
+        let outcome = sys.run_parallel(run, &mut Observer::default(), None);
+        sys.finished_at = outcome.finished_at();
+        sys.collect()
+    }
+
     #[test]
     fn parallel_matches_sequential_bit_for_bit() {
         let (traces, bytes) = fm_workload(16);
         let reference = build(BeaconVariant::D, &traces, bytes).run();
         for threads in [1, 2, 4] {
-            let got = build(BeaconVariant::D, &traces, bytes).run_parallel(RunOptions {
-                threads,
-                ..RunOptions::default()
-            });
+            let got = run_epochs(build(BeaconVariant::D, &traces, bytes), threads);
             assert_eq!(
                 got.digest(),
                 reference.digest(),
@@ -439,10 +448,7 @@ mod tests {
     fn parallel_matches_on_switch_logic_variant() {
         let (traces, bytes) = fm_workload(12);
         let reference = build(BeaconVariant::S, &traces, bytes).run();
-        let got = build(BeaconVariant::S, &traces, bytes).run_parallel(RunOptions {
-            threads: 4,
-            ..RunOptions::default()
-        });
+        let got = run_epochs(build(BeaconVariant::S, &traces, bytes), 4);
         assert_eq!(
             got.digest(),
             reference.digest(),
@@ -459,7 +465,7 @@ mod tests {
             threads: 2,
             ..RunOptions::default()
         };
-        let got = build(BeaconVariant::D, &traces, bytes).run_with(two);
+        let got = build(BeaconVariant::D, &traces, bytes).run_with(two, &mut Observer::default());
         assert_eq!(got.digest(), reference.digest());
     }
 

@@ -393,6 +393,7 @@ mod tests {
     use beacon_genomics::reads::ReadSampler;
     use beacon_genomics::trace::{AppKind, Region, TaskTrace};
     use beacon_sim::engine::RunOptions;
+    use beacon_sim::observer::Observer;
 
     fn workload(n: usize) -> (Vec<TaskTrace>, u64) {
         let g = Genome::synthetic(GenomeId::Pt, 3000, 5);
@@ -455,7 +456,10 @@ mod tests {
         let golden = build(BeaconVariant::S).run();
         let mut sys = build(BeaconVariant::S);
         let run = RunOptions::default();
-        assert!(!sys.run_to(golden.cycles / 2, run), "should pause mid-run");
+        assert!(
+            !sys.run_to(golden.cycles / 2, run, &mut Observer::default()),
+            "should pause mid-run"
+        );
         let bytes = sys.snapshot();
         let mut resumed = BeaconSystem::resume(&bytes).unwrap();
         let got = resumed.run();

@@ -27,7 +27,10 @@ use std::fmt::Write as _;
 use beacon_sim::component::{Probe, Tick};
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::engine::{Engine, RunOptions, RunOutcome};
-use beacon_sim::journey::{self, ComponentUtil, Phase, QueueAcc, QueueStat};
+use beacon_sim::journey::{
+    Attribution, ComponentUtil, JourneyRecorder, Phase, QueueAcc, QueueStat,
+};
+use beacon_sim::observer::{Observed, Observer};
 use beacon_sim::stats::Stats;
 
 use beacon_accel::result::RunResult;
@@ -141,12 +144,13 @@ impl BeaconSystem {
         &self.cfg
     }
 
-    /// Submits a task to compute module `module`.
-    pub fn submit_to(&mut self, module: usize, trace: TaskTrace) {
+    /// Submits a task to compute module `module`, tracing the submission
+    /// into `obs`.
+    pub fn submit_to(&mut self, module: usize, trace: TaskTrace, obs: &mut Observer) {
         match self.cfg.variant {
             BeaconVariant::D => {
                 let per_switch = self.cfg.cxlg_per_switch as usize;
-                self.switches[module / per_switch].submit_to_slot(module % per_switch, trace);
+                self.switches[module / per_switch].submit_to_slot(module % per_switch, trace, obs);
             }
             BeaconVariant::S => {
                 self.switches[module]
@@ -154,48 +158,70 @@ impl BeaconSystem {
                     .engine
                     .as_mut()
                     .expect("S has logic engines")
-                    .submit_for_app(trace);
+                    .submit_for_app(trace, obs);
             }
         }
     }
 
     /// Distributes tasks round-robin over the compute modules (the host's
-    /// task dispatch through the framework interface).
+    /// task dispatch through the framework interface), unobserved.
     pub fn submit_round_robin<I: IntoIterator<Item = TaskTrace>>(&mut self, traces: I) {
+        self.submit_observed(traces, &mut Observer::default());
+    }
+
+    /// [`BeaconSystem::submit_round_robin`] tracing each submission into
+    /// `obs`.
+    pub fn submit_observed<I: IntoIterator<Item = TaskTrace>>(
+        &mut self,
+        traces: I,
+        obs: &mut Observer,
+    ) {
         let n = self.cfg.compute_modules() as usize;
         for (i, t) in traces.into_iter().enumerate() {
-            self.submit_to(i % n, t);
+            self.submit_to(i % n, t, obs);
         }
     }
 
     /// Runs until the workload drains and returns the measurements, on
-    /// the production configuration ([`RunOptions::default`]).
+    /// the production configuration ([`RunOptions::default`]) and
+    /// unobserved.
     ///
     /// # Panics
     /// Panics when the model deadlocks (cycle limit / stall).
     pub fn run(&mut self) -> RunResult {
-        self.run_with(RunOptions::default())
+        self.run_with(RunOptions::default(), &mut Observer::default())
     }
 
     /// Runs until the workload drains under `run` and returns the
-    /// measurements — bit-identical for every option value. More than
-    /// one thread routes through the epoch-parallel engine; one thread
-    /// is the sequential reference.
+    /// measurements — bit-identical for every option value and every
+    /// observer. More than one thread routes through the epoch-parallel
+    /// engine; one thread is the sequential reference. Trace events,
+    /// journeys and metrics go to `obs`; with a journey recorder the
+    /// result carries its attribution report.
     ///
     /// # Panics
     /// Panics when `run.threads` is zero or the model deadlocks (cycle
     /// limit / stall).
-    pub fn run_with(&mut self, run: RunOptions) -> RunResult {
+    pub fn run_with(&mut self, run: RunOptions, obs: &mut Observer) -> RunResult {
         assert!(run.threads > 0, "need at least one thread");
-        if run.threads > 1 {
-            return self.run_parallel(run);
-        }
-        self.arm();
-        let mut engine = Engine::starting_at(self.clock).with_skip(run.skip);
-        let outcome = crate::obs::drive(&mut engine, self);
+        self.arm(obs);
+        // The sampler is driven beside the ticks, which take the rest of
+        // the observer.
+        let mut sampler = obs.metrics.take();
+        let outcome = if run.threads > 1 {
+            self.run_parallel(run, obs, sampler.as_mut())
+        } else {
+            let mut engine = Engine::starting_at(self.clock).with_skip(run.skip);
+            let mut model = Observed::new(&mut *self, &mut *obs);
+            match sampler.as_mut() {
+                Some(s) => crate::obs::drive_with(&mut engine, &mut model, s),
+                None => crate::obs::drive(&mut engine, &mut model),
+            }
+        };
+        obs.metrics = sampler;
         self.finished_at = outcome.finished_at();
         self.clock = self.finished_at;
-        self.collect()
+        self.collect_with(obs.journey.as_ref())
     }
 
     /// Runs the sequential engine up to cycle `to` (an epoch boundary
@@ -205,13 +231,13 @@ impl BeaconSystem {
     /// pause is bit-identical to an uninterrupted run passing through
     /// `to`, so [`BeaconSystem::snapshot`] here captures
     /// a resumable checkpoint; calling [`BeaconSystem::run`] afterwards
-    /// continues to completion.
-    pub fn run_to(&mut self, to: u64, run: RunOptions) -> bool {
-        self.arm();
+    /// continues to completion. Trace events and journeys go to `obs`.
+    pub fn run_to(&mut self, to: u64, run: RunOptions, obs: &mut Observer) -> bool {
+        self.arm(obs);
         let mut engine = Engine::starting_at(self.clock)
             .with_limit(to)
             .with_skip(run.skip);
-        let outcome = engine.run(self);
+        let outcome = engine.run(&mut Observed::new(&mut *self, obs));
         self.clock = engine.now();
         match outcome {
             RunOutcome::Drained { finished_at } => {
@@ -228,18 +254,24 @@ impl BeaconSystem {
         self.clock
     }
 
-    /// Run entry: re-arms the per-switch sampling gates from the
-    /// installed recorder (attribution may have been installed or
-    /// swapped after this system was built).
-    pub(crate) fn arm(&mut self) {
-        let gate = journey::gate();
+    /// Run entry: arms the per-switch sampling gates from the run's
+    /// journey recorder, or disarms them when it has none.
+    pub(crate) fn arm(&mut self, obs: &Observer) {
+        let gate = obs.journey.as_ref().map(JourneyRecorder::gate);
         for sw in &mut self.switches {
             sw.jgate = gate;
         }
     }
 
-    /// Assembles the measurement bundle after a run.
+    /// Assembles the measurement bundle after a run, without an
+    /// attribution report.
     pub fn collect(&self) -> RunResult {
+        self.collect_with(None)
+    }
+
+    /// Assembles the measurement bundle after a run; with `journey`, the
+    /// run's recorder, it carries the attribution report.
+    pub(crate) fn collect_with(&self, journey: Option<&JourneyRecorder>) -> RunResult {
         let mut dram = Stats::new();
         let mut comm = Stats::new();
         let mut eng = Stats::new();
@@ -295,7 +327,7 @@ impl BeaconSystem {
                 remap_cost_cycles: plan.map_or(0, |r| r.remap_cost_cycles),
             }
         });
-        let attribution = journey::snapshot().map(|rec| self.build_attribution(&rec));
+        let attribution = journey.map(|rec| self.build_attribution(rec));
         let geometry = self.cfg.geometry;
         RunResult {
             cycles: self.finished_at.as_u64(),
@@ -316,10 +348,7 @@ impl BeaconSystem {
     /// aggregates in `rec` plus component state: utilization rows from
     /// busy-cycle counters and queue rows from the plain (never
     /// digested) depth accumulators.
-    fn build_attribution(
-        &self,
-        rec: &beacon_sim::journey::JourneyRecorder,
-    ) -> beacon_sim::journey::Attribution {
+    fn build_attribution(&self, rec: &JourneyRecorder) -> Attribution {
         let mut attr = rec.attribution();
         // The hot-path sampling decisions count into the per-switch
         // run-local gates, not the recorder; fold their tallies in.
@@ -341,11 +370,12 @@ impl BeaconSystem {
         push_q(&mut attr.queues, "host.stage".to_owned(), &self.q_host);
         for sw in &self.switches {
             let i = sw.index;
-            let fab_stats = sw.fabric.merged_stats();
+            // Bus bytes are the switch's own counter, not a link's.
+            let bus_bytes = sw.fabric.stats().get("switch.bus_bytes");
             let bus_bpc = sw.fabric.config().bus_bytes_per_cycle;
             attr.utilization.push(ComponentUtil {
                 component: format!("sw{i}.bus"),
-                busy_cycles: (fab_stats.get("switch.bus_bytes") as f64 / bus_bpc).ceil() as u64,
+                busy_cycles: (bus_bytes as f64 / bus_bpc).ceil() as u64,
                 total_cycles: total,
                 blocked_events: 0,
             });
@@ -371,7 +401,7 @@ impl BeaconSystem {
                 push_q(
                     &mut attr.queues,
                     format!("sw{i}.dimm{slot}.backlog"),
-                    &sw.q_backlog[slot],
+                    &d.q_backlog,
                 );
                 if let Some(c) = &d.compute {
                     attr.utilization.push(ComponentUtil {
@@ -410,17 +440,20 @@ impl BeaconSystem {
 
     // ----- host root complex -------------------------------------------
 
-    pub(crate) fn pump_host(&mut self, now: Cycle) {
+    pub(crate) fn pump_host(&mut self, now: Cycle, obs: &mut Observer) {
         for s in 0..self.switches.len() {
-            while let Some(mut bundle) = self.switches[s].fabric.endpoint_recv(Switch::UPLINK, now)
+            while let Some(mut bundle) =
+                self.switches[s]
+                    .fabric
+                    .endpoint_recv(Switch::UPLINK, now, obs)
             {
-                if journey::active() {
+                if let Some(j) = &mut obs.journey {
                     // Everything accrued on the uplink is charged to
                     // `Link` here; residency in the host stage becomes
                     // `HostForward` (closed by the next downlink send).
                     for m in &mut bundle.messages {
                         if let Some(stamp) = &mut m.jny {
-                            journey::hop(stamp, now, Phase::HostForward);
+                            j.hop(stamp, now, Phase::HostForward);
                         }
                     }
                 }
@@ -452,7 +485,7 @@ impl BeaconSystem {
                 .expect("pool destinations only") as usize;
             match self.switches[dst_switch]
                 .fabric
-                .endpoint_send(Switch::UPLINK, bundle, now)
+                .endpoint_send(Switch::UPLINK, bundle, now, obs)
             {
                 Ok(()) => {}
                 Err(e) => rest.push_back((ready, e.into_bundle())),
@@ -462,7 +495,7 @@ impl BeaconSystem {
             self.host_stage.push_front(entry);
         }
         self.host_scratch = rest;
-        if journey::active() {
+        if obs.journey.is_some() {
             self.q_host.observe_if_changed(self.host_stage.len(), now);
         }
     }
@@ -487,7 +520,11 @@ impl BeaconSystem {
 
 impl Tick for BeaconSystem {
     fn tick(&mut self, now: Cycle) {
-        self.pump_host(now);
+        self.tick_observed(now, &mut Observer::default());
+    }
+
+    fn tick_observed(&mut self, now: Cycle, obs: &mut Observer) {
+        self.pump_host(now, obs);
         let ctx = SysCtx {
             cfg: &self.cfg,
             maps: &self.maps,
@@ -495,7 +532,7 @@ impl Tick for BeaconSystem {
             remap: self.remap.as_deref(),
         };
         for sw in &mut self.switches {
-            sw.tick_cycle(ctx, now);
+            sw.tick_cycle(ctx, now, obs);
         }
     }
 

@@ -19,12 +19,13 @@
 //! use beacon_sim::prelude::*;
 //!
 //! let mut link = Link::new(LinkParams::cxl_x8());
+//! let mut obs = Observer::default(); // records nothing
 //! let msg = Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(0, 1), 32, 7);
-//! link.try_send(Bundle::single(msg), Cycle::ZERO).unwrap();
+//! link.try_send(Bundle::single(msg), Cycle::ZERO, &mut obs).unwrap();
 //! // After serialisation + propagation the bundle pops out.
 //! let mut t = Cycle::ZERO;
 //! loop {
-//!     if let Some(b) = link.deliver(t) { assert_eq!(b.messages[0].tag, 7); break; }
+//!     if let Some(b) = link.deliver(t, &mut obs) { assert_eq!(b.messages[0].tag, 7); break; }
 //!     t = t.next();
 //! }
 //! ```

@@ -9,10 +9,11 @@ use std::collections::VecDeque;
 
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::faults::FaultStream;
-use beacon_sim::journey::{self, Phase};
+use beacon_sim::journey::Phase;
+use beacon_sim::observer::Observer;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{StatId, Stats};
-use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
+use beacon_sim::trace::{TraceCategory, TraceEvent, TraceLevel};
 
 use crate::bundle::Bundle;
 use crate::params::LinkParams;
@@ -168,21 +169,26 @@ impl Link {
     }
 
     /// Sends a bundle; it will be delivered after serialisation and
-    /// propagation.
+    /// propagation. Trace events and journey hops go to `obs`.
     ///
     /// # Errors
     /// Hands the bundle back when the queue is full
     /// ([`SendError::Backpressure`]) or the link is in a down window
     /// ([`SendError::Down`]).
-    pub fn try_send(&mut self, bundle: Bundle, now: Cycle) -> Result<(), SendError> {
+    pub fn try_send(
+        &mut self,
+        bundle: Bundle,
+        now: Cycle,
+        obs: &mut Observer,
+    ) -> Result<(), SendError> {
         if self.is_down(now) {
             self.stats.incr("ras.link_down_rejects");
             return Err(SendError::Down(bundle));
         }
         if self.in_flight.len() >= self.params.queue_depth {
             self.stats.incr("cxl.backpressure");
-            if trace::enabled(TraceLevel::Flit) {
-                trace::emit(
+            if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+                tr.record(
                     self.track(),
                     TraceEvent::instant(
                         now.as_u64(),
@@ -228,8 +234,8 @@ impl Link {
         self.stats
             .add_id(ids.useful_bytes, bundle.useful_bytes() as u64);
 
-        if trace::enabled(TraceLevel::Flit) {
-            trace::emit(
+        if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+            tr.record(
                 self.track(),
                 TraceEvent::span(
                     now.as_u64(),
@@ -243,12 +249,12 @@ impl Link {
         }
 
         let mut bundle = bundle;
-        if journey::active() {
+        if let Some(j) = &mut obs.journey {
             // Charge everything accrued since the last transition (packer
             // residency, staging) to the previous phase and open `Link`.
             for msg in &mut bundle.messages {
                 if let Some(stamp) = &mut msg.jny {
-                    journey::hop(stamp, now, Phase::Link);
+                    j.hop(stamp, now, Phase::Link);
                 }
             }
         }
@@ -256,14 +262,15 @@ impl Link {
         Ok(())
     }
 
-    /// Pops the next bundle that has arrived by `now`, if any.
-    pub fn deliver(&mut self, now: Cycle) -> Option<Bundle> {
+    /// Pops the next bundle that has arrived by `now`, if any, tracing
+    /// the receive into `obs`.
+    pub fn deliver(&mut self, now: Cycle, obs: &mut Observer) -> Option<Bundle> {
         match self.in_flight.front() {
             Some((at, _)) if *at <= now => {
                 let bundle = self.in_flight.pop_front().map(|(_, b)| b);
                 if let Some(b) = &bundle {
-                    if trace::enabled(TraceLevel::Flit) {
-                        trace::emit(
+                    if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+                        tr.record(
                             self.track(),
                             TraceEvent::instant(
                                 now.as_u64(),
@@ -288,12 +295,16 @@ impl Link {
     /// shard draining its egress once per simulated cycle calls this
     /// with `horizon == now + 1`, observing exactly the bundles (and the
     /// `cxl.recv` trace stamps) a per-cycle [`Link::deliver`] loop would.
-    pub fn deliver_before(&mut self, horizon: Cycle) -> Option<(Cycle, Bundle)> {
+    pub fn deliver_before(
+        &mut self,
+        horizon: Cycle,
+        obs: &mut Observer,
+    ) -> Option<(Cycle, Bundle)> {
         match self.in_flight.front() {
             Some((at, _)) if *at < horizon => {
                 let (at, bundle) = self.in_flight.pop_front().expect("checked front");
-                if trace::enabled(TraceLevel::Flit) {
-                    trace::emit(
+                if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+                    tr.record(
                         self.track(),
                         TraceEvent::instant(
                             at.as_u64(),
@@ -395,6 +406,7 @@ mod tests {
 
     #[test]
     fn delivery_after_serialization_and_latency() {
+        let mut obs = Observer::default();
         let p = LinkParams {
             bytes_per_cycle: 64.0,
             latency_cycles: 10,
@@ -402,16 +414,17 @@ mod tests {
             slot_bytes: 16,
         };
         let mut l = Link::new(p);
-        l.try_send(Bundle::single(resp(32, 1)), Cycle::ZERO)
+        l.try_send(Bundle::single(resp(32, 1)), Cycle::ZERO, &mut obs)
             .unwrap();
         // 36 B useful -> 48 B wire / 64 Bpc -> 1 cycle + 10 latency = 11.
-        assert!(l.deliver(Cycle::new(10)).is_none());
-        assert!(l.deliver(Cycle::new(11)).is_some());
+        assert!(l.deliver(Cycle::new(10), &mut obs).is_none());
+        assert!(l.deliver(Cycle::new(11), &mut obs).is_some());
         assert!(l.is_idle());
     }
 
     #[test]
     fn bandwidth_serialises_back_to_back() {
+        let mut obs = Observer::default();
         let p = LinkParams {
             bytes_per_cycle: 32.0, // 2 cycles per flit
             latency_cycles: 0,
@@ -420,19 +433,20 @@ mod tests {
         };
         let mut l = Link::new(p);
         for i in 0..3 {
-            l.try_send(Bundle::single(resp(32, i)), Cycle::ZERO)
+            l.try_send(Bundle::single(resp(32, i)), Cycle::ZERO, &mut obs)
                 .unwrap();
         }
         // 48 B wire each at 32 Bpc: arrivals at 1.5, 3, 4.5 -> 2, 3, 5.
-        assert!(l.deliver(Cycle::new(1)).is_none());
-        assert!(l.deliver(Cycle::new(2)).is_some());
-        assert!(l.deliver(Cycle::new(3)).is_some());
-        assert!(l.deliver(Cycle::new(4)).is_none());
-        assert!(l.deliver(Cycle::new(5)).is_some());
+        assert!(l.deliver(Cycle::new(1), &mut obs).is_none());
+        assert!(l.deliver(Cycle::new(2), &mut obs).is_some());
+        assert!(l.deliver(Cycle::new(3), &mut obs).is_some());
+        assert!(l.deliver(Cycle::new(4), &mut obs).is_none());
+        assert!(l.deliver(Cycle::new(5), &mut obs).is_some());
     }
 
     #[test]
     fn queue_full_backpressures() {
+        let mut obs = Observer::default();
         let p = LinkParams {
             bytes_per_cycle: 1.0,
             latency_cycles: 0,
@@ -440,11 +454,11 @@ mod tests {
             slot_bytes: 16,
         };
         let mut l = Link::new(p);
-        l.try_send(Bundle::single(resp(32, 0)), Cycle::ZERO)
+        l.try_send(Bundle::single(resp(32, 0)), Cycle::ZERO, &mut obs)
             .unwrap();
-        l.try_send(Bundle::single(resp(32, 1)), Cycle::ZERO)
+        l.try_send(Bundle::single(resp(32, 1)), Cycle::ZERO, &mut obs)
             .unwrap();
-        let e = l.try_send(Bundle::single(resp(32, 2)), Cycle::ZERO);
+        let e = l.try_send(Bundle::single(resp(32, 2)), Cycle::ZERO, &mut obs);
         assert!(e.is_err());
         assert_eq!(l.stats().get("cxl.backpressure"), 1);
     }
@@ -452,7 +466,12 @@ mod tests {
     #[test]
     fn stats_track_flits_and_efficiency_inputs() {
         let mut l = Link::new(LinkParams::cxl_x8());
-        l.try_send(Bundle::single(resp(2, 0)), Cycle::ZERO).unwrap();
+        l.try_send(
+            Bundle::single(resp(2, 0)),
+            Cycle::ZERO,
+            &mut Observer::default(),
+        )
+        .unwrap();
         assert_eq!(l.stats().get("cxl.flits"), 1);
         // 6 B useful -> one 16 B slot on the wire.
         assert_eq!(l.stats().get("cxl.wire_bytes"), 16);
@@ -461,10 +480,11 @@ mod tests {
 
     #[test]
     fn ideal_link_delivers_within_one_cycle() {
+        let mut obs = Observer::default();
         let mut l = Link::new(LinkParams::ideal());
-        l.try_send(Bundle::single(resp(4096, 0)), Cycle::ZERO)
+        l.try_send(Bundle::single(resp(4096, 0)), Cycle::ZERO, &mut obs)
             .unwrap();
-        assert!(l.deliver(Cycle::new(1)).is_some());
+        assert!(l.deliver(Cycle::new(1), &mut obs).is_some());
     }
 
     #[test]
@@ -479,17 +499,25 @@ mod tests {
         let mut a = Link::new(p);
         let mut b = Link::new(p);
         for i in 0..3 {
-            a.try_send(Bundle::single(resp(32, i)), Cycle::ZERO)
-                .unwrap();
-            b.try_send(Bundle::single(resp(32, i)), Cycle::ZERO)
-                .unwrap();
+            a.try_send(
+                Bundle::single(resp(32, i)),
+                Cycle::ZERO,
+                &mut Observer::default(),
+            )
+            .unwrap();
+            b.try_send(
+                Bundle::single(resp(32, i)),
+                Cycle::ZERO,
+                &mut Observer::default(),
+            )
+            .unwrap();
         }
-        // Per-cycle deliver() on `a` vs deliver_before(now + 1) on `b`
+        // Per-cycle deliver(&mut Observer::default()) on `a` vs deliver_before(now + 1, &mut Observer::default()) on `b`
         // must observe the same bundles at the same cycles.
         for now in 0..8u64 {
             let now = Cycle::new(now);
-            let via_deliver = a.deliver(now);
-            let via_before = b.deliver_before(now.next());
+            let via_deliver = a.deliver(now, &mut Observer::default());
+            let via_before = b.deliver_before(now.next(), &mut Observer::default());
             match (via_deliver, via_before) {
                 (None, None) => {}
                 (Some(x), Some((at, y))) => {
@@ -504,6 +532,7 @@ mod tests {
 
     #[test]
     fn deliver_before_excludes_the_horizon_cycle() {
+        let mut obs = Observer::default();
         let p = LinkParams {
             bytes_per_cycle: 64.0,
             latency_cycles: 10,
@@ -511,16 +540,17 @@ mod tests {
             slot_bytes: 16,
         };
         let mut l = Link::new(p);
-        l.try_send(Bundle::single(resp(32, 1)), Cycle::ZERO)
+        l.try_send(Bundle::single(resp(32, 1)), Cycle::ZERO, &mut obs)
             .unwrap();
         // Arrives at cycle 11: a horizon of 11 must not surface it.
-        assert!(l.deliver_before(Cycle::new(11)).is_none());
-        let (at, _) = l.deliver_before(Cycle::new(12)).expect("arrived");
+        assert!(l.deliver_before(Cycle::new(11), &mut obs).is_none());
+        let (at, _) = l.deliver_before(Cycle::new(12), &mut obs).expect("arrived");
         assert_eq!(at, Cycle::new(11));
     }
 
     #[test]
     fn backpressure_and_down_are_distinguishable() {
+        let mut obs = Observer::default();
         let p = LinkParams {
             bytes_per_cycle: 1.0,
             latency_cycles: 0,
@@ -528,9 +558,9 @@ mod tests {
             slot_bytes: 16,
         };
         let mut l = Link::new(p);
-        l.try_send(Bundle::single(resp(32, 0)), Cycle::ZERO)
+        l.try_send(Bundle::single(resp(32, 0)), Cycle::ZERO, &mut obs)
             .unwrap();
-        match l.try_send(Bundle::single(resp(32, 1)), Cycle::ZERO) {
+        match l.try_send(Bundle::single(resp(32, 1)), Cycle::ZERO, &mut obs) {
             Err(SendError::Backpressure(b)) => assert_eq!(b.messages.len(), 1),
             other => panic!("expected backpressure, got {other:?}"),
         }
@@ -539,7 +569,7 @@ mod tests {
         d.set_down_until(Cycle::new(10));
         assert!(d.is_down(Cycle::new(9)));
         assert!(!d.can_send(Cycle::new(9)));
-        match d.try_send(Bundle::single(resp(32, 2)), Cycle::new(5)) {
+        match d.try_send(Bundle::single(resp(32, 2)), Cycle::new(5), &mut obs) {
             Err(SendError::Down(b)) => assert_eq!(b.messages.len(), 1),
             other => panic!("expected down, got {other:?}"),
         }
@@ -547,12 +577,13 @@ mod tests {
         // The window ends: sends flow again.
         assert!(!d.is_down(Cycle::new(10)));
         assert!(d
-            .try_send(Bundle::single(resp(32, 3)), Cycle::new(10))
+            .try_send(Bundle::single(resp(32, 3)), Cycle::new(10), &mut obs)
             .is_ok());
     }
 
     #[test]
     fn crc_error_retries_cost_cycles_and_wire_bytes() {
+        let mut obs = Observer::default();
         let p = LinkParams {
             bytes_per_cycle: 64.0,
             latency_cycles: 10,
@@ -564,16 +595,16 @@ mod tests {
         faulty.set_crc_faults(beacon_sim::faults::FaultStream::one_shot(Cycle::ZERO));
 
         clean
-            .try_send(Bundle::single(resp(32, 1)), Cycle::ZERO)
+            .try_send(Bundle::single(resp(32, 1)), Cycle::ZERO, &mut obs)
             .unwrap();
         faulty
-            .try_send(Bundle::single(resp(32, 1)), Cycle::ZERO)
+            .try_send(Bundle::single(resp(32, 1)), Cycle::ZERO, &mut obs)
             .unwrap();
         // Clean arrival at 11; the retry re-serialises (1 cycle) plus a
         // 1-cycle backoff, so the faulty copy lands strictly later.
-        assert!(clean.deliver(Cycle::new(11)).is_some());
-        assert!(faulty.deliver(Cycle::new(11)).is_none());
-        assert!(faulty.deliver(Cycle::new(13)).is_some());
+        assert!(clean.deliver(Cycle::new(11), &mut obs).is_some());
+        assert!(faulty.deliver(Cycle::new(11), &mut obs).is_none());
+        assert!(faulty.deliver(Cycle::new(13), &mut obs).is_some());
         assert_eq!(faulty.stats().get("ras.crc_errors"), 1);
         assert!(faulty.stats().get("ras.retry_cycles") >= 2);
         // Retransmitted flits burn wire energy.
@@ -587,12 +618,13 @@ mod tests {
 
     #[test]
     fn empty_crc_stream_is_a_no_op() {
+        let mut obs = Observer::default();
         let mut a = Link::new(LinkParams::cxl_x8());
         let mut b = Link::new(LinkParams::cxl_x8());
         b.set_crc_faults(beacon_sim::faults::FaultStream::empty());
-        a.try_send(Bundle::single(resp(32, 0)), Cycle::ZERO)
+        a.try_send(Bundle::single(resp(32, 0)), Cycle::ZERO, &mut obs)
             .unwrap();
-        b.try_send(Bundle::single(resp(32, 0)), Cycle::ZERO)
+        b.try_send(Bundle::single(resp(32, 0)), Cycle::ZERO, &mut obs)
             .unwrap();
         assert_eq!(a.next_arrival(), b.next_arrival());
         assert_eq!(b.stats().get("ras.crc_errors"), 0);
@@ -600,6 +632,7 @@ mod tests {
 
     #[test]
     fn later_send_starts_at_now() {
+        let mut obs = Observer::default();
         let p = LinkParams {
             bytes_per_cycle: 64.0,
             latency_cycles: 0,
@@ -607,9 +640,9 @@ mod tests {
             slot_bytes: 16,
         };
         let mut l = Link::new(p);
-        l.try_send(Bundle::single(resp(32, 0)), Cycle::new(100))
+        l.try_send(Bundle::single(resp(32, 0)), Cycle::new(100), &mut obs)
             .unwrap();
-        assert!(l.deliver(Cycle::new(100)).is_none());
-        assert!(l.deliver(Cycle::new(101)).is_some());
+        assert!(l.deliver(Cycle::new(100), &mut obs).is_none());
+        assert!(l.deliver(Cycle::new(101), &mut obs).is_some());
     }
 }

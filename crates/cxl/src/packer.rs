@@ -11,9 +11,10 @@ use std::collections::VecDeque;
 
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::horizon::HorizonCache;
+use beacon_sim::observer::Observer;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::Stats;
-use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
+use beacon_sim::trace::{TraceCategory, TraceEvent, TraceLevel};
 
 use crate::bundle::Bundle;
 use crate::message::{Message, NodeId};
@@ -63,9 +64,9 @@ impl DataPacker {
         self.trace_id = Some(id.into().into_boxed_str());
     }
 
-    fn trace_flush(&self, now: Cycle, name: &'static str, msgs: u64) {
-        if trace::enabled(TraceLevel::Flit) {
-            trace::emit(
+    fn trace_flush(&self, now: Cycle, name: &'static str, msgs: u64, obs: &mut Observer) {
+        if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+            tr.record(
                 self.trace_id.as_deref().unwrap_or("packer"),
                 TraceEvent::instant(
                     now.as_u64(),
@@ -78,15 +79,15 @@ impl DataPacker {
         }
     }
 
-    /// Accepts an outbound message at `now`.
+    /// Accepts an outbound message at `now`, tracing flushes into `obs`.
     ///
     /// Messages of a full flit or more bypass buffering entirely and are
     /// emitted as their own bundle.
-    pub fn push(&mut self, msg: Message, now: Cycle) {
+    pub fn push(&mut self, msg: Message, now: Cycle, obs: &mut Observer) {
         self.horizon.invalidate();
         if msg.wire_bytes() >= FLIT_BYTES {
             self.stats.incr("packer.bypass");
-            self.trace_flush(now, "packer.bypass", 1);
+            self.trace_flush(now, "packer.bypass", 1, obs);
             self.ready.push_back(Bundle::single(msg));
             return;
         }
@@ -124,14 +125,14 @@ impl DataPacker {
                 },
             );
             self.stats.incr("packer.flush_full");
-            self.trace_flush(now, "packer.flush_full", full.msgs.len() as u64);
+            self.trace_flush(now, "packer.flush_full", full.msgs.len() as u64, obs);
             self.ready.push_back(Bundle::packed(full.msgs));
         }
     }
 
     /// Flushes destinations whose oldest message has exceeded the flush
-    /// age. Call once per cycle.
-    pub fn tick(&mut self, now: Cycle) {
+    /// age, tracing them into `obs`. Call once per cycle.
+    pub fn tick(&mut self, now: Cycle, obs: &mut Observer) {
         // O(1) early-exit: before the memoized horizon nothing can age
         // out (and nothing is ready to pop either).
         if self.next_event() > now {
@@ -162,8 +163,8 @@ impl DataPacker {
                 },
             );
             stats.incr("packer.flush_age");
-            if trace::enabled(TraceLevel::Flit) {
-                trace::emit(
+            if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+                tr.record(
                     trace_id.as_deref().unwrap_or("packer"),
                     TraceEvent::instant(
                         now.as_u64(),
@@ -336,13 +337,14 @@ mod tests {
 
     #[test]
     fn fills_one_flit_then_emits() {
+        let mut obs = Observer::default();
         let mut p = DataPacker::new(100);
         // 6 B each on the wire; 11 messages cross 64 B.
         for i in 0..10 {
-            p.push(small(1, i), Cycle::ZERO);
+            p.push(small(1, i), Cycle::ZERO, &mut obs);
             assert!(p.pop_ready().is_none());
         }
-        p.push(small(1, 10), Cycle::ZERO);
+        p.push(small(1, 10), Cycle::ZERO, &mut obs);
         let b = p.pop_ready().expect("flit filled");
         assert_eq!(b.messages.len(), 11);
         assert_eq!(b.flits(), 2); // 66 B -> 2 flits (spill)
@@ -350,20 +352,22 @@ mod tests {
 
     #[test]
     fn age_flush_releases_partial_bundles() {
+        let mut obs = Observer::default();
         let mut p = DataPacker::new(8);
-        p.push(small(1, 0), Cycle::ZERO);
-        p.tick(Cycle::new(7));
+        p.push(small(1, 0), Cycle::ZERO, &mut obs);
+        p.tick(Cycle::new(7), &mut obs);
         assert!(p.pop_ready().is_none());
-        p.tick(Cycle::new(8));
+        p.tick(Cycle::new(8), &mut obs);
         let b = p.pop_ready().expect("age flush");
         assert_eq!(b.messages.len(), 1);
     }
 
     #[test]
     fn destinations_are_packed_separately() {
+        let mut obs = Observer::default();
         let mut p = DataPacker::new(100);
-        p.push(small(1, 0), Cycle::ZERO);
-        p.push(small(2, 1), Cycle::ZERO);
+        p.push(small(1, 0), Cycle::ZERO, &mut obs);
+        p.push(small(2, 1), Cycle::ZERO, &mut obs);
         p.flush_all(Cycle::ZERO);
         let a = p.pop_ready().unwrap();
         let b = p.pop_ready().unwrap();
@@ -376,7 +380,7 @@ mod tests {
         let mut p = DataPacker::new(100);
         let req = Message::read_req(NodeId::Host, NodeId::dimm(0, 1), 64, 0);
         let resp = Message::read_resp(&req);
-        p.push(resp, Cycle::ZERO);
+        p.push(resp, Cycle::ZERO, &mut Observer::default());
         assert!(p.pop_ready().is_some());
         assert_eq!(p.stats().get("packer.bypass"), 1);
     }
@@ -392,7 +396,7 @@ mod tests {
     fn packing_reduces_flits_versus_unpacked() {
         let mut p = DataPacker::new(100);
         for i in 0..8 {
-            p.push(small(1, i), Cycle::ZERO);
+            p.push(small(1, i), Cycle::ZERO, &mut Observer::default());
         }
         p.flush_all(Cycle::ZERO);
         let packed_flits: u32 = std::iter::from_fn(|| p.pop_ready())

@@ -14,10 +14,11 @@ use beacon_sim::component::Tick;
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::faults::FaultStream;
 use beacon_sim::horizon::{Backoff, HorizonCache};
-use beacon_sim::journey::{self, Phase};
+use beacon_sim::journey::Phase;
+use beacon_sim::observer::Observer;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{StatId, Stats};
-use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
+use beacon_sim::trace::{TraceCategory, TraceEvent, TraceLevel};
 
 use crate::bundle::Bundle;
 use crate::link::{Link, SendError};
@@ -238,7 +239,8 @@ impl Switch {
         1 + slot as usize
     }
 
-    /// An endpoint attached to `port` sends a bundle toward the switch.
+    /// An endpoint attached to `port` sends a bundle toward the switch,
+    /// recording into `obs`.
     ///
     /// # Errors
     /// Hands the bundle back when the port's ingress link is saturated.
@@ -247,8 +249,9 @@ impl Switch {
         port: usize,
         bundle: Bundle,
         now: Cycle,
+        obs: &mut Observer,
     ) -> Result<(), SendError> {
-        let r = self.ingress[port].try_send(bundle, now);
+        let r = self.ingress[port].try_send(bundle, now, obs);
         if r.is_ok() {
             self.horizon.invalidate();
         }
@@ -263,9 +266,10 @@ impl Switch {
         self.egress[port].next_arrival()
     }
 
-    /// The endpoint attached to `port` receives the next arrived bundle.
-    pub fn endpoint_recv(&mut self, port: usize, now: Cycle) -> Option<Bundle> {
-        let b = self.egress[port].deliver(now);
+    /// The endpoint attached to `port` receives the next arrived bundle,
+    /// tracing the receive into `obs`.
+    pub fn endpoint_recv(&mut self, port: usize, now: Cycle, obs: &mut Observer) -> Option<Bundle> {
+        let b = self.egress[port].deliver(now, obs);
         if b.is_some() {
             self.horizon.invalidate();
         }
@@ -275,18 +279,24 @@ impl Switch {
     /// Epoch-buffered receive: pops the next bundle that arrived at
     /// `port` strictly before `horizon`, with its exact arrival cycle
     /// (see [`Link::deliver_before`]).
-    pub fn endpoint_recv_before(&mut self, port: usize, horizon: Cycle) -> Option<(Cycle, Bundle)> {
-        let b = self.egress[port].deliver_before(horizon);
+    pub fn endpoint_recv_before(
+        &mut self,
+        port: usize,
+        horizon: Cycle,
+        obs: &mut Observer,
+    ) -> Option<(Cycle, Bundle)> {
+        let b = self.egress[port].deliver_before(horizon, obs);
         if b.is_some() {
             self.horizon.invalidate();
         }
         b
     }
 
-    /// The in-switch logic injects a bundle onto the switch-bus.
-    pub fn logic_send(&mut self, bundle: Bundle, now: Cycle) {
+    /// The in-switch logic injects a bundle onto the switch-bus,
+    /// recording into `obs`.
+    pub fn logic_send(&mut self, bundle: Bundle, now: Cycle, obs: &mut Observer) {
         let target = self.route(&bundle);
-        self.stage(target, bundle, now);
+        self.stage(target, bundle, now, obs);
         self.horizon.invalidate();
     }
 
@@ -383,13 +393,13 @@ impl Switch {
         }
     }
 
-    fn stage(&mut self, target: RouteTarget, mut bundle: Bundle, now: Cycle) {
-        if journey::active() {
+    fn stage(&mut self, target: RouteTarget, mut bundle: Bundle, now: Cycle, obs: &mut Observer) {
+        if let Some(j) = &mut obs.journey {
             // The link hop ends here: whatever accrues until the egress
             // link accepts the bundle is switch residency (bus + queue).
             for msg in &mut bundle.messages {
                 if let Some(stamp) = &mut msg.jny {
-                    journey::hop(stamp, now, Phase::SwitchQueue);
+                    j.hop(stamp, now, Phase::SwitchQueue);
                 }
             }
         }
@@ -402,8 +412,8 @@ impl Switch {
             Cycle::new((start + ser).ceil() as u64) + Duration::new(self.cfg.forward_latency);
         self.stats.incr_id(self.fwd_id);
         self.stats.add_id(self.bus_bytes_id, wire as u64);
-        if trace::enabled(TraceLevel::Flit) {
-            trace::emit(
+        if let Some(tr) = obs.trace_at(TraceLevel::Flit) {
+            tr.record(
                 &self.track,
                 TraceEvent::span(
                     now.as_u64(),
@@ -464,7 +474,7 @@ impl Switch {
         h
     }
 
-    fn pump_staged(&mut self, now: Cycle) -> bool {
+    fn pump_staged(&mut self, now: Cycle, obs: &mut Observer) -> bool {
         // Try to move ready staged bundles onto their egress links; retry
         // on back-pressure, preserving per-target order (head-of-line
         // blocking is intentional — it is a real switch-bus effect).
@@ -483,7 +493,7 @@ impl Switch {
                     self.logic_inbox.push_back(bundle);
                     moved = true;
                 }
-                RouteTarget::Port(p) => match self.egress[p].try_send(bundle, now) {
+                RouteTarget::Port(p) => match self.egress[p].try_send(bundle, now, obs) {
                     Ok(()) => moved = true,
                     Err(e) => self.pump_scratch.push((ready, target, e.into_bundle())),
                 },
@@ -614,6 +624,10 @@ impl Restore for Switch {
 
 impl Tick for Switch {
     fn tick(&mut self, now: Cycle) {
+        self.tick_observed(now, &mut Observer::default());
+    }
+
+    fn tick_observed(&mut self, now: Cycle, obs: &mut Observer) {
         // Tick gate: the memoized horizon covers every contributor below
         // (flap stamps, ingress/egress arrivals, staged ready cycles,
         // logic inbox), so beyond it this tick is provably a state no-op.
@@ -631,13 +645,13 @@ impl Tick for Switch {
         let mut changed = self.apply_flaps(now);
         // Ingest arrived bundles from every port and route them.
         for port in 0..self.ingress.len() {
-            while let Some(bundle) = self.ingress[port].deliver(now) {
+            while let Some(bundle) = self.ingress[port].deliver(now, obs) {
                 let target = self.route(&bundle);
-                self.stage(target, bundle, now);
+                self.stage(target, bundle, now, obs);
                 changed = true;
             }
         }
-        changed |= self.pump_staged(now);
+        changed |= self.pump_staged(now, obs);
         if changed {
             self.horizon.invalidate();
         }
@@ -682,16 +696,17 @@ mod tests {
 
     #[test]
     fn dimm_to_dimm_stays_inside_switch() {
+        let mut obs = Observer::default();
         let mut sw = Switch::new(SwitchConfig::paper(0, 4));
         let msg = Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(0, 2), 32, 1);
         let port = sw.dimm_port(0);
-        sw.endpoint_send(port, Bundle::single(msg), Cycle::ZERO)
+        sw.endpoint_send(port, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
 
         let dst_port = sw.dimm_port(2);
         let at = run_until(
             &mut sw,
-            |s, now| s.endpoint_recv(dst_port, now).is_some(),
+            |s, now| s.endpoint_recv(dst_port, now, &mut obs).is_some(),
             10_000,
         );
         assert!(at.is_some());
@@ -703,8 +718,13 @@ mod tests {
         let mut sw = Switch::new(SwitchConfig::paper(3, 2));
         let msg = Message::read_req(NodeId::dimm(3, 0), NodeId::SwitchLogic(3), 32, 2);
         let port = sw.dimm_port(0);
-        sw.endpoint_send(port, Bundle::single(msg), Cycle::ZERO)
-            .unwrap();
+        sw.endpoint_send(
+            port,
+            Bundle::single(msg),
+            Cycle::ZERO,
+            &mut Observer::default(),
+        )
+        .unwrap();
         let at = run_until(&mut sw, |s, _| s.logic_inbox_len() > 0, 10_000);
         assert!(at.is_some());
         assert!(sw.logic_recv().is_some());
@@ -712,15 +732,16 @@ mod tests {
 
     #[test]
     fn foreign_destination_leaves_via_uplink() {
+        let mut obs = Observer::default();
         let mut sw = Switch::new(SwitchConfig::paper(0, 2));
         // Destination on another switch.
         let msg = Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(1, 0), 32, 3);
         let port = sw.dimm_port(0);
-        sw.endpoint_send(port, Bundle::single(msg), Cycle::ZERO)
+        sw.endpoint_send(port, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
         let at = run_until(
             &mut sw,
-            |s, now| s.endpoint_recv(Switch::UPLINK, now).is_some(),
+            |s, now| s.endpoint_recv(Switch::UPLINK, now, &mut obs).is_some(),
             10_000,
         );
         assert!(at.is_some());
@@ -728,6 +749,7 @@ mod tests {
 
     #[test]
     fn recv_before_reports_the_sequential_delivery_cycle() {
+        let mut obs = Observer::default();
         // Same traffic through two identical switches: per-cycle
         // endpoint_recv and epoch-buffered endpoint_recv_before must see
         // the bundle at the same cycle.
@@ -736,12 +758,12 @@ mod tests {
         let msg = Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(1, 0), 32, 3);
         for sw in [&mut a, &mut b] {
             let port = sw.dimm_port(0);
-            sw.endpoint_send(port, Bundle::single(msg), Cycle::ZERO)
+            sw.endpoint_send(port, Bundle::single(msg), Cycle::ZERO, &mut obs)
                 .unwrap();
         }
         let at = run_until(
             &mut a,
-            |s, now| s.endpoint_recv(Switch::UPLINK, now).is_some(),
+            |s, now| s.endpoint_recv(Switch::UPLINK, now, &mut obs).is_some(),
             10_000,
         )
         .expect("delivered");
@@ -749,7 +771,7 @@ mod tests {
         run_until(
             &mut b,
             |s, now| {
-                got = s.endpoint_recv_before(Switch::UPLINK, now.next());
+                got = s.endpoint_recv_before(Switch::UPLINK, now.next(), &mut obs);
                 got.is_some()
             },
             10_000,
@@ -761,32 +783,38 @@ mod tests {
 
     #[test]
     fn logic_send_reaches_dimm_port() {
+        let mut obs = Observer::default();
         let mut sw = Switch::new(SwitchConfig::paper(0, 2));
         let msg = Message::read_req(NodeId::SwitchLogic(0), NodeId::dimm(0, 1), 32, 4);
-        sw.logic_send(Bundle::single(msg), Cycle::ZERO);
+        sw.logic_send(Bundle::single(msg), Cycle::ZERO, &mut obs);
         let p = sw.dimm_port(1);
-        let at = run_until(&mut sw, |s, now| s.endpoint_recv(p, now).is_some(), 10_000);
+        let at = run_until(
+            &mut sw,
+            |s, now| s.endpoint_recv(p, now, &mut obs).is_some(),
+            10_000,
+        );
         assert!(at.is_some());
     }
 
     #[test]
     fn idealized_switch_is_fast() {
+        let mut obs = Observer::default();
         let mut fast = Switch::new(SwitchConfig::paper(0, 2).idealized());
         let mut slow = Switch::new(SwitchConfig::paper(0, 2));
         let msg = Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(0, 1), 32, 5);
-        fast.endpoint_send(1, Bundle::single(msg), Cycle::ZERO)
+        fast.endpoint_send(1, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
-        slow.endpoint_send(1, Bundle::single(msg), Cycle::ZERO)
+        slow.endpoint_send(1, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
         let tf = run_until(
             &mut fast,
-            |s, now| s.endpoint_recv(2, now).is_some(),
+            |s, now| s.endpoint_recv(2, now, &mut obs).is_some(),
             10_000,
         )
         .unwrap();
         let ts = run_until(
             &mut slow,
-            |s, now| s.endpoint_recv(2, now).is_some(),
+            |s, now| s.endpoint_recv(2, now, &mut obs).is_some(),
             10_000,
         )
         .unwrap();
@@ -795,13 +823,19 @@ mod tests {
 
     #[test]
     fn is_idle_after_drain() {
+        let mut obs = Observer::default();
         let mut sw = Switch::new(SwitchConfig::paper(0, 2));
         assert!(sw.is_idle());
         let msg = Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(0, 1), 32, 6);
-        sw.endpoint_send(1, Bundle::single(msg), Cycle::ZERO)
+        sw.endpoint_send(1, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
         assert!(!sw.is_idle());
-        run_until(&mut sw, |s, now| s.endpoint_recv(2, now).is_some(), 10_000).unwrap();
+        run_until(
+            &mut sw,
+            |s, now| s.endpoint_recv(2, now, &mut obs).is_some(),
+            10_000,
+        )
+        .unwrap();
         assert!(sw.is_idle());
     }
 
@@ -814,38 +848,44 @@ mod tests {
 
     #[test]
     fn atomics_to_managed_slots_divert_to_logic() {
+        let mut obs = Observer::default();
         let mut cfg = SwitchConfig::paper(0, 4);
         cfg.atomic_intercept_from = 2; // slots 2 and 3 are unmodified
         let mut sw = Switch::new(cfg);
 
         // Atomic to a managed (unmodified) slot lands in the logic inbox.
         let to_unmod = Message::atomic_req(NodeId::dimm(0, 0), NodeId::dimm(0, 3), 1, 1);
-        sw.endpoint_send(1, Bundle::single(to_unmod), Cycle::ZERO)
+        sw.endpoint_send(1, Bundle::single(to_unmod), Cycle::ZERO, &mut obs)
             .unwrap();
         let hit = run_until(&mut sw, |s, _| s.logic_inbox_len() > 0, 10_000);
         assert!(hit.is_some(), "atomic should divert to the switch logic");
 
         // Atomic to a CXLG slot (below the threshold) goes to the DIMM port.
         let to_cxlg = Message::atomic_req(NodeId::dimm(0, 0), NodeId::dimm(0, 1), 1, 2);
-        sw.endpoint_send(1, Bundle::single(to_cxlg), Cycle::ZERO)
+        sw.endpoint_send(1, Bundle::single(to_cxlg), Cycle::ZERO, &mut obs)
             .unwrap();
         let p = sw.dimm_port(1);
-        let hit = run_until(&mut sw, |s, now| s.endpoint_recv(p, now).is_some(), 10_000);
+        let hit = run_until(
+            &mut sw,
+            |s, now| s.endpoint_recv(p, now, &mut obs).is_some(),
+            10_000,
+        );
         assert!(hit.is_some(), "atomic to CXLG must reach the DIMM directly");
     }
 
     #[test]
     fn via_host_bundles_always_go_up() {
+        let mut obs = Observer::default();
         let mut sw = Switch::new(SwitchConfig::paper(0, 2));
         // Even a same-switch destination leaves via the uplink when the
         // host-bias flag is set.
         let msg =
             Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(0, 1), 32, 3).routed_via_host(true);
-        sw.endpoint_send(1, Bundle::single(msg), Cycle::ZERO)
+        sw.endpoint_send(1, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
         let hit = run_until(
             &mut sw,
-            |s, now| s.endpoint_recv(Switch::UPLINK, now).is_some(),
+            |s, now| s.endpoint_recv(Switch::UPLINK, now, &mut obs).is_some(),
             10_000,
         );
         assert!(hit.is_some());
@@ -853,6 +893,7 @@ mod tests {
 
     #[test]
     fn port_flap_holds_traffic_until_the_window_ends() {
+        let mut obs = Observer::default();
         let mut sw = Switch::new(SwitchConfig::paper(0, 2));
         let mut healthy = Switch::new(SwitchConfig::paper(0, 2));
         // Flap the destination port at cycle 0 for 500 cycles.
@@ -861,17 +902,21 @@ mod tests {
         assert_eq!(Switch::next_event(&sw), Cycle::ZERO);
 
         let msg = Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(0, 1), 32, 1);
-        sw.endpoint_send(1, Bundle::single(msg), Cycle::ZERO)
+        sw.endpoint_send(1, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
         healthy
-            .endpoint_send(1, Bundle::single(msg), Cycle::ZERO)
+            .endpoint_send(1, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
 
-        let t_flapped = run_until(&mut sw, |s, now| s.endpoint_recv(2, now).is_some(), 10_000)
-            .expect("flap must not drop the bundle");
+        let t_flapped = run_until(
+            &mut sw,
+            |s, now| s.endpoint_recv(2, now, &mut obs).is_some(),
+            10_000,
+        )
+        .expect("flap must not drop the bundle");
         let t_healthy = run_until(
             &mut healthy,
-            |s, now| s.endpoint_recv(2, now).is_some(),
+            |s, now| s.endpoint_recv(2, now, &mut obs).is_some(),
             10_000,
         )
         .unwrap();
@@ -886,11 +931,17 @@ mod tests {
 
     #[test]
     fn merged_stats_include_link_counters() {
+        let mut obs = Observer::default();
         let mut sw = Switch::new(SwitchConfig::paper(0, 2));
         let msg = Message::read_req(NodeId::dimm(0, 0), NodeId::dimm(0, 1), 32, 4);
-        sw.endpoint_send(1, Bundle::single(msg), Cycle::ZERO)
+        sw.endpoint_send(1, Bundle::single(msg), Cycle::ZERO, &mut obs)
             .unwrap();
-        run_until(&mut sw, |s, now| s.endpoint_recv(2, now).is_some(), 10_000).unwrap();
+        run_until(
+            &mut sw,
+            |s, now| s.endpoint_recv(2, now, &mut obs).is_some(),
+            10_000,
+        )
+        .unwrap();
         let stats = sw.merged_stats();
         assert!(stats.get("cxl.wire_bytes") > 0);
         assert!(stats.get("switch.forwarded") > 0);

@@ -44,10 +44,11 @@ use beacon_sim::component::Tick;
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::faults::FaultStream;
 use beacon_sim::horizon::HorizonCache;
+use beacon_sim::observer::Observer;
 use beacon_sim::queue::QueueFullError;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use beacon_sim::stats::{Histogram, StatId, Stats};
-use beacon_sim::trace::{self, TraceCategory, TraceEvent, TraceLevel};
+use beacon_sim::trace::{TraceCategory, TraceEvent, TraceLevel};
 
 use crate::address::DramCoord;
 use crate::bank::BankSoa;
@@ -1152,7 +1153,7 @@ impl Dimm {
         }
     }
 
-    fn maybe_refresh(&mut self, now: Cycle) {
+    fn maybe_refresh(&mut self, now: Cycle, obs: &mut Observer) {
         if !self.cfg.refresh_enabled {
             return;
         }
@@ -1184,8 +1185,8 @@ impl Dimm {
                 "dram.refresh_chips",
                 self.cfg.geometry.chips_per_rank as u64,
             );
-            if trace::enabled(TraceLevel::Command) {
-                trace::emit(
+            if let Some(tr) = obs.trace_at(TraceLevel::Command) {
+                tr.record(
                     self.trace_id.as_deref().unwrap_or("dram"),
                     TraceEvent::span(
                         now.as_u64(),
@@ -1452,7 +1453,7 @@ impl Dimm {
     /// data lanes and ACT windows), so no other bus's pick goes stale.
     /// The order reproduces re-choosing after every issue: the oldest
     /// remaining hit while any bus has one, then the oldest miss.
-    fn issue_frfcfs(&mut self, now: Cycle) {
+    fn issue_frfcfs(&mut self, now: Cycle, obs: &mut Observer) {
         if self.hot.is_empty() {
             return;
         }
@@ -1470,7 +1471,7 @@ impl Dimm {
             };
             let slot = *list.front().expect("picked list has a head");
             debug_assert_eq!(self.entry(slot).id, p.id, "pick is its list head");
-            self.apply_command(slot, p.kind, now);
+            self.apply_command(slot, p.kind, now, obs);
         }
         self.picks = picks;
     }
@@ -1562,7 +1563,7 @@ impl Dimm {
     /// bus, data lane and ACT-window state, the scheduling index and its
     /// hot record, the command-mix accumulators and the trace. The
     /// caller has checked that the command can issue.
-    fn apply_command(&mut self, slot: u32, kind: CmdKind, now: Cycle) {
+    fn apply_command(&mut self, slot: u32, kind: CmdKind, now: Cycle, obs: &mut Observer) {
         let t = self.cfg.timing;
         let chips_per_group = self.cfg.access_mode.chips_per_group(&self.cfg.geometry) as u64;
 
@@ -1589,8 +1590,8 @@ impl Dimm {
                 self.acc.act += 1;
                 self.acc.act_chips += chips_per_group;
                 self.acc.row_miss += 1;
-                if trace::enabled(TraceLevel::Command) {
-                    trace::emit(
+                if let Some(tr) = obs.trace_at(TraceLevel::Command) {
+                    tr.record(
                         self.trace_id.as_deref().unwrap_or("dram"),
                         TraceEvent::span(
                             now.as_u64(),
@@ -1609,8 +1610,8 @@ impl Dimm {
                 self.acc.pre += 1;
                 self.acc.pre_chips += chips_per_group;
                 self.acc.row_conflict += 1;
-                if trace::enabled(TraceLevel::Command) {
-                    trace::emit(
+                if let Some(tr) = obs.trace_at(TraceLevel::Command) {
+                    tr.record(
                         self.trace_id.as_deref().unwrap_or("dram"),
                         TraceEvent::span(
                             now.as_u64(),
@@ -1692,8 +1693,8 @@ impl Dimm {
                 }
                 self.acc.row_hit += 1;
                 self.record_chip_access(coord.rank, coord.group, chained);
-                if trace::enabled(TraceLevel::Command) {
-                    trace::emit(
+                if let Some(tr) = obs.trace_at(TraceLevel::Command) {
+                    tr.record(
                         self.trace_id.as_deref().unwrap_or("dram"),
                         TraceEvent::span(
                             now.as_u64(),
@@ -1717,10 +1718,10 @@ impl Dimm {
     /// one command slot per command bus, retirement. [`Tick::tick`]
     /// gates this behind the memoized horizon; callers that already
     /// know the cycle is live (microbenchmarks, oracles) may invoke it
-    /// directly.
-    pub fn tick_banks(&mut self, now: Cycle) {
-        self.maybe_refresh(now);
-        self.issue_frfcfs(now);
+    /// directly. Command and refresh trace events go to `obs`.
+    pub fn tick_banks(&mut self, now: Cycle, obs: &mut Observer) {
+        self.maybe_refresh(now, obs);
+        self.issue_frfcfs(now, obs);
         self.retire_finished(now);
         self.flush_cmd_stats();
     }
@@ -2099,6 +2100,10 @@ impl Restore for Dimm {
 
 impl Tick for Dimm {
     fn tick(&mut self, now: Cycle) {
+        self.tick_observed(now, &mut Observer::default());
+    }
+
+    fn tick_observed(&mut self, now: Cycle, obs: &mut Observer) {
         self.ticked_cycles = now.as_u64() + 1;
         #[cfg(feature = "tick-audit")]
         {
@@ -2118,7 +2123,7 @@ impl Tick for Dimm {
             }
             return;
         }
-        self.tick_banks(now);
+        self.tick_banks(now, obs);
     }
 
     fn is_idle(&self) -> bool {
@@ -2141,6 +2146,7 @@ mod tests {
     use crate::address::DramCoord;
     use beacon_sim::engine::Engine;
     use beacon_sim::snap::{SnapReader, SnapWriter};
+    use beacon_sim::trace::TraceBuffer;
 
     fn dimm(mode: AccessMode) -> Dimm {
         let mut cfg = DimmConfig::paper(mode);
@@ -2620,8 +2626,8 @@ mod tests {
     /// linear [`Dimm::reference_choice`] after every issue (at most one
     /// command per bus), apply each pick through the shared command
     /// path, then retire with an age-ordered sweep of the queue.
-    fn reference_tick(d: &mut Dimm, now: Cycle) {
-        d.maybe_refresh(now);
+    fn reference_tick(d: &mut Dimm, now: Cycle, obs: &mut Observer) {
+        d.maybe_refresh(now, obs);
         for _ in 0..d.cmd_bus_free.len() {
             let Some((id, kind)) = d.reference_choice(now) else {
                 break;
@@ -2632,7 +2638,7 @@ mod tests {
                 .copied()
                 .find(|&s| d.entry(s).id == id)
                 .expect("chosen request is queued");
-            d.apply_command(slot, kind, now);
+            d.apply_command(slot, kind, now, obs);
         }
         if d.finishing
             .peek()
@@ -2673,12 +2679,15 @@ mod tests {
         .sum()
     }
 
-    /// Runs `f` with a command-level trace sink installed and returns
-    /// the events it emitted, in order.
-    fn traced(f: impl FnOnce()) -> Vec<TraceEvent> {
-        trace::install(trace::TraceBuffer::new(TraceLevel::Command, 64));
-        f();
-        let sink = trace::uninstall().expect("sink installed");
+    /// Runs `f` with a command-level trace ring and returns the events
+    /// it recorded, in order.
+    fn traced(f: impl FnOnce(&mut Observer)) -> Vec<TraceEvent> {
+        let mut obs = Observer {
+            trace: Some(TraceBuffer::new(TraceLevel::Command, 64)),
+            ..Observer::default()
+        };
+        f(&mut obs);
+        let sink = obs.trace.expect("ring present");
         sink.iter().map(|(_, event)| *event).collect()
     }
 
@@ -2701,8 +2710,8 @@ mod tests {
                 assert_eq!(d.enqueue(req).ok(), oracle.enqueue(req).ok());
             }
             let before = commands_issued(&d);
-            let ours = traced(|| d.tick_banks(now));
-            let theirs = traced(|| reference_tick(&mut oracle, now));
+            let ours = traced(|obs| d.tick_banks(now, obs));
+            let theirs = traced(|obs| reference_tick(&mut oracle, now, obs));
             assert_eq!(ours, theirs, "command trace diverges at cycle {step}");
             most = most.max(commands_issued(&d) - before);
             assert_eq!(
@@ -2760,7 +2769,7 @@ mod tests {
             .unwrap();
         let mut now = Cycle::ZERO;
         while d.finishing.is_empty() {
-            d.tick_banks(now);
+            d.tick_banks(now, &mut Observer::default());
             now = now.next();
         }
         d

@@ -23,6 +23,7 @@ use beacon_dram::module::{AccessMode, Dimm, DimmConfig};
 use beacon_dram::request::MemRequest;
 use beacon_sim::component::Tick;
 use beacon_sim::cycle::Cycle;
+use beacon_sim::observer::Observer;
 use proptest::prelude::*;
 
 /// Everything observable about one replay: `(tag, finished_at)` per
@@ -45,7 +46,7 @@ fn replay(cfg: DimmConfig, ops: &[u64], gated: bool) -> Observed {
         if gated {
             d.tick(now);
         } else {
-            d.tick_banks(now);
+            d.tick_banks(now, &mut Observer::default());
             d.sync_time(now.next());
         }
     };

@@ -19,7 +19,8 @@ use beacon_core::experiments::common::AppWorkload;
 use beacon_core::mmf::{build_layout, reservation_plan, LayoutSpec};
 use beacon_core::system::BeaconSystem;
 use beacon_sim::engine::RunOptions;
-use beacon_sim::journey::{self, JourneyRecorder};
+use beacon_sim::journey::JourneyRecorder;
+use beacon_sim::observer::Observer;
 use beacon_sim::rng::SimRng;
 
 use crate::admission::{AdmissionController, Verdict};
@@ -41,19 +42,23 @@ struct JobState {
 }
 
 /// Runs the service described by `spec` to completion on the
-/// production engine configuration ([`RunOptions::default`]).
+/// production engine configuration ([`RunOptions::default`]),
+/// unobserved.
 ///
 /// # Panics
 /// Panics when the spec's `max_rounds` is exceeded — with rejection of
 /// never-fitting jobs and the scheduler's progress guarantee that only
 /// happens on a service bug, not on backlog.
 pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
-    run_service_with(spec, RunOptions::default())
+    run_service_with(spec, RunOptions::default(), &mut Observer::default())
 }
 
-/// [`run_service`] with every round's system run under `run`. The
-/// report is identical for every option value.
-pub fn run_service_with(spec: &ServiceSpec, run: RunOptions) -> ServiceReport {
+/// [`run_service`] with every round's system run under `run`, recording
+/// into `obs`. The report is identical for every option value and every
+/// observer. With `spec.sample_every` set, each round runs with a fresh
+/// journey recorder as `obs`'s journey part, salted per round; the
+/// service leaves `obs` without one.
+pub fn run_service_with(spec: &ServiceSpec, run: RunOptions, obs: &mut Observer) -> ServiceReport {
     let expanded = spec.expand_jobs();
     assert!(!expanded.is_empty(), "spec produced no jobs");
 
@@ -188,24 +193,17 @@ pub fn run_service_with(spec: &ServiceSpec, run: RunOptions) -> ServiceReport {
                 .flat_map(|j| j.workload.layout.iter().cloned())
                 .collect();
             let mut sys = BeaconSystem::new(cfg, build_layout(&cfg, &merged));
-            sys.submit_round_robin(
+            sys.submit_observed(
                 running
                     .iter()
                     .flat_map(|j| j.workload.traces.iter().cloned()),
+                obs,
             );
-            let prev = if spec.sample_every > 0 {
-                let salt = salt_rng.child(round).below(u64::MAX);
-                journey::install(JourneyRecorder::new(spec.sample_every, salt))
-            } else {
-                None
-            };
-            let result = sys.run_with(run);
             if spec.sample_every > 0 {
-                journey::uninstall();
-                if let Some(prev) = prev {
-                    journey::install(prev);
-                }
+                let salt = salt_rng.child(round).below(u64::MAX);
+                obs.journey = Some(JourneyRecorder::new(spec.sample_every, salt));
             }
+            let result = sys.run_with(run, obs);
             let degraded = result.degraded.as_ref().is_some_and(|d| !d.is_clean());
             let digest = result.digest();
 
@@ -237,6 +235,9 @@ pub fn run_service_with(spec: &ServiceSpec, run: RunOptions) -> ServiceReport {
         round += 1;
     }
 
+    if spec.sample_every > 0 {
+        obs.journey = None;
+    }
     outcomes.sort_by_key(|j| j.id);
     let tenant_order: Vec<(String, u64)> = spec
         .tenants

@@ -1,6 +1,7 @@
 //! The component abstraction: anything that advances cycle by cycle.
 
 use crate::cycle::Cycle;
+use crate::observer::Observer;
 
 /// A simulated hardware component advanced by the engine once per cycle.
 ///
@@ -20,6 +21,14 @@ use crate::cycle::Cycle;
 pub trait Tick {
     /// Advances the component to cycle `now`.
     fn tick(&mut self, now: Cycle);
+
+    /// [`Tick::tick`] recording into `obs`: components with trace or
+    /// journey emit sites override this, and their `tick` runs it with
+    /// an empty observer. The default ignores `obs`.
+    fn tick_observed(&mut self, now: Cycle, obs: &mut Observer) {
+        let _ = obs;
+        self.tick(now);
+    }
 
     /// True when the component holds no in-flight work. The engine stops
     /// once every component reports idle and no external work remains.

@@ -10,21 +10,21 @@
 //! lookup table is needed and cross-shard journeys pair up for free in
 //! parallel runs.
 //!
-//! Aggregation mirrors [`crate::trace`]: a thread-local
-//! [`JourneyRecorder`] is [`install`]ed by the harness, emit sites guard
-//! on [`active`] (one thread-local load when attribution is off), and
-//! parallel workers [`fork`] an empty recorder whose order-independent
-//! aggregates are [`absorb`]ed back at the join. Only 1-in-`sample_every`
-//! requests are tracked; the choice is a pure hash of
+//! Aggregation lives in the [`JourneyRecorder`] of the run's
+//! [`crate::observer::Observer`], handed by argument to every transition
+//! site; with no recorder a site costs one branch on a plain field.
+//! Parallel shards each fill an empty fork whose order-independent
+//! aggregates are absorbed back at the end of the run. Only
+//! 1-in-`sample_every` requests are tracked; the choice is a pure hash of
 //! `(salt, switch, module, request id, cycle)` — all bit-identical
-//! across thread counts and skip modes — so the tracked set, and hence
-//! the whole report, is deterministic.
+//! across thread counts and skip modes — made through a [`JGate`] each
+//! issuing model copies from the recorder at run entry, so the tracked
+//! set, and hence the whole report, is deterministic.
 //!
 //! Nothing here feeds a run digest: attribution is observability, and
 //! the differential suite pins that enabling it never changes golden
 //! digests.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::cycle::{Cycle, Duration};
@@ -203,6 +203,11 @@ impl LatencyHistogram {
         self.count
     }
 
+    /// Exact sum of the samples (saturating).
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
     /// Exact maximum sample.
     pub fn max(&self) -> u64 {
         self.max
@@ -305,22 +310,19 @@ impl QueueAcc {
     }
 }
 
-/// Thread-local aggregate store for journey attribution.
+/// Aggregate store for journey attribution.
 ///
-/// Holds only order-independent aggregates (per-phase histograms,
-/// per-class rollups, counters), so parallel workers can each fill a
-/// fork and the join merges them without caring who tracked what.
+/// Holds only order-independent aggregates (per-phase and per-class
+/// histograms), so parallel shards can each fill a fork and the merge
+/// does not care who tracked what. Sampling decisions and their tallies
+/// live in the issuing models' [`JGate`]s.
 #[derive(Debug, Clone)]
 pub struct JourneyRecorder {
     sample_every: u64,
-    /// `u64::MAX / sample_every`: ids at or below this are tracked.
-    /// Precomputed so the per-access sampling decision is a compare, not
-    /// a hardware divide.
-    threshold: u64,
     salt: u64,
-    seen: u64,
-    tracked: u64,
-    phases: [LatencyHistogram; PHASE_COUNT],
+    /// Boxed so an observer stays small enough to travel with a
+    /// parallel shard by value.
+    phases: Box<[LatencyHistogram; PHASE_COUNT]>,
     classes: BTreeMap<String, LatencyHistogram>,
 }
 
@@ -335,11 +337,8 @@ impl JourneyRecorder {
         assert!(sample_every > 0, "sample_every must be at least 1");
         JourneyRecorder {
             sample_every,
-            threshold: u64::MAX / sample_every,
             salt,
-            seen: 0,
-            tracked: 0,
-            phases: std::array::from_fn(|_| LatencyHistogram::new()),
+            phases: Box::new(std::array::from_fn(|_| LatencyHistogram::new())),
             classes: BTreeMap::new(),
         }
     }
@@ -349,33 +348,34 @@ impl JourneyRecorder {
         self.sample_every
     }
 
-    /// Requests considered for tracking so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Requests actually tracked so far.
-    pub fn tracked(&self) -> u64 {
-        self.tracked
-    }
-
     /// Per-phase histogram (report access).
     pub fn phase(&self, p: Phase) -> &LatencyHistogram {
         &self.phases[p.index()]
     }
 
-    /// An empty recorder with the same sampling configuration — the
-    /// per-worker template for parallel runs.
+    /// A fresh sampling gate for this recorder's configuration, with
+    /// zero tallies — what an issuing model copies at run entry.
+    pub fn gate(&self) -> JGate {
+        JGate {
+            salt: self.salt,
+            // Precomputed so the per-access sampling decision is a
+            // compare, not a hardware divide.
+            threshold: u64::MAX / self.sample_every,
+            seen: 0,
+            tracked: 0,
+        }
+    }
+
+    /// An empty recorder with the same sampling configuration — a
+    /// parallel shard's private recorder.
     pub fn fork_empty(&self) -> JourneyRecorder {
         JourneyRecorder::new(self.sample_every, self.salt)
     }
 
-    /// Merges a worker recorder's aggregates into this one. The result
-    /// is independent of how journeys were distributed across workers.
+    /// Merges a fork's aggregates into this one. The result is
+    /// independent of how journeys were distributed across forks.
     pub fn absorb(&mut self, other: &JourneyRecorder) {
-        self.seen += other.seen;
-        self.tracked += other.tracked;
-        for (a, b) in self.phases.iter_mut().zip(&other.phases) {
+        for (a, b) in self.phases.iter_mut().zip(other.phases.iter()) {
             a.merge(b);
         }
         for (class, hist) in &other.classes {
@@ -383,23 +383,34 @@ impl JourneyRecorder {
         }
     }
 
-    /// Sampling decision for a request identified by
-    /// `(switch, module, pid)` at `now`: `Some(journey id)` when
-    /// tracked. Pure in its inputs, so identical across thread counts.
-    fn admit(&mut self, switch: u32, module: u32, pid: u64, now: Cycle) -> Option<u64> {
-        self.seen += 1;
-        let id = sample(self.salt, self.threshold, switch, module, pid, now);
-        if id.is_some() {
-            self.tracked += 1;
+    /// Phase transition: attributes `now - stamp.at` to the stamp's
+    /// current phase, then moves the stamp to `next` starting at `now`.
+    /// Response stamps (`resp`) are left untouched — intermediate hops on
+    /// the return path all belong to [`Phase::Return`].
+    #[inline]
+    pub fn hop(&mut self, stamp: &mut JStamp, now: Cycle, next: Phase) {
+        if stamp.resp {
+            return;
         }
-        id
+        self.record(stamp.phase, now.since(stamp.at));
+        stamp.phase = next;
+        stamp.at = now;
     }
 
-    fn record_phase(&mut self, phase: Phase, dur: Duration) {
-        self.phases[phase.index()].record(dur);
+    /// Attributes `now - stamp.at` to the stamp's current phase without
+    /// a transition — the terminal record for that leg (e.g. `Return` at
+    /// the requester).
+    #[inline]
+    pub fn arrive(&mut self, stamp: &JStamp, now: Cycle) {
+        self.record(stamp.phase, now.since(stamp.at));
     }
 
-    fn record_class(&mut self, class: &str, dur: Duration) {
+    /// Records the whole-journey span ([`Phase::Total`]) plus the
+    /// per-class (requesting module) rollup. Call once per tracked
+    /// request, at final completion.
+    pub fn total(&mut self, stamp: &JStamp, now: Cycle, class: &str) {
+        let dur = now.since(stamp.begin);
+        self.record(Phase::Total, dur);
         match self.classes.get_mut(class) {
             Some(h) => h.record(dur),
             None => {
@@ -410,8 +421,16 @@ impl JourneyRecorder {
         }
     }
 
+    /// Attributes `dur` to `phase` directly (used where the stamp is not
+    /// in hand, e.g. bank-phase splits computed from completion records).
+    #[inline]
+    pub fn record(&mut self, phase: Phase, dur: Duration) {
+        self.phases[phase.index()].record(dur);
+    }
+
     /// Builds the phase/class part of an [`Attribution`] report; the
-    /// caller appends utilization and queue rows from component state.
+    /// caller folds in its gates' `seen`/`tracked` tallies and appends
+    /// utilization and queue rows from component state.
     pub fn attribution(&self) -> Attribution {
         let phases = Phase::ALL
             .iter()
@@ -440,8 +459,8 @@ impl JourneyRecorder {
             .collect();
         Attribution {
             sample_every: self.sample_every,
-            seen: self.seen,
-            tracked: self.tracked,
+            seen: 0,
+            tracked: 0,
             phases,
             utilization: Vec::new(),
             queues: Vec::new(),
@@ -450,47 +469,17 @@ impl JourneyRecorder {
     }
 }
 
-/// The sampling decision itself, shared by [`JourneyRecorder::admit`]
-/// and the thread-local fast path in [`begin`]: FNV-1a folded word-wise
-/// over the request identity, finalized with two xor-shift rounds, and
-/// admitted when the id falls in the bottom `1/sample_every` slice of
-/// the hash range (a compare against a precomputed threshold — this
-/// runs once per pool access, so no modulo by a runtime divisor). The
-/// finalizer matters: word-wise FNV alone leaves the high bits of
-/// nearby inputs correlated, which would bias a range threshold.
-#[inline]
-fn sample(
-    salt: u64,
-    threshold: u64,
-    switch: u32,
-    module: u32,
-    pid: u64,
-    now: Cycle,
-) -> Option<u64> {
-    let mut h = Fnv64::new();
-    h.fold_u64(salt);
-    h.fold_u64(u64::from(switch));
-    h.fold_u64(u64::from(module));
-    h.fold_u64(pid);
-    h.fold_u64(now.as_u64());
-    let mut id = h.finish();
-    id ^= id >> 33;
-    id = id.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    id ^= id >> 33;
-    (id <= threshold).then_some(id)
-}
-
-/// A run-local copy of the sampling gate plus its own seen/tracked
-/// tallies. Models that issue requests on a hot path copy the installed
-/// recorder's gate ([`gate`]) into a plain field at run start, make
-/// every per-access sampling decision through it without touching
-/// thread-local state, and surface the tallies to the report at collect
-/// time. The tallies live with the model (not the recorder), so a
-/// parallel run's counts ride its shards and sum identically for every
-/// thread count.
+/// A run-local copy of the sampling decision plus its own seen/tracked
+/// tallies. Models that issue requests on a hot path copy their
+/// recorder's [`JourneyRecorder::gate`] into a plain field at run entry,
+/// make every per-access decision through it, and surface the tallies to
+/// the report at collect time. The tallies live with the model (not the
+/// recorder), so a parallel run's counts ride its shards and sum
+/// identically for every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JGate {
     salt: u64,
+    /// `u64::MAX / sample_every`: ids at or below this are tracked.
     threshold: u64,
     /// Requests considered for tracking through this gate.
     pub seen: u64,
@@ -500,145 +489,35 @@ pub struct JGate {
 
 impl JGate {
     /// Sampling decision for a request identified by
-    /// `(switch, module, pid)` at `now` — the gate-resident twin of
-    /// [`JourneyRecorder::admit`], same hash, same stream.
+    /// `(switch, module, pid)` at `now`: `Some(journey id)` when
+    /// tracked. Pure in its inputs, so identical across thread counts.
+    ///
+    /// The id is FNV-1a folded word-wise over the request identity,
+    /// finalized with two xor-shift rounds, and admitted when it falls in
+    /// the bottom `1/sample_every` slice of the hash range (a compare
+    /// against the precomputed threshold — this runs once per pool
+    /// access, so no modulo by a runtime divisor). The finalizer matters:
+    /// word-wise FNV alone leaves the high bits of nearby inputs
+    /// correlated, which would bias a range threshold.
     #[inline]
     pub fn admit(&mut self, switch: u32, module: u32, pid: u64, now: Cycle) -> Option<u64> {
         self.seen += 1;
-        let id = sample(self.salt, self.threshold, switch, module, pid, now);
-        if id.is_some() {
-            self.tracked += 1;
+        let mut h = Fnv64::new();
+        h.fold_u64(self.salt);
+        h.fold_u64(u64::from(switch));
+        h.fold_u64(u64::from(module));
+        h.fold_u64(pid);
+        h.fold_u64(now.as_u64());
+        let mut id = h.finish();
+        id ^= id >> 33;
+        id = id.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        id ^= id >> 33;
+        if id > self.threshold {
+            return None;
         }
-        id
+        self.tracked += 1;
+        Some(id)
     }
-}
-
-thread_local! {
-    static ACTIVE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    static RECORDER: RefCell<Option<JourneyRecorder>> = const { RefCell::new(None) };
-}
-
-/// Installs `recorder` as this thread's attribution sink, returning the
-/// previous one. Subsequent runs on this thread attribute into it.
-pub fn install(recorder: JourneyRecorder) -> Option<JourneyRecorder> {
-    ACTIVE.with(|a| a.set(true));
-    RECORDER.with(|r| r.borrow_mut().replace(recorder))
-}
-
-/// Removes and returns this thread's attribution sink, disabling
-/// attribution.
-pub fn uninstall() -> Option<JourneyRecorder> {
-    ACTIVE.with(|a| a.set(false));
-    RECORDER.with(|r| r.borrow_mut().take())
-}
-
-/// `true` when a recorder is installed. Emit sites guard on this so
-/// disabled attribution costs one thread-local load.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.with(|a| a.get())
-}
-
-/// A fresh [`JGate`] mirroring the installed recorder's sampling
-/// configuration (zero tallies), or `None` when attribution is off.
-pub fn gate() -> Option<JGate> {
-    RECORDER.with(|r| {
-        r.borrow().as_ref().map(|rec| JGate {
-            salt: rec.salt,
-            threshold: rec.threshold,
-            seen: 0,
-            tracked: 0,
-        })
-    })
-}
-
-/// A clone of this thread's recorder (for report assembly at collect
-/// time), or `None` when attribution is off.
-pub fn snapshot() -> Option<JourneyRecorder> {
-    RECORDER.with(|r| r.borrow().clone())
-}
-
-/// An empty fork of this thread's recorder for a parallel worker, or
-/// `None` when attribution is off.
-pub fn fork() -> Option<JourneyRecorder> {
-    RECORDER.with(|r| r.borrow().as_ref().map(JourneyRecorder::fork_empty))
-}
-
-/// Merges worker recorders (from [`fork`]) back into this thread's
-/// sink; a no-op when attribution is off.
-pub fn absorb(recorders: Vec<JourneyRecorder>) {
-    RECORDER.with(|r| {
-        if let Some(sink) = r.borrow_mut().as_mut() {
-            for rec in &recorders {
-                sink.absorb(rec);
-            }
-        }
-    });
-}
-
-/// Considers a freshly issued request for tracking; `Some(stamp)` means
-/// it is tracked and the stamp should travel with the request. Returns
-/// `None` (without touching any state) when attribution is off.
-///
-/// Counts into the installed recorder, so it pays the thread-local
-/// borrow per call — hot paths should copy the [`gate`] into a plain
-/// field at run start and stamp through [`JGate::admit`] instead.
-pub fn begin(switch: u32, module: u32, pid: u64, now: Cycle) -> Option<JStamp> {
-    if !active() {
-        return None;
-    }
-    RECORDER.with(|r| {
-        r.borrow_mut().as_mut().and_then(|rec| {
-            rec.admit(switch, module, pid, now)
-                .map(|id| JStamp::fresh(id, now))
-        })
-    })
-}
-
-/// Phase transition: attributes `now - stamp.at` to the stamp's current
-/// phase, then moves the stamp to `next` starting at `now`. Response
-/// stamps (`resp`) are left untouched — intermediate hops on the return
-/// path all belong to [`Phase::Return`].
-#[inline]
-pub fn hop(stamp: &mut JStamp, now: Cycle, next: Phase) {
-    if stamp.resp {
-        return;
-    }
-    record(stamp.phase, now.since(stamp.at));
-    stamp.phase = next;
-    stamp.at = now;
-}
-
-/// Attributes `now - stamp.at` to the stamp's current phase without a
-/// transition — the terminal record for that leg (e.g. `Return` at the
-/// requester).
-#[inline]
-pub fn arrive(stamp: &JStamp, now: Cycle) {
-    record(stamp.phase, now.since(stamp.at));
-}
-
-/// Records the whole-journey span ([`Phase::Total`]) plus the
-/// per-class (requesting module) rollup. Call once per tracked request,
-/// at final completion.
-pub fn total(stamp: &JStamp, now: Cycle, class: &str) {
-    let dur = now.since(stamp.begin);
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.record_phase(Phase::Total, dur);
-            rec.record_class(class, dur);
-        }
-    });
-}
-
-/// Attributes `dur` to `phase` directly (used where the stamp is not in
-/// hand, e.g. bank-phase splits computed from completion records).
-#[inline]
-pub fn record(phase: Phase, dur: Duration) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.record_phase(phase, dur);
-        }
-    });
 }
 
 /// Per-phase latency summary row of an [`Attribution`] report.
@@ -922,8 +801,8 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_and_periodic() {
-        let mut a = JourneyRecorder::new(4, 0xdead_beef);
-        let mut b = JourneyRecorder::new(4, 0xdead_beef);
+        let mut a = JourneyRecorder::new(4, 0xdead_beef).gate();
+        let mut b = JourneyRecorder::new(4, 0xdead_beef).gate();
         let decisions_a: Vec<_> = (0..256)
             .map(|i| a.admit(0, i % 4, u64::from(i), Cycle::new(u64::from(i) * 7)))
             .collect();
@@ -933,27 +812,27 @@ mod tests {
         assert_eq!(decisions_a, decisions_b);
         let hits = decisions_a.iter().filter(|d| d.is_some()).count();
         assert!(hits > 16, "1-in-4 sampling tracked only {hits}/256");
-        assert_eq!(a.seen(), 256);
-        assert_eq!(a.tracked(), hits as u64);
+        assert_eq!(a.seen, 256);
+        assert_eq!(a.tracked, hits as u64);
         // sample_every = 1 tracks everything.
-        let mut all = JourneyRecorder::new(1, 1);
+        let mut all = JourneyRecorder::new(1, 1).gate();
         assert!(all.admit(0, 0, 0, Cycle::ZERO).is_some());
     }
 
     #[test]
-    fn thread_local_round_trip_and_gating() {
-        assert!(!active());
-        assert!(begin(0, 0, 1, Cycle::ZERO).is_none());
-        assert!(install(JourneyRecorder::new(1, 7)).is_none());
-        assert!(active());
-        let mut stamp = begin(0, 3, 1, Cycle::new(10)).expect("sample_every=1 tracks all");
+    fn gate_admits_and_recorder_attributes() {
+        let mut rec = JourneyRecorder::new(1, 7);
+        let mut gate = rec.gate();
+        let id = gate
+            .admit(0, 3, 1, Cycle::new(10))
+            .expect("sample_every=1 tracks all");
+        let mut stamp = JStamp::fresh(id, Cycle::new(10));
         assert_eq!(stamp.phase, Phase::Pack);
-        hop(&mut stamp, Cycle::new(14), Phase::Link);
+        rec.hop(&mut stamp, Cycle::new(14), Phase::Link);
         assert_eq!(stamp.phase, Phase::Link);
-        hop(&mut stamp, Cycle::new(20), Phase::BankQueue);
-        total(&stamp, Cycle::new(50), "sw0.dimm3");
-        let rec = uninstall().expect("recorder installed");
-        assert!(!active());
+        rec.hop(&mut stamp, Cycle::new(20), Phase::BankQueue);
+        rec.total(&stamp, Cycle::new(50), "sw0.dimm3");
+        assert_eq!((gate.seen, gate.tracked), (1, 1));
         assert_eq!(rec.phase(Phase::Pack).count(), 1);
         assert_eq!(rec.phase(Phase::Pack).max(), 4);
         assert_eq!(rec.phase(Phase::Link).max(), 6);
@@ -965,7 +844,7 @@ mod tests {
 
     #[test]
     fn response_stamps_skip_hops() {
-        install(JourneyRecorder::new(1, 3));
+        let mut rec = JourneyRecorder::new(1, 3);
         let mut stamp = JStamp {
             id: 9,
             begin: Cycle::ZERO,
@@ -973,11 +852,10 @@ mod tests {
             phase: Phase::Return,
             resp: true,
         };
-        hop(&mut stamp, Cycle::new(9), Phase::Link); // must be ignored
+        rec.hop(&mut stamp, Cycle::new(9), Phase::Link); // must be ignored
         assert_eq!(stamp.phase, Phase::Return);
         assert_eq!(stamp.at, Cycle::new(5));
-        arrive(&stamp, Cycle::new(12)); // terminal Return record
-        let rec = uninstall().unwrap();
+        rec.arrive(&stamp, Cycle::new(12)); // terminal Return record
         assert_eq!(rec.phase(Phase::Link).count(), 0);
         assert_eq!(rec.phase(Phase::Return).count(), 1);
         assert_eq!(rec.phase(Phase::Return).max(), 7);
@@ -989,8 +867,9 @@ mod tests {
         let merged = |split: &[usize]| {
             let mut workers = [template.fork_empty(), template.fork_empty()];
             for (i, &w) in split.iter().enumerate() {
-                workers[w].record_phase(Phase::Link, dur(i as u64 * 3));
-                workers[w].record_class("sw0.dimm0", dur(i as u64 * 3));
+                let stamp = JStamp::fresh(i as u64, Cycle::ZERO);
+                workers[w].record(Phase::Link, dur(i as u64 * 3));
+                workers[w].total(&stamp, Cycle::new(i as u64 * 3), "sw0.dimm0");
             }
             let mut sink = template.fork_empty();
             for w in &workers {
@@ -1006,12 +885,12 @@ mod tests {
 
     #[test]
     fn attribution_renders_valid_json_and_text() {
-        install(JourneyRecorder::new(1, 5));
-        let mut stamp = begin(1, 2, 42, Cycle::new(3)).unwrap();
-        hop(&mut stamp, Cycle::new(8), Phase::Link);
-        arrive(&stamp, Cycle::new(11));
-        total(&stamp, Cycle::new(11), "sw1.\"odd\"\\class");
-        let rec = uninstall().unwrap();
+        let mut rec = JourneyRecorder::new(1, 5);
+        let id = rec.gate().admit(1, 2, 42, Cycle::new(3)).unwrap();
+        let mut stamp = JStamp::fresh(id, Cycle::new(3));
+        rec.hop(&mut stamp, Cycle::new(8), Phase::Link);
+        rec.arrive(&stamp, Cycle::new(11));
+        rec.total(&stamp, Cycle::new(11), "sw1.\"odd\"\\class");
         let mut att = rec.attribution();
         att.utilization.push(ComponentUtil {
             component: "sw0.bus".to_owned(),

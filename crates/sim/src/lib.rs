@@ -31,6 +31,7 @@ pub mod horizon;
 pub mod journey;
 pub mod json;
 pub mod metrics;
+pub mod observer;
 pub mod parallel;
 pub mod queue;
 pub mod rng;
@@ -47,6 +48,7 @@ pub mod prelude {
     pub use crate::horizon::{Backoff, HorizonCache};
     pub use crate::journey::{Attribution, JStamp, JourneyRecorder, LatencyHistogram, Phase};
     pub use crate::metrics::{MetricsSample, MetricsSeries};
+    pub use crate::observer::{ObsConfig, Observed, Observer, Sampler};
     pub use crate::parallel::{EpochHub, EpochShard, ParallelEngine};
     pub use crate::queue::BoundedQueue;
     pub use crate::rng::SimRng;

@@ -17,13 +17,19 @@
 //! moving for a whole stall window. Observer hooks fire at epoch
 //! barriers rather than exact cycles — coarser than the sequential
 //! engine's, but equally read-only.
+//!
+//! Trace and journey records follow the work, not the thread: a shard
+//! advanced on a worker records into its own [`Observer::fork`], which
+//! travels with it in the job message; everything the coordinator runs
+//! (the hub exchange, the final catch-up, every shard when the run is
+//! inline) records into the run's observer. The forks merge back in one
+//! step at the end of the run ([`Observer::absorb`]).
 
 use std::sync::mpsc;
 
 use crate::cycle::{Cycle, Duration};
 use crate::engine::{Engine, Progress, ProgressFn, RunOutcome, StallFn, StallReport};
-use crate::journey::{self, JourneyRecorder};
-use crate::trace::{self, TraceBuffer};
+use crate::observer::Observer;
 
 /// One independently advanceable partition of a model.
 ///
@@ -41,13 +47,16 @@ pub trait EpochShard: Send {
     /// arrives only through the hub, and only at barriers), so skipping
     /// provably dead spans up to `min(horizon, to)` composes cleanly
     /// with the epoch barrier and keeps results bit-identical.
-    fn advance(&mut self, to: Cycle);
+    ///
+    /// Trace and journey records go to `obs`.
+    fn advance(&mut self, to: Cycle, obs: &mut Observer);
 
     /// Ticks an already-quiescent shard up to `to` so every shard ends
     /// the run having simulated exactly the same final cycle (periodic
     /// background state such as DRAM refresh must match a sequential
-    /// run tick for tick).
-    fn finish_to(&mut self, to: Cycle);
+    /// run tick for tick). Runs on the coordinator, recording into the
+    /// run's observer `obs`.
+    fn finish_to(&mut self, to: Cycle, obs: &mut Observer);
 
     /// The shard's local clock: the next cycle it would simulate.
     fn position(&self) -> Cycle;
@@ -81,7 +90,8 @@ pub trait EpochHub<S: EpochShard> {
     /// canonical order and deliver everything due before `horizon` back
     /// into the destination shards. Returns `true` while undelivered
     /// traffic remains inside the hub (so the run cannot finish yet).
-    fn exchange(&mut self, shards: &mut [S], horizon: Cycle) -> bool;
+    /// Runs on the coordinator, recording into the run's observer `obs`.
+    fn exchange(&mut self, shards: &mut [S], horizon: Cycle, obs: &mut Observer) -> bool;
 }
 
 /// Boxed barrier-granular metrics callback (receives all shards).
@@ -122,14 +132,17 @@ impl<S> Default for ParallelHooks<'_, S> {
 }
 
 /// Message from the coordinator to a worker: advance shard `1` (kept at
-/// index `0`) to cycle `2`.
-type Job<S> = (usize, S, Cycle);
-/// Worker reply: the shard back (or the panic payload of its model).
-type JobResult<S> = (usize, Result<S, Box<dyn std::any::Any + Send>>);
+/// index `0`), recording into its fork `2`, to cycle `3`.
+type Job<S> = (usize, S, Observer, Cycle);
+/// Worker reply: the shard and its fork back (or the panic payload of
+/// its model).
+type JobResult<S> = (usize, Result<(S, Observer), Box<dyn std::any::Any + Send>>);
 
 struct WorkerPool<S> {
     txs: Vec<mpsc::Sender<Job<S>>>,
     ret_rx: mpsc::Receiver<JobResult<S>>,
+    /// Each shard's private observer, by shard index.
+    forks: Vec<Observer>,
 }
 
 /// Epoch-barrier scheduler for [`EpochShard`]s.
@@ -182,58 +195,47 @@ impl ParallelEngine {
         self.epoch.as_u64()
     }
 
-    /// Runs the shards to completion without observers.
+    /// Runs the shards to completion without hooks, recording into `obs`.
     pub fn run<S: EpochShard, H: EpochHub<S>>(
         &self,
         shards: &mut Vec<S>,
         hub: &mut H,
+        obs: &mut Observer,
     ) -> RunOutcome {
-        self.run_instrumented(shards, hub, &mut ParallelHooks::default())
+        self.run_instrumented(shards, hub, &mut ParallelHooks::default(), obs)
     }
 
     /// Runs the shards to completion, driving barrier-granular observer
-    /// hooks. With default hooks this behaves exactly like
-    /// [`ParallelEngine::run`].
+    /// hooks and recording into `obs`. With default hooks this behaves
+    /// exactly like [`ParallelEngine::run`].
     pub fn run_instrumented<S: EpochShard, H: EpochHub<S>>(
         &self,
         shards: &mut Vec<S>,
         hub: &mut H,
         hooks: &mut ParallelHooks<'_, S>,
+        obs: &mut Observer,
     ) -> RunOutcome {
         let workers = self.threads.min(shards.len());
         if workers <= 1 {
-            return self.drive(shards, hub, hooks, None);
+            return self.drive(shards, hub, hooks, obs, None);
         }
         std::thread::scope(|scope| {
             let (ret_tx, ret_rx) = mpsc::channel::<JobResult<S>>();
-            let mut txs = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx, rx) = mpsc::channel::<Job<S>>();
-                txs.push(tx);
-                let ret = ret_tx.clone();
-                let sink = trace::fork();
-                let jny = journey::fork();
-                handles.push(scope.spawn(move || worker_loop(rx, ret, sink, jny)));
-            }
+            let txs = (0..workers)
+                .map(|_| {
+                    let (tx, rx) = mpsc::channel::<Job<S>>();
+                    let ret = ret_tx.clone();
+                    scope.spawn(move || worker_loop(rx, ret));
+                    tx
+                })
+                .collect();
             drop(ret_tx);
-            let pool = WorkerPool { txs, ret_rx };
-            let outcome = self.drive(shards, hub, hooks, Some(&pool));
-            // Closing the job channels lets every worker drain and exit.
-            drop(pool);
-            let mut worker_traces = Vec::new();
-            let mut worker_journeys = Vec::new();
-            for handle in handles {
-                let (buf, rec) = handle.join().expect("worker thread panicked");
-                if let Some(buf) = buf {
-                    worker_traces.push(buf);
-                }
-                if let Some(rec) = rec {
-                    worker_journeys.push(rec);
-                }
-            }
-            trace::absorb(worker_traces);
-            journey::absorb(worker_journeys);
+            let forks = shards.iter().map(|_| obs.fork()).collect();
+            let mut pool = WorkerPool { txs, ret_rx, forks };
+            let outcome = self.drive(shards, hub, hooks, obs, Some(&mut pool));
+            // The end-of-run merge. Dropping the pool then closes the job
+            // channels, so every worker drains and exits.
+            obs.absorb(std::mem::take(&mut pool.forks));
             outcome
         })
     }
@@ -243,7 +245,8 @@ impl ParallelEngine {
         shards: &mut Vec<S>,
         hub: &mut H,
         hooks: &mut ParallelHooks<'_, S>,
-        pool: Option<&WorkerPool<S>>,
+        obs: &mut Observer,
+        mut pool: Option<&mut WorkerPool<S>>,
     ) -> RunOutcome {
         let wall_start = std::time::Instant::now();
         let progress_every = match hooks.on_progress {
@@ -271,7 +274,7 @@ impl ParallelEngine {
         let mut t0 = self.start;
         let outcome = loop {
             let horizon = (t0 + self.epoch).min(self.limit);
-            let hub_busy = hub.exchange(shards, horizon);
+            let hub_busy = hub.exchange(shards, horizon, obs);
             if !hub_busy && shards.iter().all(EpochShard::quiescent) {
                 // Every shard is paused with nothing in flight: the run
                 // finished at the latest pause point (the first cycle a
@@ -280,18 +283,18 @@ impl ParallelEngine {
                 // having ticked the same cycles.
                 let finished_at = shards.iter().map(EpochShard::position).max().unwrap_or(t0);
                 for shard in shards.iter_mut() {
-                    shard.finish_to(finished_at);
+                    shard.finish_to(finished_at, obs);
                 }
                 break RunOutcome::Drained { finished_at };
             }
             if t0 >= self.limit {
                 for shard in shards.iter_mut() {
-                    shard.finish_to(self.limit);
+                    shard.finish_to(self.limit, obs);
                 }
                 break RunOutcome::LimitReached { limit: self.limit };
             }
 
-            advance_epoch(shards, horizon, pool);
+            advance_epoch(shards, horizon, obs, pool.as_deref_mut());
             t0 = horizon;
 
             if sample_every > 0 && t0 >= next_sample {
@@ -402,14 +405,20 @@ fn spin_recv<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
     rx.recv()
 }
 
-/// Advances every non-quiescent shard to `to` — inline, or fanned out
-/// over the worker pool. Shards come back in their original slots, so
-/// downstream iteration order never depends on completion order.
-fn advance_epoch<S: EpochShard>(shards: &mut Vec<S>, to: Cycle, pool: Option<&WorkerPool<S>>) {
+/// Advances every non-quiescent shard to `to` — inline into `obs`, or
+/// fanned out over the worker pool, each shard with its own fork.
+/// Shards come back in their original slots, so downstream iteration
+/// order never depends on completion order.
+fn advance_epoch<S: EpochShard>(
+    shards: &mut Vec<S>,
+    to: Cycle,
+    obs: &mut Observer,
+    pool: Option<&mut WorkerPool<S>>,
+) {
     let Some(pool) = pool else {
         for shard in shards.iter_mut() {
             if !shard.quiescent() {
-                shard.advance(to);
+                shard.advance(to, obs);
             }
         }
         return;
@@ -423,8 +432,9 @@ fn advance_epoch<S: EpochShard>(shards: &mut Vec<S>, to: Cycle, pool: Option<&Wo
         if shard.quiescent() {
             slots[idx] = Some(shard);
         } else {
+            let fork = std::mem::take(&mut pool.forks[idx]);
             pool.txs[dispatched % pool.txs.len()]
-                .send((idx, shard, to))
+                .send((idx, shard, fork, to))
                 .expect("worker hung up");
             dispatched += 1;
         }
@@ -432,36 +442,27 @@ fn advance_epoch<S: EpochShard>(shards: &mut Vec<S>, to: Cycle, pool: Option<&Wo
     for _ in 0..dispatched {
         let (idx, result) = spin_recv(&pool.ret_rx).expect("all workers hung up");
         match result {
-            Ok(shard) => slots[idx] = Some(shard),
+            Ok((shard, fork)) => {
+                slots[idx] = Some(shard);
+                pool.forks[idx] = fork;
+            }
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
     shards.extend(slots.into_iter().map(|s| s.expect("shard not returned")));
 }
 
-fn worker_loop<S: EpochShard>(
-    rx: mpsc::Receiver<Job<S>>,
-    ret: mpsc::Sender<JobResult<S>>,
-    sink: Option<TraceBuffer>,
-    jny: Option<JourneyRecorder>,
-) -> (Option<TraceBuffer>, Option<JourneyRecorder>) {
-    if let Some(buf) = sink {
-        trace::install(buf);
-    }
-    if let Some(rec) = jny {
-        journey::install(rec);
-    }
-    while let Ok((idx, mut shard, to)) = spin_recv(&rx) {
+fn worker_loop<S: EpochShard>(rx: mpsc::Receiver<Job<S>>, ret: mpsc::Sender<JobResult<S>>) {
+    while let Ok((idx, mut shard, mut fork, to)) = spin_recv(&rx) {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shard.advance(to);
-            shard
+            shard.advance(to, &mut fork);
+            (shard, fork)
         }));
         let failed = result.is_err();
         if ret.send((idx, result)).is_err() || failed {
             break;
         }
     }
-    (trace::uninstall(), journey::uninstall())
 }
 
 #[cfg(test)]
@@ -511,7 +512,7 @@ mod tests {
     }
 
     impl EpochShard for ToyShard {
-        fn advance(&mut self, to: Cycle) {
+        fn advance(&mut self, to: Cycle, _obs: &mut Observer) {
             while self.pos < to {
                 if self.quiescent() {
                     return;
@@ -526,7 +527,7 @@ mod tests {
             }
         }
 
-        fn finish_to(&mut self, to: Cycle) {
+        fn finish_to(&mut self, to: Cycle, _obs: &mut Observer) {
             while self.pos < to {
                 self.ticked += 1;
                 self.pos = self.pos.next();
@@ -556,7 +557,12 @@ mod tests {
     }
 
     impl EpochHub<ToyShard> for ToyHub {
-        fn exchange(&mut self, shards: &mut [ToyShard], horizon: Cycle) -> bool {
+        fn exchange(
+            &mut self,
+            shards: &mut [ToyShard],
+            horizon: Cycle,
+            _obs: &mut Observer,
+        ) -> bool {
             let n = shards.len();
             let mut collected: Vec<(Cycle, usize)> = Vec::new();
             for shard in shards.iter_mut() {
@@ -602,7 +608,7 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let (mut shards, mut hub) = build(5);
             let engine = ParallelEngine::new(LATENCY, threads);
-            let outcome = engine.run(&mut shards, &mut hub);
+            let outcome = engine.run(&mut shards, &mut hub, &mut Observer::default());
             let fin = outcome.finished_at();
             let fp = fingerprint(&shards);
             match &reference {
@@ -619,7 +625,7 @@ mod tests {
     fn all_shards_tick_to_the_same_final_cycle() {
         let (mut shards, mut hub) = build(4);
         let engine = ParallelEngine::new(LATENCY, 4);
-        let outcome = engine.run(&mut shards, &mut hub);
+        let outcome = engine.run(&mut shards, &mut hub, &mut Observer::default());
         let fin = outcome.finished_at();
         for s in &shards {
             assert_eq!(s.pos, fin, "shard {} not caught up", s.index);
@@ -631,7 +637,7 @@ mod tests {
         let mut shards = vec![ToyShard::new(0, 0, 0), ToyShard::new(1, 0, 0)];
         let mut hub = ToyHub::default();
         let engine = ParallelEngine::new(LATENCY, 2);
-        let outcome = engine.run(&mut shards, &mut hub);
+        let outcome = engine.run(&mut shards, &mut hub, &mut Observer::default());
         assert_eq!(outcome.finished_at(), Cycle::ZERO);
     }
 
@@ -640,7 +646,7 @@ mod tests {
         let mut shards = vec![ToyShard::new(0, 10_000, 0)];
         let mut hub = ToyHub::default();
         let engine = ParallelEngine::new(LATENCY, 1).with_limit(100);
-        match engine.run(&mut shards, &mut hub) {
+        match engine.run(&mut shards, &mut hub, &mut Observer::default()) {
             RunOutcome::LimitReached { limit } => assert_eq!(limit, Cycle::new(100)),
             other => panic!("expected limit, got {other:?}"),
         }
@@ -651,8 +657,8 @@ mod tests {
     fn stall_detection_fires_on_wedged_shards() {
         struct Wedged;
         impl EpochShard for Wedged {
-            fn advance(&mut self, _to: Cycle) {}
-            fn finish_to(&mut self, _to: Cycle) {}
+            fn advance(&mut self, _to: Cycle, _obs: &mut Observer) {}
+            fn finish_to(&mut self, _to: Cycle, _obs: &mut Observer) {}
             fn position(&self) -> Cycle {
                 Cycle::ZERO
             }
@@ -668,7 +674,12 @@ mod tests {
         }
         struct NullHub;
         impl EpochHub<Wedged> for NullHub {
-            fn exchange(&mut self, _shards: &mut [Wedged], _horizon: Cycle) -> bool {
+            fn exchange(
+                &mut self,
+                _shards: &mut [Wedged],
+                _horizon: Cycle,
+                _obs: &mut Observer,
+            ) -> bool {
                 false
             }
         }
@@ -682,7 +693,12 @@ mod tests {
             ..ParallelHooks::default()
         };
         let engine = ParallelEngine::new(16, 1);
-        let outcome = engine.run_instrumented(&mut shards, &mut NullHub, &mut hooks);
+        let outcome = engine.run_instrumented(
+            &mut shards,
+            &mut NullHub,
+            &mut hooks,
+            &mut Observer::default(),
+        );
         drop(hooks);
         assert!(matches!(outcome, RunOutcome::Stalled { .. }));
         assert_eq!(reports.len(), 1);
@@ -707,7 +723,12 @@ mod tests {
             };
             let (mut shards, mut hub) = build(3);
             let engine = ParallelEngine::new(LATENCY, 2);
-            let outcome = engine.run_instrumented(&mut shards, &mut hub, &mut hooks);
+            let outcome = engine.run_instrumented(
+                &mut shards,
+                &mut hub,
+                &mut hooks,
+                &mut Observer::default(),
+            );
             assert!(outcome.drained());
         }
         assert!(sampled.len() >= 2, "start and end samples at minimum");
@@ -718,17 +739,17 @@ mod tests {
 
     #[test]
     fn worker_traces_merge_into_coordinator_sink() {
-        use crate::trace::{TraceCategory, TraceEvent, TraceLevel};
+        use crate::trace::{TraceBuffer, TraceCategory, TraceEvent, TraceLevel};
 
         /// Shard that emits one trace event per busy cycle.
         struct Tracing(ToyShard);
         impl EpochShard for Tracing {
-            fn advance(&mut self, to: Cycle) {
+            fn advance(&mut self, to: Cycle, obs: &mut Observer) {
                 while self.0.pos < to {
                     if self.0.quiescent() {
                         return;
                     }
-                    trace::emit(
+                    obs.trace_at(TraceLevel::Task).expect("traced run").record(
                         "toy",
                         TraceEvent::instant(
                             self.0.pos.as_u64(),
@@ -742,8 +763,8 @@ mod tests {
                     self.0.pos = self.0.pos.next();
                 }
             }
-            fn finish_to(&mut self, to: Cycle) {
-                self.0.finish_to(to);
+            fn finish_to(&mut self, to: Cycle, obs: &mut Observer) {
+                self.0.finish_to(to, obs);
             }
             fn position(&self) -> Cycle {
                 self.0.pos
@@ -757,19 +778,27 @@ mod tests {
         }
         struct NullHub;
         impl EpochHub<Tracing> for NullHub {
-            fn exchange(&mut self, _shards: &mut [Tracing], _horizon: Cycle) -> bool {
+            fn exchange(
+                &mut self,
+                _shards: &mut [Tracing],
+                _horizon: Cycle,
+                _obs: &mut Observer,
+            ) -> bool {
                 false
             }
         }
 
         let run = |threads: usize| {
-            trace::install(TraceBuffer::new(TraceLevel::Command, 1 << 12));
+            let mut obs = Observer {
+                trace: Some(TraceBuffer::new(TraceLevel::Command, 1 << 12)),
+                ..Observer::default()
+            };
             let mut shards: Vec<Tracing> = (0..4)
                 .map(|i| Tracing(ToyShard::new(i, 20 + i as u64, 0)))
                 .collect();
             let engine = ParallelEngine::new(LATENCY, threads);
-            engine.run(&mut shards, &mut NullHub);
-            trace::uninstall().expect("sink").canonical_events()
+            engine.run(&mut shards, &mut NullHub, &mut obs);
+            obs.trace.expect("sink").canonical_events()
         };
         let seq = run(1);
         let par = run(4);

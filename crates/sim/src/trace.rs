@@ -1,12 +1,12 @@
 //! Cycle-stamped structured event tracing.
 //!
-//! Model components emit [`TraceEvent`]s (task lifecycle, DRAM command
+//! Model components record [`TraceEvent`]s (task lifecycle, DRAM command
 //! issue, CXL flit traffic, switch-bus arbitration, packer flushes) into
-//! a thread-local ring buffer installed with [`install`]. Each event
-//! carries a [`TraceLevel`]; the installed buffer's level filters what is
-//! recorded, and [`enabled`] lets emit sites skip argument construction
-//! entirely when tracing is off — a single thread-local load — so the
-//! instrumentation is near-zero cost for untraced runs.
+//! the [`TraceBuffer`] of the run's [`crate::observer::Observer`], which
+//! every emit site is handed by argument. Each event carries a
+//! [`TraceLevel`]; the buffer's level filters what is recorded, and emit
+//! sites guard on [`crate::observer::Observer::trace_at`] so an untraced
+//! run skips argument construction after one branch on a plain field.
 //!
 //! The buffer exports the Chrome trace-event JSON format via
 //! [`TraceBuffer::to_chrome_json`]; the output opens directly in
@@ -14,14 +14,13 @@
 //! distinct track string (e.g. `sw0.dimm3.dram`) becomes one named
 //! timeline row.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::json::Writer;
 
 /// Verbosity of a trace event, coarsest first.
 ///
-/// A buffer installed at level `L` records every event whose level is
+/// A buffer at level `L` records every event whose level is
 /// `<= L`; [`TraceLevel::Off`] records nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
@@ -228,7 +227,7 @@ impl TraceBuffer {
     }
 
     /// A fresh empty buffer with this buffer's level and capacity —
-    /// the per-worker sink template for parallel runs.
+    /// a parallel shard's private ring.
     pub fn fork_empty(&self) -> TraceBuffer {
         TraceBuffer::new(self.level, self.capacity)
     }
@@ -249,7 +248,7 @@ impl TraceBuffer {
 
     /// Merges the events of `others` into this buffer in canonical
     /// order, so the result is independent of how events were
-    /// distributed across the source buffers (worker assignment, OS
+    /// distributed across the source buffers (shard assignment, OS
     /// scheduling). Eviction counts carry over; level filtering applies
     /// as usual.
     pub fn absorb_canonical(&mut self, others: Vec<TraceBuffer>) {
@@ -340,57 +339,6 @@ fn canonical_key(
     )
 }
 
-thread_local! {
-    static LEVEL: Cell<TraceLevel> = const { Cell::new(TraceLevel::Off) };
-    static SINK: RefCell<Option<TraceBuffer>> = const { RefCell::new(None) };
-}
-
-/// Installs `buffer` as this thread's trace sink, returning the previous
-/// one. Subsequent [`emit`] calls on this thread record into it.
-pub fn install(buffer: TraceBuffer) -> Option<TraceBuffer> {
-    LEVEL.with(|l| l.set(buffer.level));
-    SINK.with(|s| s.borrow_mut().replace(buffer))
-}
-
-/// Removes and returns this thread's trace sink, disabling tracing.
-pub fn uninstall() -> Option<TraceBuffer> {
-    LEVEL.with(|l| l.set(TraceLevel::Off));
-    SINK.with(|s| s.borrow_mut().take())
-}
-
-/// `true` when events at `level` would currently be recorded. Emit
-/// sites guard on this so a disabled trace costs one thread-local load.
-#[inline]
-pub fn enabled(level: TraceLevel) -> bool {
-    level != TraceLevel::Off && LEVEL.with(|l| l.get()) >= level
-}
-
-/// Records `event` on `track` into the installed sink, if any.
-pub fn emit(track: &str, event: TraceEvent) {
-    SINK.with(|s| {
-        if let Some(buf) = s.borrow_mut().as_mut() {
-            buf.record(track, event);
-        }
-    });
-}
-
-/// An empty clone (same level and capacity) of this thread's sink, or
-/// `None` when no sink is installed. Worker threads of a parallel run
-/// install one of these so their events can be merged back afterwards.
-pub fn fork() -> Option<TraceBuffer> {
-    SINK.with(|s| s.borrow().as_ref().map(TraceBuffer::fork_empty))
-}
-
-/// Merges worker buffers (from [`fork`]) back into this thread's sink
-/// in canonical order; a no-op when no sink is installed.
-pub fn absorb(buffers: Vec<TraceBuffer>) {
-    SINK.with(|s| {
-        if let Some(sink) = s.borrow_mut().as_mut() {
-            sink.absorb_canonical(buffers);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,22 +385,6 @@ mod tests {
         buf.record("y", ev(1, TraceLevel::Task));
         buf.record("x", ev(2, TraceLevel::Task));
         assert_eq!(buf.tracks(), &["x".to_string(), "y".to_string()]);
-    }
-
-    #[test]
-    fn thread_local_round_trip() {
-        assert!(!enabled(TraceLevel::Task));
-        emit("a", ev(1, TraceLevel::Task)); // no sink: dropped silently
-        assert!(install(TraceBuffer::new(TraceLevel::Flit, 16)).is_none());
-        assert!(enabled(TraceLevel::Task));
-        assert!(enabled(TraceLevel::Flit));
-        assert!(!enabled(TraceLevel::Command));
-        emit("a", ev(2, TraceLevel::Task));
-        emit("a", ev(3, TraceLevel::Command)); // above sink level
-        let buf = uninstall().expect("sink was installed");
-        assert!(!enabled(TraceLevel::Task));
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf.iter().next().unwrap().1.cycle, 2);
     }
 
     #[test]
@@ -657,23 +589,6 @@ mod tests {
         };
         assert_eq!(merged(&[0, 1, 0, 1]), merged(&[1, 0, 1, 0]));
         assert_eq!(merged(&[0, 0, 0, 0]), merged(&[1, 1, 0, 0]));
-    }
-
-    #[test]
-    fn fork_and_absorb_round_trip_through_thread_local() {
-        install(TraceBuffer::new(TraceLevel::Flit, 32));
-        let mut worker = fork().expect("sink installed");
-        worker.record("w", ev(2, TraceLevel::Task));
-        emit("m", ev(1, TraceLevel::Task));
-        absorb(vec![worker]);
-        let buf = uninstall().expect("sink installed");
-        let cycles: Vec<u64> = buf
-            .canonical_events()
-            .iter()
-            .map(|(_, e)| e.cycle)
-            .collect();
-        assert_eq!(cycles, vec![1, 2]);
-        assert!(fork().is_none());
     }
 
     proptest! {

@@ -18,6 +18,7 @@ use beacon_core::experiments::common::{run_beacon, run_cpu, AppWorkload};
 use beacon_core::mmf::LayoutSpec;
 use beacon_genomics::trace::{Access, AppKind, Region, Step, TaskTrace};
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 use beacon_sim::rng::SimRng;
 
 /// One probe batch: walk `probes` hash buckets, each with a header read
@@ -79,6 +80,7 @@ fn main() {
             &workload,
             pes,
             RunOptions::default(),
+            &mut Observer::default(),
         )
     };
     let d = full(BeaconVariant::D);

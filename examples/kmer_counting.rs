@@ -13,6 +13,7 @@ use beacon_core::experiments::common::{
 use beacon_genomics::kmer::{canonical_kmers, KmerCounter};
 use beacon_genomics::prelude::*;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 fn main() {
     // ---- functional layer: count k-mers and validate the filter -------
@@ -58,8 +59,17 @@ fn main() {
     let pes = 64;
     let w = kmer_workload(&scale);
     let cpu = run_cpu(&w);
-    let nest = run_nest(&w, scale.cbf_bytes, false, pes);
-    let beacon = |v, opts| run_beacon(v, opts, &w, pes, RunOptions::default());
+    let nest = run_nest(&w, scale.cbf_bytes, false, pes, &mut Observer::default());
+    let beacon = |v, opts| {
+        run_beacon(
+            v,
+            opts,
+            &w,
+            pes,
+            RunOptions::default(),
+            &mut Observer::default(),
+        )
+    };
     let d = beacon(
         BeaconVariant::D,
         Optimizations::full(BeaconVariant::D, w.app),

@@ -19,6 +19,7 @@ use beacon_genomics::io::{read_fasta, reads_to_fastq, write_fasta, write_fastq, 
 use beacon_genomics::prelude::*;
 use beacon_genomics::trace::Region;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 fn main() {
     // ---- reference: from file or generated --------------------------------
@@ -107,6 +108,7 @@ fn main() {
         &workload,
         64,
         RunOptions::default(),
+        &mut Observer::default(),
     );
     println!("  BEACON-D seeding: {} cycles", run.cycles);
 

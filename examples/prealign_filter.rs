@@ -11,6 +11,7 @@ use beacon_core::experiments::common::{prealign_workload, run_beacon, run_cpu, W
 use beacon_genomics::prealign::PreAlignFilter;
 use beacon_genomics::prelude::*;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 use beacon_sim::rng::SimRng;
 
 fn main() {
@@ -61,6 +62,7 @@ fn main() {
             &w,
             pes,
             RunOptions::default(),
+            &mut Observer::default(),
         )
     };
     let d = full(BeaconVariant::D);

@@ -13,6 +13,7 @@ use beacon_core::experiments::common::{
 use beacon_core::report::{fmt_ratio, Table};
 use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::Observer;
 
 fn run_app(name: &str, scale: &WorkloadScale, pes: usize, build: &dyn Fn(GenomeId) -> AppWorkload) {
     let _ = scale;
@@ -30,7 +31,7 @@ fn run_app(name: &str, scale: &WorkloadScale, pes: usize, build: &dyn Fn(GenomeI
     for g in GenomeId::FIVE {
         let w = build(g);
         let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, pes);
+        let medal = run_medal(&w, false, pes, &mut Observer::default());
         let full = |v| {
             run_beacon(
                 v,
@@ -38,6 +39,7 @@ fn run_app(name: &str, scale: &WorkloadScale, pes: usize, build: &dyn Fn(GenomeI
                 &w,
                 pes,
                 RunOptions::default(),
+                &mut Observer::default(),
             )
         };
         let d = full(BeaconVariant::D);

@@ -23,9 +23,10 @@ use beacon_core::mmf::build_layout;
 use beacon_core::prelude::RunOptions;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
-use beacon_sim::journey::{self, JourneyRecorder};
+use beacon_sim::journey::{JourneyRecorder, Phase};
+use beacon_sim::observer::Observer;
 use beacon_sim::rng::SimRng;
-use beacon_sim::trace::{self, TraceBuffer, TraceEvent, TraceLevel};
+use beacon_sim::trace::{TraceBuffer, TraceEvent, TraceLevel};
 use common::{on_threads, run_matrix, thread_matrix};
 
 fn build_system(
@@ -51,7 +52,8 @@ fn assert_cell(variant: BeaconVariant, w: &AppWorkload, switches: u32, refresh: 
     let golden = build_system(variant, w, switches, refresh).run();
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     for threads in thread_matrix() {
-        let got = build_system(variant, w, switches, refresh).run_with(on_threads(threads));
+        let got = build_system(variant, w, switches, refresh)
+            .run_with(on_threads(threads), &mut Observer::default());
         assert_eq!(
             got.digest(),
             golden.digest(),
@@ -115,7 +117,7 @@ fn parallel_speedup_on_multi_switch_pool() {
     let time_run = |threads: usize| {
         let mut sys = build_system(BeaconVariant::D, &w, 4, true);
         let t = std::time::Instant::now();
-        let r = sys.run_with(on_threads(threads));
+        let r = sys.run_with(on_threads(threads), &mut Observer::default());
         (t.elapsed(), r.digest())
     };
     let (seq, d1) = time_run(1);
@@ -147,10 +149,12 @@ fn fast_forwarding_matches_per_cycle_ticking() {
         GenomeId::Nf,
     ] {
         let w = fm_workload(genome, &scale);
-        let golden = build_system(BeaconVariant::D, &w, 2, true).run_with(per_cycle);
+        let golden = build_system(BeaconVariant::D, &w, 2, true)
+            .run_with(per_cycle, &mut Observer::default());
         assert!(golden.tasks > 0, "cell must do work to be meaningful");
         for run in run_matrix() {
-            let got = build_system(BeaconVariant::D, &w, 2, true).run_with(run);
+            let got =
+                build_system(BeaconVariant::D, &w, 2, true).run_with(run, &mut Observer::default());
             assert_eq!(
                 got.digest(),
                 golden.digest(),
@@ -162,19 +166,12 @@ fn fast_forwarding_matches_per_cycle_ticking() {
 }
 
 /// Request-journey attribution is an observer, never a participant:
-/// with a recorder installed (sampling every request), digests stay
+/// with a recorder in the observer (sampling every request), digests stay
 /// bit-identical to the attribution-off golden across fast-forwarding
 /// on/off and every thread count, and the sequential and parallel
 /// reports agree on what they measured.
 #[test]
 fn attribution_leaves_digests_bit_identical() {
-    struct JnyGuard;
-    impl Drop for JnyGuard {
-        fn drop(&mut self) {
-            journey::uninstall();
-        }
-    }
-    let _jny = JnyGuard;
     let scale = WorkloadScale::test();
     let salt = SimRng::from_seed(scale.seed).child(0xA77).below(u64::MAX);
     let w = fm_workload(GenomeId::Pt, &scale);
@@ -183,39 +180,42 @@ fn attribution_leaves_digests_bit_identical() {
             skip,
             ..RunOptions::default()
         };
-        journey::uninstall();
-        let golden = build_system(BeaconVariant::D, &w, 2, true).run_with(sequential);
+        let golden = build_system(BeaconVariant::D, &w, 2, true)
+            .run_with(sequential, &mut Observer::default());
         assert!(golden.tasks > 0, "cell must do work to be meaningful");
         assert!(
             golden.attribution.is_none(),
             "attribution must be off without a recorder"
         );
 
-        journey::install(JourneyRecorder::new(1, salt));
-        let seq = build_system(BeaconVariant::D, &w, 2, true).run_with(sequential);
+        let attributed = || Observer {
+            journey: Some(JourneyRecorder::new(1, salt)),
+            ..Observer::default()
+        };
+        let seq =
+            build_system(BeaconVariant::D, &w, 2, true).run_with(sequential, &mut attributed());
         assert_eq!(
             seq.digest(),
             golden.digest(),
             "skip={skip}: sequential attribution run perturbed the simulation:\n{}",
             seq.diff(&golden).unwrap_or_default(),
         );
-        let seq_attr = seq.attribution.clone().expect("recorder was installed");
+        let seq_attr = seq.attribution.clone().expect("recorder present");
         assert!(
             seq_attr.tracked > 0,
             "sample_every=1 must track every request"
         );
 
         for threads in thread_matrix() {
-            journey::install(JourneyRecorder::new(1, salt));
             let run = RunOptions { skip, threads };
-            let got = build_system(BeaconVariant::D, &w, 2, true).run_with(run);
+            let got = build_system(BeaconVariant::D, &w, 2, true).run_with(run, &mut attributed());
             assert_eq!(
                 got.digest(),
                 golden.digest(),
                 "skip={skip}: {threads}-thread attribution run perturbed the simulation:\n{}",
                 got.diff(&golden).unwrap_or_default(),
             );
-            let attr = got.attribution.as_ref().expect("recorder was installed");
+            let attr = got.attribution.as_ref().expect("recorder present");
             assert_eq!(
                 (attr.seen, attr.tracked),
                 (seq_attr.seen, seq_attr.tracked),
@@ -233,6 +233,44 @@ fn attribution_leaves_digests_bit_identical() {
     }
 }
 
+/// Attribution accounting: every cycle of a tracked request's life is
+/// charged to exactly one phase, so at `sample_every = 1` the phase sums
+/// add up to the `Total` sum, sequentially and on the epoch engine
+/// (DESIGN.md §13.1).
+#[test]
+fn attribution_phases_sum_to_total() {
+    let scale = WorkloadScale::test();
+    let salt = SimRng::from_seed(scale.seed).child(0xA77).below(u64::MAX);
+    let cells = [
+        (BeaconVariant::D, fm_workload(GenomeId::Pt, &scale)),
+        (BeaconVariant::S, kmer_workload(&scale)),
+    ];
+    for (variant, w) in &cells {
+        for threads in [1, 4] {
+            let mut obs = Observer {
+                journey: Some(JourneyRecorder::new(1, salt)),
+                ..Observer::default()
+            };
+            let r = build_system(*variant, w, 2, true).run_with(on_threads(threads), &mut obs);
+            assert!(r.attribution.expect("recorder present").tracked > 0);
+            let rec = obs.journey.expect("recorder present");
+            let total = rec.phase(Phase::Total);
+            assert!(total.count() > 0, "{variant:?}: no journey finished");
+            let phases: u64 = Phase::ALL
+                .iter()
+                .filter(|&&p| p != Phase::Total)
+                .map(|&p| rec.phase(p).sum())
+                .sum();
+            assert_eq!(
+                phases,
+                total.sum(),
+                "{variant:?}/{:?} at {threads} thread(s): phase sums miss part of the journeys",
+                w.app
+            );
+        }
+    }
+}
+
 /// The canonical trace stream is part of the bit-identity contract:
 /// fast-forwarding may only skip cycles where nothing happens, so the
 /// emitted events (and their cycles) must match the per-cycle run.
@@ -243,15 +281,16 @@ fn trace_streams_identical_with_and_without_fast_forwarding() {
     let w = fm_workload(GenomeId::Pt, &scale);
 
     let run_traced = |skip: bool| -> Vec<(String, TraceEvent)> {
-        trace::install(TraceBuffer::new(TraceLevel::Flit, CAPACITY));
+        let mut obs = Observer {
+            trace: Some(TraceBuffer::new(TraceLevel::Flit, CAPACITY)),
+            ..Observer::default()
+        };
         let run = RunOptions {
             skip,
             ..RunOptions::default()
         };
-        build_system(BeaconVariant::D, &w, 2, true).run_with(run);
-        let events = trace::uninstall()
-            .expect("sink installed")
-            .canonical_events();
+        build_system(BeaconVariant::D, &w, 2, true).run_with(run, &mut obs);
+        let events = obs.trace.expect("ring present").canonical_events();
         assert!(
             events.len() < CAPACITY,
             "trace ring saturated ({} events) — comparison would be lossy",
@@ -283,11 +322,12 @@ fn trace_streams_merge_canonically() {
     let w = fm_workload(GenomeId::Pt, &scale);
 
     let run_traced = |threads: usize| -> Vec<(String, TraceEvent)> {
-        trace::install(TraceBuffer::new(TraceLevel::Flit, CAPACITY));
-        build_system(BeaconVariant::D, &w, 2, true).run_with(on_threads(threads));
-        let events = trace::uninstall()
-            .expect("sink installed")
-            .canonical_events();
+        let mut obs = Observer {
+            trace: Some(TraceBuffer::new(TraceLevel::Flit, CAPACITY)),
+            ..Observer::default()
+        };
+        build_system(BeaconVariant::D, &w, 2, true).run_with(on_threads(threads), &mut obs);
+        let events = obs.trace.expect("ring present").canonical_events();
         assert!(
             events.len() < CAPACITY,
             "trace ring saturated ({} events) — comparison would be lossy",

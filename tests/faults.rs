@@ -29,6 +29,7 @@ use beacon_core::mmf::build_layout;
 use beacon_core::prelude::RunOptions;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::observer::Observer;
 use common::{fault_seed, on_threads, run_matrix, thread_matrix};
 
 /// Mirrors `run_beacon` from the experiment drivers (PEs = 8, refresh
@@ -88,7 +89,7 @@ fn noisy_schedule_is_deterministic_across_engines() {
         skip: false,
         ..RunOptions::default()
     };
-    let golden = build_system(&w, Some(faults)).run_with(per_cycle);
+    let golden = build_system(&w, Some(faults)).run_with(per_cycle, &mut Observer::default());
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     let d = golden.degraded.expect("armed run must carry a RAS report");
     assert!(
@@ -98,7 +99,7 @@ fn noisy_schedule_is_deterministic_across_engines() {
     assert!(d.retry_cycles > 0, "CRC retries must cost link cycles");
 
     for run in run_matrix() {
-        let got = build_system(&w, Some(faults)).run_with(run);
+        let got = build_system(&w, Some(faults)).run_with(run, &mut Observer::default());
         assert_eq!(
             got.digest(),
             golden.digest(),
@@ -175,7 +176,8 @@ fn dimm_loss_degrades_gracefully() {
     );
 
     for threads in thread_matrix() {
-        let got = build_system(&w, Some(faults)).run_with(on_threads(threads));
+        let got =
+            build_system(&w, Some(faults)).run_with(on_threads(threads), &mut Observer::default());
         assert_eq!(
             got.digest(),
             golden.digest(),

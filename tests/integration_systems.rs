@@ -15,12 +15,20 @@ use beacon_genomics::genome::{Genome, GenomeId};
 use beacon_genomics::kmer::KmerCounter;
 use beacon_genomics::reads::ReadSampler;
 use beacon_genomics::trace::{AppKind, Region};
+use beacon_sim::observer::Observer;
 
 const PES: usize = 8;
 
 /// BEACON at `PES` on the production engine configuration.
 fn beacon(variant: BeaconVariant, opts: Optimizations, w: &AppWorkload) -> RunResult {
-    run_beacon(variant, opts, w, PES, RunOptions::default())
+    run_beacon(
+        variant,
+        opts,
+        w,
+        PES,
+        RunOptions::default(),
+        &mut Observer::default(),
+    )
 }
 
 fn scale() -> WorkloadScale {
@@ -66,11 +74,11 @@ fn baselines_drain_every_applicable_app() {
         hash_workload(GenomeId::Pg, &s),
         prealign_workload(GenomeId::Am, &s),
     ] {
-        let r = run_medal(&w, false, PES);
+        let r = run_medal(&w, false, PES, &mut Observer::default());
         assert_eq!(r.tasks, w.traces.len(), "MEDAL {:?}", w.app);
     }
     let km = kmer_workload(&s);
-    let r = run_nest(&km, s.cbf_bytes, false, PES);
+    let r = run_nest(&km, s.cbf_bytes, false, PES, &mut Observer::default());
     assert_eq!(r.tasks, km.traces.len());
 }
 

@@ -3,13 +3,14 @@
 
 use beacon_core::config::{BeaconConfig, BeaconVariant, Optimizations};
 use beacon_core::mmf::{build_layout, LayoutSpec};
-use beacon_core::obs::{self, ObsConfig, DEFAULT_STALL_WINDOW};
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::{Genome, GenomeId};
 use beacon_genomics::prelude::FmIndex;
 use beacon_genomics::reads::ReadSampler;
 use beacon_genomics::trace::{AppKind, Region, TaskTrace};
-use beacon_sim::trace::{self, TraceBuffer, TraceCategory, TraceLevel};
+use beacon_sim::engine::RunOptions;
+use beacon_sim::observer::{ObsConfig, Observer, Sampler, DEFAULT_STALL_WINDOW};
+use beacon_sim::trace::{TraceBuffer, TraceCategory, TraceLevel};
 
 fn workload(n: usize) -> (Vec<TaskTrace>, u64) {
     let g = Genome::synthetic(GenomeId::Pt, 3000, 5);
@@ -21,7 +22,7 @@ fn workload(n: usize) -> (Vec<TaskTrace>, u64) {
     (traces, idx.index_bytes())
 }
 
-fn run_d(traces: &[TaskTrace], index_bytes: u64) -> u64 {
+fn run_d(traces: &[TaskTrace], index_bytes: u64, obs: &mut Observer) -> u64 {
     let app = AppKind::FmSeeding;
     let mut cfg = BeaconConfig::paper(BeaconVariant::D, app)
         .with_opts(Optimizations::full(BeaconVariant::D, app));
@@ -30,8 +31,8 @@ fn run_d(traces: &[TaskTrace], index_bytes: u64) -> u64 {
     let specs = [LayoutSpec::shared_random(Region::FmIndex, index_bytes)];
     let layout = build_layout(&cfg, &specs);
     let mut sys = BeaconSystem::new(cfg, layout);
-    sys.submit_round_robin(traces.iter().cloned());
-    sys.run().cycles
+    sys.submit_observed(traces.iter().cloned(), obs);
+    sys.run_with(RunOptions::default(), obs).cycles
 }
 
 #[test]
@@ -39,11 +40,14 @@ fn traced_run_covers_every_layer_and_exports_valid_json() {
     let (traces, bytes) = workload(12);
 
     // Reference run with tracing disabled.
-    let plain_cycles = run_d(&traces, bytes);
+    let plain_cycles = run_d(&traces, bytes, &mut Observer::default());
 
-    trace::install(TraceBuffer::new(TraceLevel::Command, 1 << 20));
-    let traced_cycles = run_d(&traces, bytes);
-    let buf = trace::uninstall().expect("buffer installed");
+    let mut obs = Observer {
+        trace: Some(TraceBuffer::new(TraceLevel::Command, 1 << 20)),
+        ..Observer::default()
+    };
+    let traced_cycles = run_d(&traces, bytes, &mut obs);
+    let buf = obs.trace.expect("ring present");
 
     // Tracing must be an observer: bit-identical timing.
     assert_eq!(traced_cycles, plain_cycles);
@@ -73,9 +77,12 @@ fn traced_run_covers_every_layer_and_exports_valid_json() {
 #[test]
 fn task_level_tracing_drops_flit_noise() {
     let (traces, bytes) = workload(8);
-    trace::install(TraceBuffer::new(TraceLevel::Task, 1 << 20));
-    run_d(&traces, bytes);
-    let buf = trace::uninstall().expect("buffer installed");
+    let mut obs = Observer {
+        trace: Some(TraceBuffer::new(TraceLevel::Task, 1 << 20)),
+        ..Observer::default()
+    };
+    run_d(&traces, bytes, &mut obs);
+    let buf = obs.trace.expect("ring present");
     // Task lifecycle events survive; DRAM commands (Command level) do not.
     assert!(buf.count_category(TraceCategory::Accel) > 0);
     assert_eq!(buf.count_category(TraceCategory::Dram), 0);
@@ -84,13 +91,16 @@ fn task_level_tracing_drops_flit_noise() {
 #[test]
 fn metrics_series_samples_the_run() {
     let (traces, bytes) = workload(12);
-    obs::install(ObsConfig {
-        metrics_every: 2_048,
-        progress_every: 0,
-        stall_window: DEFAULT_STALL_WINDOW,
-    });
-    run_d(&traces, bytes);
-    let series = obs::take().expect("metrics installed");
+    let mut obs = Observer {
+        metrics: Some(Sampler::new(ObsConfig {
+            metrics_every: 2_048,
+            progress_every: 0,
+            stall_window: DEFAULT_STALL_WINDOW,
+        })),
+        ..Observer::default()
+    };
+    run_d(&traces, bytes, &mut obs);
+    let series = obs.metrics.expect("sampler present").series;
 
     assert!(series.len() >= 2, "start + end samples at minimum");
     let first = &series.samples()[0];
@@ -124,11 +134,12 @@ fn metrics_series_samples_the_run() {
 #[test]
 fn observability_off_leaves_results_untouched() {
     let (traces, bytes) = workload(8);
-    let a = run_d(&traces, bytes);
-    let b = run_d(&traces, bytes);
+    let mut obs = Observer::default();
+    let a = run_d(&traces, bytes, &mut obs);
+    let b = run_d(&traces, bytes, &mut obs);
     assert_eq!(a, b, "runs must be deterministic");
     assert!(
-        obs::take().is_none(),
-        "nothing installed, nothing collected"
+        obs.trace.is_none() && obs.journey.is_none() && obs.metrics.is_none(),
+        "an empty observer collects nothing"
     );
 }

@@ -14,12 +14,20 @@ use beacon_core::experiments::common::{
 };
 use beacon_core::prelude::RunOptions;
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::observer::Observer;
 
 const PES: usize = 64;
 
 /// BEACON at `PES` on the production engine configuration.
 fn beacon(variant: BeaconVariant, opts: Optimizations, w: &AppWorkload) -> RunResult {
-    run_beacon(variant, opts, w, PES, RunOptions::default())
+    run_beacon(
+        variant,
+        opts,
+        w,
+        PES,
+        RunOptions::default(),
+        &mut Observer::default(),
+    )
 }
 
 fn saturation_scale() -> WorkloadScale {
@@ -40,7 +48,7 @@ fn fm_seeding_headline_shape() {
     let scale = saturation_scale();
     let w = fm_workload(GenomeId::Pt, &scale);
     let cpu = run_cpu(&w);
-    let medal = run_medal(&w, false, PES);
+    let medal = run_medal(&w, false, PES, &mut Observer::default());
 
     let vanilla = beacon(BeaconVariant::D, Optimizations::vanilla(), &w);
     let full_d = beacon(
@@ -94,7 +102,7 @@ fn kmer_counting_headline_shape() {
     let scale = saturation_scale();
     let w = kmer_workload(&scale);
     let cpu = run_cpu(&w);
-    let nest = run_nest(&w, scale.cbf_bytes, false, PES);
+    let nest = run_nest(&w, scale.cbf_bytes, false, PES, &mut Observer::default());
 
     let full_d = beacon(
         BeaconVariant::D,
@@ -141,7 +149,14 @@ fn fm_golden_digests_are_seed_stable() {
     for genome in GenomeId::FIVE {
         let w = fm_workload(genome, &scale);
         let opts = Optimizations::full(BeaconVariant::D, w.app);
-        let r = run_beacon(BeaconVariant::D, opts, &w, 8, RunOptions::default());
+        let r = run_beacon(
+            BeaconVariant::D,
+            opts,
+            &w,
+            8,
+            RunOptions::default(),
+            &mut Observer::default(),
+        );
         got.push_str(&format!("{genome:?}:{:#018x}\n", r.digest()));
     }
     // Sanity-pin the config knobs the digests depend on, so a drifting
@@ -165,8 +180,8 @@ fn medal_is_communication_bound() {
     // (paper average 4.36x).
     let scale = saturation_scale();
     let w = fm_workload(GenomeId::Pt, &scale);
-    let real = run_medal(&w, false, PES);
-    let ideal = run_medal(&w, true, PES);
+    let real = run_medal(&w, false, PES, &mut Observer::default());
+    let ideal = run_medal(&w, true, PES, &mut Observer::default());
     // At this reduced scale MEDAL is only partly saturated; the full
     // figures run (EXPERIMENTS.md) shows the ~4x of the paper.
     let gain = real.cycles as f64 / ideal.cycles as f64;

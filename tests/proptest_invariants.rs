@@ -18,6 +18,7 @@ use beacon_genomics::prelude::FmIndex;
 use beacon_genomics::sequence::PackedSeq;
 use beacon_genomics::trace::{Access, AccessKind, Region};
 use beacon_sim::cycle::Cycle;
+use beacon_sim::observer::Observer;
 
 fn arb_bases(max_len: usize) -> impl Strategy<Value = Vec<Base>> {
     prop::collection::vec(0u8..4, 1..max_len)
@@ -215,7 +216,7 @@ proptest! {
             let req = Message::read_req(NodeId::dimm(0, (i % 3) as u32), NodeId::dimm(1, 0), p, i as u64);
             let resp = Message::read_resp(&req);
             sent.push(resp);
-            packer.push(resp, Cycle::new(i as u64));
+            packer.push(resp, Cycle::new(i as u64), &mut Observer::default());
         }
         packer.flush_all(Cycle::new(payloads.len() as u64));
         let mut received = Vec::new();

@@ -16,6 +16,7 @@ use beacon_core::mmf::build_layout;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
 use beacon_pool::prelude::*;
+use beacon_sim::observer::Observer;
 use common::run_matrix;
 
 /// A one-tenant, one-job spec for the differential gate.
@@ -101,7 +102,7 @@ fn service_digest_is_identical_across_threads_and_skip() {
         "contended spec must drain"
     );
     for run in run_matrix() {
-        let got = run_service_with(&spec, run);
+        let got = run_service_with(&spec, run, &mut Observer::default());
         assert_eq!(
             got.digest(),
             golden.digest(),

@@ -35,6 +35,7 @@ use beacon_core::mmf::build_layout;
 use beacon_core::prelude::RunOptions;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
+use beacon_sim::observer::Observer;
 use beacon_sim::snap::SnapError;
 use beacon_sim::stats::Fnv64;
 use common::{fault_seed, on_threads, run_matrix, thread_matrix};
@@ -79,7 +80,7 @@ fn capture_at(
 /// Runs `sys` to cycle `at` under `run`, snapshots, and returns the
 /// bytes (see [`capture_at`]).
 fn capture_with(mut sys: BeaconSystem, at: u64, run: RunOptions) -> Vec<u8> {
-    let drained = sys.run_to(at, run);
+    let drained = sys.run_to(at, run, &mut Observer::default());
     assert!(!drained, "workload drained before the capture epoch {at}");
     assert_eq!(
         sys.clock().as_u64(),
@@ -103,7 +104,7 @@ fn assert_cell_resumes(
     let bytes = capture_at(variant, w, refresh, faults, golden.cycles / 2);
     for run in run_matrix() {
         let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
-        let got = resumed.run_with(run);
+        let got = resumed.run_with(run, &mut Observer::default());
         assert_eq!(
             got.digest(),
             golden.digest(),
@@ -150,14 +151,15 @@ fn skip_modes_mix_freely_across_the_checkpoint() {
         skip,
         ..RunOptions::default()
     };
-    let golden = build_system(BeaconVariant::D, &w, true, None).run_with(skip(false));
+    let golden = build_system(BeaconVariant::D, &w, true, None)
+        .run_with(skip(false), &mut Observer::default());
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     for capture_skip in [false, true] {
         let sys = build_system(BeaconVariant::D, &w, true, None);
         let bytes = capture_with(sys, golden.cycles / 2, skip(capture_skip));
         for resume_skip in [false, true] {
             let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
-            let got = resumed.run_with(skip(resume_skip));
+            let got = resumed.run_with(skip(resume_skip), &mut Observer::default());
             assert_eq!(
                 got.digest(),
                 golden.digest(),
@@ -207,7 +209,7 @@ fn scheduled_dimm_loss_fires_after_resume() {
     );
     for threads in thread_matrix() {
         let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
-        let got = resumed.run_with(on_threads(threads));
+        let got = resumed.run_with(on_threads(threads), &mut Observer::default());
         assert_eq!(
             got.digest(),
             golden.digest(),
@@ -412,7 +414,7 @@ proptest! {
         prop_assume!(at_a < at_b);
         let first = capture_at(BeaconVariant::D, &w, true, None, at_a);
         let mut mid = BeaconSystem::resume(&first).expect("first snapshot must resume");
-        let drained = mid.run_to(at_b, RunOptions::default());
+        let drained = mid.run_to(at_b, RunOptions::default(), &mut Observer::default());
         prop_assert!(!drained, "drained before the second epoch");
         let second = mid.snapshot();
         let mut resumed = BeaconSystem::resume(&second).expect("second snapshot must resume");
