@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use std::fmt::Write as _;
 
-use beacon_sim::component::Tick;
+use beacon_sim::component::{Probe, Tick};
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::faults::{stream, FaultSchedule};
 use beacon_sim::journey::{JGate, JStamp, Phase, QueueAcc};
@@ -1534,9 +1534,53 @@ impl SwitchNode {
     }
 }
 
-/// Accumulator behind [`beacon_sim::component::Probe::gauges`], shared by
-/// the sequential probe and the parallel barrier sampler so both report
-/// identical keys.
+/// The pool as [`Probe`] reads it: its switch subtrees plus the number of
+/// bundles staged at the host. `Probe for BeaconSystem` and the epoch
+/// engine's barrier view both read through it, so they report identical
+/// values.
+pub(crate) struct PoolProbe<I> {
+    pub(crate) nodes: I,
+    pub(crate) host_staged: usize,
+}
+
+impl<'n, I: Iterator<Item = &'n SwitchNode> + Clone> Probe for PoolProbe<I> {
+    /// Useful work only: forwarded bundles, issued accesses, retired
+    /// tasks and DRAM data/row commands. Refresh is deliberately
+    /// excluded — a refreshing but otherwise wedged pool must still trip
+    /// the stall detector.
+    fn progress_counter(&self) -> u64 {
+        self.nodes.clone().map(SwitchNode::progress_counter).sum()
+    }
+
+    /// Emits the gauge vector in the stable key order established by
+    /// the observability layer.
+    fn gauges(&self, out: &mut Vec<(String, f64)>) {
+        let mut acc = GaugeAcc::default();
+        for sw in self.nodes.clone() {
+            sw.accumulate_gauges(&mut acc);
+        }
+        out.push(("dram.queue".to_owned(), acc.dram_queue as f64));
+        out.push(("dram.backlog".to_owned(), acc.dram_backlog as f64));
+        out.push(("cxl.link_occupancy".to_owned(), acc.link_occupancy as f64));
+        out.push(("switch.staged".to_owned(), acc.switch_staged as f64));
+        out.push(("accel.pe_busy".to_owned(), acc.pe_busy as f64));
+        out.push(("accel.ready".to_owned(), acc.tasks_ready as f64));
+        out.push(("accel.pending".to_owned(), acc.pending as f64));
+        out.push(("tasks.completed".to_owned(), acc.tasks_completed as f64));
+        out.push(("host.staged".to_owned(), self.host_staged as f64));
+    }
+
+    fn state_snapshot(&self) -> String {
+        let mut s = String::new();
+        let _ = writeln!(s, "host_stage: {}", self.host_staged);
+        for sw in self.nodes.clone() {
+            sw.snapshot_into(&mut s);
+        }
+        s
+    }
+}
+
+/// The subtree gauge sums behind [`PoolProbe`]'s gauges.
 #[derive(Debug, Default)]
 pub(crate) struct GaugeAcc {
     pub(crate) dram_queue: usize,
@@ -1547,22 +1591,6 @@ pub(crate) struct GaugeAcc {
     pub(crate) tasks_ready: usize,
     pub(crate) pending: usize,
     pub(crate) tasks_completed: usize,
-}
-
-impl GaugeAcc {
-    /// Emits the gauge vector in the stable key order established by the
-    /// observability layer.
-    pub(crate) fn push_into(&self, host_staged: usize, out: &mut Vec<(String, f64)>) {
-        out.push(("dram.queue".to_owned(), self.dram_queue as f64));
-        out.push(("dram.backlog".to_owned(), self.dram_backlog as f64));
-        out.push(("cxl.link_occupancy".to_owned(), self.link_occupancy as f64));
-        out.push(("switch.staged".to_owned(), self.switch_staged as f64));
-        out.push(("accel.pe_busy".to_owned(), self.pe_busy as f64));
-        out.push(("accel.ready".to_owned(), self.tasks_ready as f64));
-        out.push(("accel.pending".to_owned(), self.pending as f64));
-        out.push(("tasks.completed".to_owned(), self.tasks_completed as f64));
-        out.push(("host.staged".to_owned(), host_staged as f64));
-    }
 }
 
 // ----- checkpoint serialisation ---------------------------------------

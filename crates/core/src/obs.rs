@@ -1,82 +1,21 @@
-//! Run-level observability: the engine loops that drive a model under
-//! a [`Sampler`] — metrics time-series, progress reporting and stall
-//! detection for [`crate::system::BeaconSystem`] runs.
+//! The unobserved run loop for [`crate::system::BeaconSystem`]-like
+//! models: [`drive`] runs a model on the sequential engine under a
+//! [`Watch`] with only the default stall window armed.
 //!
-//! The sampler is a value the caller owns, normally the metrics part of
-//! the run's [`beacon_sim::observer::Observer`]. [`drive_with`] samples
-//! the model's gauges into it, prints periodic progress lines and
-//! watches for stalls; [`drive`] is the unobserved loop, with only the
-//! stall detector's default window armed.
+//! Observed runs build their watch from the run's
+//! [`beacon_sim::observer::Sampler`] instead
+//! ([`crate::system::BeaconSystem::run_with`]), and hand the same watch
+//! to whichever engine runs them.
 
 use beacon_sim::component::{Probe, Tick};
-use beacon_sim::cycle::Cycle;
-use beacon_sim::engine::{Engine, EngineHooks, Progress, RunOutcome, StallReport};
-use beacon_sim::metrics::MetricsSample;
-use beacon_sim::observer::Sampler;
+use beacon_sim::engine::{Engine, RunOutcome};
+use beacon_sim::observer::Watch;
 
 /// Runs `model` to completion on `engine` unobserved: a plain run, but
 /// with the default stall window armed so a wiring bug dies with a
 /// diagnosis instead of spinning forever.
 pub fn drive<T: Tick + Probe>(engine: &mut Engine, model: &mut T) -> RunOutcome {
-    drive_with(engine, model, &mut Sampler::default())
-}
-
-/// Runs `model` to completion on `engine` as the next run of `sampler`:
-/// samples land in its series under the run's index, progress and stall
-/// reports go to stderr.
-pub fn drive_with<T: Tick + Probe>(
-    engine: &mut Engine,
-    model: &mut T,
-    sampler: &mut Sampler,
-) -> RunOutcome {
-    let cfg = sampler.cfg;
-    let run = sampler.runs;
-    sampler.runs += 1;
-    let series = &mut sampler.series;
-    let mut hooks = EngineHooks {
-        stall_window: cfg.stall_window,
-        on_stall: Some(Box::new(report_stall)),
-        ..EngineHooks::default()
-    };
-    if cfg.metrics_every > 0 {
-        hooks.sample_every = cfg.metrics_every;
-        hooks.on_sample = Some(Box::new(|now: Cycle, probe: &dyn Probe| {
-            let mut values = Vec::new();
-            probe.gauges(&mut values);
-            values.push(("events".to_owned(), probe.progress_counter() as f64));
-            series.push(MetricsSample {
-                run,
-                cycle: now.as_u64(),
-                values,
-            });
-        }));
-    }
-    if cfg.progress_every > 0 {
-        hooks.progress_every = cfg.progress_every;
-        hooks.on_progress = Some(Box::new(move |p: &Progress| print_progress(run, p)));
-    }
-    engine.run_instrumented(model, &mut hooks)
-}
-
-/// Prints driven run `run`'s progress line to stderr.
-pub(crate) fn print_progress(run: u32, p: &Progress) {
-    eprintln!(
-        "[beacon run {run}] cycle {} | {} events | {:.1} Mcyc/s effective ({:.1} ticked)",
-        p.now.as_u64(),
-        p.events,
-        p.cycles_per_sec / 1e6,
-        p.ticked_per_sec / 1e6,
-    );
-}
-
-pub(crate) fn report_stall(r: &StallReport) {
-    eprintln!(
-        "[beacon] STALL at cycle {} (no progress since {}, {} events):\n{}",
-        r.at.as_u64(),
-        r.last_progress_at.as_u64(),
-        r.events,
-        r.snapshot,
-    );
+    engine.run_watched(model, &mut Watch::new(None))
 }
 
 #[cfg(test)]
@@ -84,7 +23,7 @@ mod tests {
     use super::*;
     use beacon_sim::component::Tick;
     use beacon_sim::cycle::Cycle;
-    use beacon_sim::observer::{ObsConfig, DEFAULT_STALL_WINDOW};
+    use beacon_sim::observer::{ObsConfig, Sampler, DEFAULT_STALL_WINDOW};
 
     struct Countdown {
         n: u64,
@@ -122,8 +61,10 @@ mod tests {
             progress_every: 0,
             stall_window: DEFAULT_STALL_WINDOW,
         });
-        drive_with(&mut Engine::new(), &mut Countdown { n: 25 }, &mut sampler);
-        drive_with(&mut Engine::new(), &mut Countdown { n: 5 }, &mut sampler);
+        for n in [25, 5] {
+            let mut watch = Watch::new(Some(&mut sampler));
+            Engine::new().run_watched(&mut Countdown { n }, &mut watch);
+        }
         let series = sampler.series;
         assert_eq!(sampler.runs, 2);
         // Run 0: cycles 0, 10, 20, 25; run 1: cycles 0, 5.

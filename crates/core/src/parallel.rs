@@ -7,8 +7,9 @@
 //! whose forwarding latency (`cfg.host_latency`) is therefore the
 //! model's *lookahead*: traffic leaving a shard during the epoch
 //! `[t0, t0 + E)` cannot influence any shard before `t0 + E` as long as
-//! `E <= host_latency`. The epoch engine uses exactly `E =
-//! host_latency`, so every barrier fully drains the hub.
+//! `E <= host_latency`. Epochs are `host_latency` long unless the run's
+//! watch ends one earlier, and every exchange delivers all traffic due
+//! within `host_latency`, so every barrier fully drains the hub.
 //!
 //! At each barrier the [`HostHub`] collects the shards' uplink egress
 //! and merges it with [`canonical_merge`] into the order the sequential
@@ -17,23 +18,24 @@
 //! **bit-identical** to [`BeaconSystem::run`] for any thread count and
 //! any OS schedule. The conformance suite in `tests/differential.rs`
 //! holds that contract down to the digest of every counter and the
-//! canonicalised trace stream.
+//! canonicalised trace stream; `tests/observability.rs` holds the
+//! metrics series, which the watch samples through the hub's view of
+//! the pool, to the sequential one byte for byte.
 
 use std::collections::VecDeque;
 
 use beacon_accel::translate::RegionMap;
 use beacon_cxl::bundle::Bundle;
+use beacon_sim::component::Probe;
 use beacon_sim::cycle::{Cycle, Duration};
-use beacon_sim::engine::{Progress, RunOptions, RunOutcome};
+use beacon_sim::engine::{RunOptions, RunOutcome};
 use beacon_sim::horizon::Backoff;
 use beacon_sim::journey::Phase;
-use beacon_sim::metrics::MetricsSample;
-use beacon_sim::observer::{Observer, Sampler, DEFAULT_STALL_WINDOW};
-use beacon_sim::parallel::{EpochHub, EpochShard, ParallelEngine, ParallelHooks};
+use beacon_sim::observer::{Observer, Watch};
+use beacon_sim::parallel::{EpochHub, EpochShard, ParallelEngine};
 
 use crate::config::BeaconConfig;
-use crate::node::{GaugeAcc, SwitchNode, SysCtx};
-use crate::obs;
+use crate::node::{PoolProbe, SwitchNode, SysCtx};
 use crate::system::BeaconSystem;
 
 /// One host-bound bundle drained from a shard's uplink: `(arrival cycle
@@ -187,16 +189,6 @@ impl EpochShard for PoolShard<'_> {
         // before the engine's drained test runs.
         self.inbox.is_empty() && self.node.subtree_idle()
     }
-
-    fn progress(&self) -> u64 {
-        self.node.progress_counter()
-    }
-
-    fn snapshot(&self) -> String {
-        let mut s = String::new();
-        self.node.snapshot_into(&mut s);
-        s
-    }
 }
 
 /// The host root complex as an epoch hub: collects uplink egress at
@@ -264,6 +256,19 @@ impl<'a> EpochHub<PoolShard<'a>> for HostHub {
         }
         !self.pending.is_empty()
     }
+
+    /// The pool as `Probe for BeaconSystem` reads it. At a barrier the
+    /// sequential host stage's bundles are spread over three places —
+    /// shard outboxes (drained, not yet collected), the hub (collected,
+    /// not yet due) and shard inboxes (due, not yet injected) — and
+    /// their sum is what it holds at that cycle.
+    fn view<'v>(&'v self, shards: &'v [PoolShard<'a>]) -> impl Probe + 'v {
+        let staged: usize = shards.iter().map(|s| s.inbox.len() + s.outbox.len()).sum();
+        PoolProbe {
+            nodes: shards.iter().map(|s| &s.node),
+            host_staged: self.pending.len() + staged,
+        }
+    }
 }
 
 impl BeaconSystem {
@@ -272,22 +277,18 @@ impl BeaconSystem {
     /// [`BeaconSystem::run_with`] route for more than one thread): same
     /// `RunResult` digest, same per-component stats, same canonicalised
     /// trace stream, for any thread count. Trace events and journeys go
-    /// to `obs`, through per-shard forks merged at the end of the run.
-    ///
-    /// With `sampler`, metrics sampling and progress reporting fire at
-    /// epoch barriers (every `host_latency` cycles) rather than exact
-    /// cycles, and the `host.staged` gauge counts hub deliveries staged
-    /// at the shards — equivalent in spirit but not sample-for-sample
-    /// identical to the sequential observer output.
+    /// to `obs`, through per-shard forks merged at the end of the run;
+    /// `watch` samples, reports progress and checks for stalls at the
+    /// same cycles, with the same values, as on the sequential engine.
     ///
     /// # Panics
     /// Panics when `host_latency` is zero (the epoch scheme's lookahead
-    /// would vanish) or when the model deadlocks (cycle limit / stall).
+    /// would vanish).
     pub(crate) fn run_parallel(
         &mut self,
         run: RunOptions,
+        watch: &mut Watch<'_>,
         obs: &mut Observer,
-        sampler: Option<&mut Sampler>,
     ) -> RunOutcome {
         assert!(
             self.cfg.host_latency >= 1,
@@ -337,47 +338,7 @@ impl BeaconSystem {
             .collect();
         let engine = ParallelEngine::new(cfg.host_latency, run.threads).starting_at(start);
 
-        // Mirror obs::drive_with at barrier granularity.
-        let mut hooks: ParallelHooks<'_, PoolShard<'_>> = ParallelHooks {
-            stall_window: DEFAULT_STALL_WINDOW,
-            on_stall: Some(Box::new(obs::report_stall)),
-            ..ParallelHooks::default()
-        };
-        if let Some(sampler) = sampler {
-            let ocfg = sampler.cfg;
-            let index = sampler.runs;
-            sampler.runs += 1;
-            hooks.stall_window = ocfg.stall_window;
-            if ocfg.metrics_every > 0 {
-                hooks.sample_every = ocfg.metrics_every;
-                let series = &mut sampler.series;
-                hooks.on_sample = Some(Box::new(move |now: Cycle, shards: &[PoolShard<'_>]| {
-                    let mut acc = GaugeAcc::default();
-                    let mut staged = 0usize;
-                    for sh in shards {
-                        sh.node.accumulate_gauges(&mut acc);
-                        staged += sh.inbox.len();
-                    }
-                    let mut values = Vec::new();
-                    acc.push_into(staged, &mut values);
-                    let events: u64 = shards.iter().map(|sh| sh.node.progress_counter()).sum();
-                    values.push(("events".to_owned(), events as f64));
-                    series.push(MetricsSample {
-                        run: index,
-                        cycle: now.as_u64(),
-                        values,
-                    });
-                }));
-            }
-            if ocfg.progress_every > 0 {
-                hooks.progress_every = ocfg.progress_every;
-                hooks.on_progress =
-                    Some(Box::new(move |p: &Progress| obs::print_progress(index, p)));
-            }
-        }
-
-        let outcome = engine.run_instrumented(&mut shards, &mut hub, &mut hooks, obs);
-        drop(hooks);
+        let outcome = engine.run_watched(&mut shards, &mut hub, watch, obs);
 
         self.switches = shards.into_iter().map(|s| s.node).collect();
         self.maps = maps;
@@ -424,7 +385,7 @@ mod tests {
             threads,
             ..RunOptions::default()
         };
-        let outcome = sys.run_parallel(run, &mut Observer::default(), None);
+        let outcome = sys.run_parallel(run, &mut Watch::off(), &mut Observer::default());
         sys.finished_at = outcome.finished_at();
         sys.collect()
     }

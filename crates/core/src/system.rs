@@ -22,15 +22,13 @@
 
 use std::collections::VecDeque;
 
-use std::fmt::Write as _;
-
 use beacon_sim::component::{Probe, Tick};
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::engine::{Engine, RunOptions, RunOutcome};
 use beacon_sim::journey::{
     Attribution, ComponentUtil, JourneyRecorder, Phase, QueueAcc, QueueStat,
 };
-use beacon_sim::observer::{Observed, Observer};
+use beacon_sim::observer::{Observed, Observer, Watch};
 use beacon_sim::stats::Stats;
 
 use beacon_accel::result::RunResult;
@@ -43,7 +41,7 @@ use beacon_genomics::trace::TaskTrace;
 
 use crate::config::{BeaconConfig, BeaconVariant};
 use crate::mmf::{MemoryLayout, RemapPlan};
-use crate::node::{GaugeAcc, SwitchNode, SysCtx};
+use crate::node::{PoolProbe, SwitchNode, SysCtx};
 
 /// The assembled BEACON-D / BEACON-S system.
 #[derive(Debug)]
@@ -205,19 +203,18 @@ impl BeaconSystem {
     pub fn run_with(&mut self, run: RunOptions, obs: &mut Observer) -> RunResult {
         assert!(run.threads > 0, "need at least one thread");
         self.arm(obs);
-        // The sampler is driven beside the ticks, which take the rest of
-        // the observer.
+        // The sampler's watch runs beside the ticks, which take the rest
+        // of the observer.
         let mut sampler = obs.metrics.take();
+        let mut watch = Watch::new(sampler.as_mut());
         let outcome = if run.threads > 1 {
-            self.run_parallel(run, obs, sampler.as_mut())
+            self.run_parallel(run, &mut watch, obs)
         } else {
-            let mut engine = Engine::starting_at(self.clock).with_skip(run.skip);
-            let mut model = Observed::new(&mut *self, &mut *obs);
-            match sampler.as_mut() {
-                Some(s) => crate::obs::drive_with(&mut engine, &mut model, s),
-                None => crate::obs::drive(&mut engine, &mut model),
-            }
+            Engine::starting_at(self.clock)
+                .with_skip(run.skip)
+                .run_watched(&mut Observed::new(&mut *self, &mut *obs), &mut watch)
         };
+        drop(watch);
         obs.metrics = sampler;
         self.finished_at = outcome.finished_at();
         self.clock = self.finished_at;
@@ -567,30 +564,26 @@ impl Tick for BeaconSystem {
     }
 }
 
+impl BeaconSystem {
+    fn probe(&self) -> PoolProbe<std::slice::Iter<'_, SwitchNode>> {
+        PoolProbe {
+            nodes: self.switches.iter(),
+            host_staged: self.host_stage.len(),
+        }
+    }
+}
+
 impl Probe for BeaconSystem {
-    /// Useful work only: forwarded bundles, issued accesses, retired
-    /// tasks and DRAM data/row commands. Refresh is deliberately
-    /// excluded — a refreshing but otherwise wedged pool must still trip
-    /// the stall detector.
     fn progress_counter(&self) -> u64 {
-        self.switches.iter().map(SwitchNode::progress_counter).sum()
+        self.probe().progress_counter()
     }
 
     fn gauges(&self, out: &mut Vec<(String, f64)>) {
-        let mut acc = GaugeAcc::default();
-        for sw in &self.switches {
-            sw.accumulate_gauges(&mut acc);
-        }
-        acc.push_into(self.host_stage.len(), out);
+        self.probe().gauges(out);
     }
 
     fn state_snapshot(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "host_stage: {}", self.host_stage.len());
-        for sw in &self.switches {
-            sw.snapshot_into(&mut s);
-        }
-        s
+        self.probe().state_snapshot()
     }
 }
 

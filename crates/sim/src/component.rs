@@ -53,8 +53,9 @@ pub trait Tick {
     }
 }
 
-/// Read-only observability surface of a model, consumed by the engine's
-/// instrumented run loop (`Engine::run_instrumented`).
+/// Read-only observability surface of a model, read by the run's
+/// [`Watch`](crate::observer::Watch) at its sample, progress and stall
+/// deadlines.
 ///
 /// Every method has a default implementation, so any model can opt in
 /// with `impl Probe for M {}` and refine incrementally. Implementations

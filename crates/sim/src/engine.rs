@@ -13,10 +13,16 @@
 //! [`RunOutcome::finished_at`] and every digest — are bit-identical to
 //! the every-cycle loop. [`Engine::with_skip`] disables the optimisation
 //! for A/B comparison.
+//!
+//! There is one idle-terminated loop, [`Engine::run_watched`]: it runs
+//! the model under a [`Watch`] (metrics samples, progress lines, the
+//! stall detector), stopping every jump at the watch's next deadline.
+//! [`Engine::run`] is that loop with nothing armed.
 
 use crate::component::{Probe, Tick};
 use crate::cycle::{Cycle, Duration};
 use crate::horizon::Backoff;
+use crate::observer::Watch;
 
 /// How a run executes. Every field is a wall-clock choice only: all
 /// combinations produce bit-identical simulated results, so the
@@ -78,7 +84,7 @@ pub enum RunOutcome {
     },
     /// The stall detector fired: the model was not idle but made no
     /// forward progress for a whole stall window (see
-    /// [`EngineHooks::stall_window`]).
+    /// [`ObsConfig::stall_window`](crate::observer::ObsConfig::stall_window)).
     Stalled {
         /// Cycle at which the stall was detected.
         at: Cycle,
@@ -112,76 +118,6 @@ impl RunOutcome {
     pub fn drained(self) -> bool {
         matches!(self, RunOutcome::Drained { .. })
     }
-}
-
-/// Progress report passed to [`EngineHooks::on_progress`].
-#[derive(Debug, Clone, Copy)]
-pub struct Progress {
-    /// Current simulation time.
-    pub now: Cycle,
-    /// Cycles simulated since this run started, fast-forwarded spans
-    /// included (the *effective* span).
-    pub cycles: u64,
-    /// Cycles actually ticked since this run started — skipped spans
-    /// excluded (the *raw* work the host CPU performed).
-    pub ticked: u64,
-    /// The model's progress counter (events retired so far).
-    pub events: u64,
-    /// Wall-clock seconds since this run started.
-    pub wall_secs: f64,
-    /// Effective simulated cycles per wall-clock second (skip-inclusive;
-    /// this is the headline simulator-throughput number).
-    pub cycles_per_sec: f64,
-    /// Raw ticked cycles per wall-clock second (skip-exclusive), so a
-    /// fast-forwarded run cannot masquerade as a faster inner loop.
-    pub ticked_per_sec: f64,
-}
-
-/// Diagnostic report passed to [`EngineHooks::on_stall`].
-#[derive(Debug, Clone)]
-pub struct StallReport {
-    /// Cycle at which the stall was detected.
-    pub at: Cycle,
-    /// Last cycle at which the progress counter advanced.
-    pub last_progress_at: Cycle,
-    /// The stuck progress-counter value.
-    pub events: u64,
-    /// The model's [`Probe::state_snapshot`] at detection time.
-    pub snapshot: String,
-}
-
-/// Boxed progress callback.
-pub type ProgressFn<'a> = Box<dyn FnMut(&Progress) + 'a>;
-/// Boxed metrics-sampling callback.
-pub type SampleFn<'a> = Box<dyn FnMut(Cycle, &dyn Probe) + 'a>;
-/// Boxed stall callback.
-pub type StallFn<'a> = Box<dyn FnMut(&StallReport) + 'a>;
-
-/// Observer hooks for [`Engine::run_instrumented`].
-///
-/// Each hook is independent and fires only when both its cadence field
-/// is non-zero and its callback is set, so a default-constructed
-/// `EngineHooks` makes `run_instrumented` behave exactly like
-/// [`Engine::run`]. Callbacks only *read* the model (via [`Probe`]), so
-/// enabling them never changes simulated behaviour.
-#[derive(Default)]
-pub struct EngineHooks<'a> {
-    /// Invoke `on_progress` every this many cycles (0 = never).
-    pub progress_every: u64,
-    /// Periodic progress callback (cycles, events, wall-clock rate).
-    pub on_progress: Option<ProgressFn<'a>>,
-    /// Invoke `on_sample` every this many cycles (0 = never). When set,
-    /// a sample is also taken at run start and once after the run ends,
-    /// so any finished run yields at least two samples.
-    pub sample_every: u64,
-    /// Metrics-sampling callback; reads gauges via [`Probe::gauges`].
-    pub on_sample: Option<SampleFn<'a>>,
-    /// Declare a stall after this many cycles without progress-counter
-    /// movement (0 = stall detection off).
-    pub stall_window: u64,
-    /// Stall callback, invoked once with a diagnostic snapshot right
-    /// before `run_instrumented` returns [`RunOutcome::Stalled`].
-    pub on_stall: Option<StallFn<'a>>,
 }
 
 /// Drives a [`Tick`] component until it reports idle.
@@ -256,26 +192,15 @@ impl Engine {
         self.now
     }
 
-    /// Runs `model` until it reports idle or the limit is reached.
+    /// Runs `model` until it reports idle or the limit is reached: the
+    /// watched loop ([`Engine::run_watched`]) with nothing armed.
     ///
     /// When fast-forwarding is enabled (the default, see
     /// [`Engine::with_skip`]) the clock jumps over spans the model's
     /// [`Tick::next_event`] horizon proves dead; the reported
     /// `finished_at` and all model state stay bit-identical either way.
     pub fn run<T: Tick + ?Sized>(&mut self, model: &mut T) -> RunOutcome {
-        let mut throttle = Backoff::new();
-        // The guard cycle right before the limit is ticked like in the
-        // per-cycle loop.
-        let last = last_before(self.limit);
-        while !model.is_idle() {
-            if self.now >= self.limit {
-                return RunOutcome::LimitReached { limit: self.limit };
-            }
-            self.step(model, &mut throttle, last, true);
-        }
-        RunOutcome::Drained {
-            finished_at: self.now,
-        }
+        self.run_watched(&mut Unprobed(model), &mut Watch::off())
     }
 
     /// Runs `model` for exactly `cycles` additional cycles (regardless of
@@ -322,59 +247,28 @@ impl Engine {
         };
     }
 
-    /// Runs `model` until it reports idle, like [`Engine::run`], while
-    /// driving the observer `hooks` (periodic progress reports, metrics
-    /// sampling, stall detection).
+    /// Runs `model` until it reports idle or the limit is reached, under
+    /// `watch`: the watch samples, reports progress and checks for stalls
+    /// at its deadlines, and returns [`RunOutcome::Stalled`] when its
+    /// stall window passes without progress.
     ///
-    /// With default hooks this is behaviourally identical to
-    /// [`Engine::run`]; the hooks only read the model through [`Probe`],
-    /// so simulated results are bit-identical whether or not observers
-    /// are attached.
-    pub fn run_instrumented<T: Tick + Probe>(
+    /// Jumps stop at the watch's next deadline, so it fires at exactly
+    /// the cycles an every-cycle run would reach: a fast-forwarded span is
+    /// never misread as a stall, and series line up sample for sample.
+    /// The watch only reads the model through [`Probe`], so results are
+    /// bit-identical whatever it has armed.
+    pub fn run_watched<T: Tick + Probe + ?Sized>(
         &mut self,
         model: &mut T,
-        hooks: &mut EngineHooks<'_>,
+        watch: &mut Watch<'_>,
     ) -> RunOutcome {
-        let started_at = self.now;
-        let wall_start = std::time::Instant::now();
-
-        let progress_every = match hooks.on_progress {
-            Some(_) => hooks.progress_every,
-            None => 0,
-        };
-        let sample_every = match hooks.on_sample {
-            Some(_) => hooks.sample_every,
-            None => 0,
-        };
-        // Stall detection is active with or without a callback.
-        let stall_window = hooks.stall_window;
-
-        let mut next_progress = if progress_every > 0 {
-            started_at + Duration::new(progress_every)
-        } else {
-            Cycle::NEVER
-        };
-        let mut next_sample = if sample_every > 0 {
-            started_at + Duration::new(sample_every)
-        } else {
-            Cycle::NEVER
-        };
-        let mut next_stall_check = if stall_window > 0 {
-            started_at + Duration::new(stall_window)
-        } else {
-            Cycle::NEVER
-        };
-
-        if sample_every > 0 {
-            if let Some(cb) = hooks.on_sample.as_mut() {
-                cb(self.now, &*model);
-            }
-        }
-        let mut last_progress_count = model.progress_counter();
-        let mut last_progress_at = self.now;
+        watch.begin(self.now, &*model);
         let mut throttle = Backoff::new();
         let mut ticked: u64 = 0;
-
+        // The guard cycle right before the limit is ticked like in the
+        // per-cycle loop; so is every deadline.
+        let mut deadline = watch.deadline();
+        let mut last = last_before(self.limit).min(deadline);
         let outcome = loop {
             if model.is_idle() {
                 break RunOutcome::Drained {
@@ -384,86 +278,48 @@ impl Engine {
             if self.now >= self.limit {
                 break RunOutcome::LimitReached { limit: self.limit };
             }
-
-            // Clamp jumps at every pending hook deadline so samples,
-            // progress reports and stall checks fire at exactly the
-            // cycles they would in an every-cycle run — a fast-forwarded
-            // span can therefore never be misread as a stall, and
-            // metrics series line up sample for sample.
-            let last = last_before(self.limit)
-                .min(next_sample)
-                .min(next_progress)
-                .min(next_stall_check);
             self.step(model, &mut throttle, last, true);
             ticked += 1;
-
-            if self.now >= next_sample {
-                if let Some(cb) = hooks.on_sample.as_mut() {
-                    cb(self.now, &*model);
+            if self.now >= deadline {
+                if let Some(stalled) = watch.fire(self.now, ticked, &*model) {
+                    break stalled;
                 }
-                next_sample = self.now + Duration::new(sample_every);
-            }
-            if self.now >= next_progress {
-                let events = model.progress_counter();
-                let cycles = self.now.since(started_at).as_u64();
-                let wall_secs = wall_start.elapsed().as_secs_f64();
-                let per_sec = |n: u64| {
-                    if wall_secs > 0.0 {
-                        n as f64 / wall_secs
-                    } else {
-                        0.0
-                    }
-                };
-                let report = Progress {
-                    now: self.now,
-                    cycles,
-                    ticked,
-                    events,
-                    wall_secs,
-                    cycles_per_sec: per_sec(cycles),
-                    ticked_per_sec: per_sec(ticked),
-                };
-                if let Some(cb) = hooks.on_progress.as_mut() {
-                    cb(&report);
-                }
-                next_progress = self.now + Duration::new(progress_every);
-            }
-            if self.now >= next_stall_check {
-                let count = model.progress_counter();
-                if count > last_progress_count {
-                    last_progress_count = count;
-                    last_progress_at = self.now;
-                } else {
-                    let report = StallReport {
-                        at: self.now,
-                        last_progress_at,
-                        events: count,
-                        snapshot: model.state_snapshot(),
-                    };
-                    if let Some(cb) = hooks.on_stall.as_mut() {
-                        cb(&report);
-                    }
-                    break RunOutcome::Stalled {
-                        at: self.now,
-                        last_progress_at,
-                    };
-                }
-                next_stall_check = self.now + Duration::new(stall_window);
+                deadline = watch.deadline();
+                last = last_before(self.limit).min(deadline);
             }
         };
-
-        if sample_every > 0 {
-            if let Some(cb) = hooks.on_sample.as_mut() {
-                cb(self.now, &*model);
-            }
-        }
+        watch.end(self.now, &*model);
         outcome
     }
 }
 
+/// A model without a [`Probe`]: reads as the trait's defaults, which an
+/// unarmed watch never asks for.
+struct Unprobed<'a, T: ?Sized>(&'a mut T);
+
+impl<T: Tick + ?Sized> Tick for Unprobed<'_, T> {
+    #[inline]
+    fn tick(&mut self, now: Cycle) {
+        self.0.tick(now);
+    }
+
+    #[inline]
+    fn is_idle(&self) -> bool {
+        self.0.is_idle()
+    }
+
+    #[inline]
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.0.next_event(now)
+    }
+}
+
+impl<T: ?Sized> Probe for Unprobed<'_, T> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::{ObsConfig, Sampler};
     use std::cell::Cell;
 
     struct Countdown {
@@ -547,67 +403,69 @@ mod tests {
         assert_eq!(e.now(), Cycle::new(5));
     }
 
+    /// A sampler arming the watch at these cadences (0 = off).
+    fn sampler(metrics_every: u64, progress_every: u64, stall_window: u64) -> Sampler {
+        Sampler::new(ObsConfig {
+            metrics_every,
+            progress_every,
+            stall_window,
+        })
+    }
+
+    fn sampled_cycles(s: &Sampler) -> Vec<u64> {
+        s.series.samples().iter().map(|x| x.cycle).collect()
+    }
+
     #[test]
     fn instrumented_default_hooks_match_plain_run() {
         let mut plain = Engine::new();
         let plain_out = plain.run(&mut Countdown { n: 64 });
-        let mut inst = Engine::new();
-        let inst_out = inst.run_instrumented(&mut Countdown { n: 64 }, &mut EngineHooks::default());
-        assert_eq!(plain_out, inst_out);
-        assert_eq!(plain.now(), inst.now());
+        for mut watch in [Watch::off(), Watch::new(None)] {
+            let mut inst = Engine::new();
+            let inst_out = inst.run_watched(&mut Countdown { n: 64 }, &mut watch);
+            assert_eq!(plain_out, inst_out);
+            assert_eq!(plain.now(), inst.now());
+        }
     }
 
     #[test]
     fn instrumented_samples_at_cadence_and_ends() {
-        let mut cycles_sampled: Vec<u64> = Vec::new();
-        {
-            let mut hooks = EngineHooks {
-                sample_every: 10,
-                on_sample: Some(Box::new(|now: Cycle, _probe: &dyn Probe| {
-                    cycles_sampled.push(now.as_u64());
-                })),
-                ..EngineHooks::default()
-            };
-            let mut e = Engine::new();
-            let out = e.run_instrumented(&mut Countdown { n: 35 }, &mut hooks);
-            assert!(out.drained());
-        }
-        assert_eq!(cycles_sampled, vec![0, 10, 20, 30, 35]);
+        let mut s = sampler(10, 0, 0);
+        let out =
+            Engine::new().run_watched(&mut Countdown { n: 35 }, &mut Watch::new(Some(&mut s)));
+        assert!(out.drained());
+        assert_eq!(sampled_cycles(&s), vec![0, 10, 20, 30, 35]);
     }
 
     #[test]
     fn instrumented_reports_progress() {
-        let mut reports: Vec<(u64, u64)> = Vec::new();
-        {
-            let mut hooks = EngineHooks {
-                progress_every: 25,
-                on_progress: Some(Box::new(|p: &Progress| {
-                    reports.push((p.cycles, p.events));
-                })),
-                ..EngineHooks::default()
-            };
-            let mut e = Engine::new();
-            e.run_instrumented(&mut Countdown { n: 100 }, &mut hooks);
+        // The watch as an engine drives it: fire whenever the clock
+        // reaches its deadline.
+        let mut s = sampler(0, 25, 0);
+        let mut watch = Watch::new(Some(&mut s));
+        let mut model = Countdown { n: 100 };
+        watch.begin(Cycle::ZERO, &model);
+        let mut reports: Vec<(u64, u64, u64)> = Vec::new();
+        for t in 0..100 {
+            model.tick(Cycle::new(t));
+            let now = Cycle::new(t + 1);
+            if now >= watch.deadline() {
+                assert!(watch.fire(now, t + 1, &model).is_none());
+                let p = watch.progress().expect("a progress report fired");
+                reports.push((p.now.as_u64(), p.cycles, p.events));
+            }
         }
-        assert_eq!(reports.len(), 4); // at cycles 25, 50, 75 and 100
-        assert!(reports.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(reports.windows(2).all(|w| w[0].1 <= w[1].1));
+        let at: Vec<u64> = reports.iter().map(|r| r.0).collect();
+        assert_eq!(at, vec![25, 50, 75, 100]);
+        assert!(reports.windows(2).all(|w| w[0].1 < w[1].1));
+        assert!(reports.windows(2).all(|w| w[0].2 <= w[1].2));
     }
 
     #[test]
     fn stall_detector_fires_with_snapshot() {
-        let mut snapshots: Vec<String> = Vec::new();
-        let outcome = {
-            let mut hooks = EngineHooks {
-                stall_window: 10,
-                on_stall: Some(Box::new(|r: &StallReport| {
-                    snapshots.push(r.snapshot.clone());
-                })),
-                ..EngineHooks::default()
-            };
-            let mut e = Engine::new();
-            e.run_instrumented(&mut NeverIdle, &mut hooks)
-        };
+        let mut s = sampler(0, 0, 10);
+        let mut watch = Watch::new(Some(&mut s));
+        let outcome = Engine::new().run_watched(&mut NeverIdle, &mut watch);
         match outcome {
             RunOutcome::Stalled {
                 at,
@@ -618,31 +476,28 @@ mod tests {
             }
             other => panic!("expected a stall, got {other:?}"),
         }
-        assert_eq!(snapshots, vec!["stuck".to_string()]);
+        let report = watch.stall().expect("the stall was reported");
+        assert_eq!(report.snapshot, "stuck");
+        assert_eq!(report.at, Cycle::new(10));
     }
 
     #[test]
     fn stall_detector_ignores_progressing_models() {
         // Countdown's progress counter advances every tick, so even a
         // tiny window never fires.
-        let mut hooks = EngineHooks {
-            stall_window: 3,
-            ..EngineHooks::default()
-        };
-        let mut e = Engine::new();
-        let out = e.run_instrumented(&mut Countdown { n: 50 }, &mut hooks);
+        let mut s = sampler(0, 0, 3);
+        let out =
+            Engine::new().run_watched(&mut Countdown { n: 50 }, &mut Watch::new(Some(&mut s)));
         assert_eq!(out.finished_at(), Cycle::new(50));
     }
 
     #[test]
     #[should_panic(expected = "stalled")]
     fn finished_at_panics_on_stall() {
-        let mut hooks = EngineHooks {
-            stall_window: 4,
-            ..EngineHooks::default()
-        };
-        let mut e = Engine::new();
-        e.run_instrumented(&mut NeverIdle, &mut hooks).finished_at();
+        let mut s = sampler(0, 0, 4);
+        Engine::new()
+            .run_watched(&mut NeverIdle, &mut Watch::new(Some(&mut s)))
+            .finished_at();
     }
 
     #[test]
@@ -779,26 +634,14 @@ mod tests {
     #[test]
     fn instrumented_hooks_fire_at_identical_cycles_under_skip() {
         let run = |skip: bool| {
-            let mut samples: Vec<u64> = Vec::new();
-            let mut progress: Vec<(u64, u64, u64)> = Vec::new();
-            let out = {
-                let mut hooks = EngineHooks {
-                    sample_every: 64,
-                    on_sample: Some(Box::new(|now: Cycle, _p: &dyn Probe| {
-                        samples.push(now.as_u64());
-                    })),
-                    progress_every: 128,
-                    on_progress: Some(Box::new(|p: &Progress| {
-                        progress.push((p.now.as_u64(), p.cycles, p.events));
-                    })),
-                    stall_window: 200,
-                    ..EngineHooks::default()
-                };
-                Engine::new()
-                    .with_skip(skip)
-                    .run_instrumented(&mut Sparse::at(&[5, 100, 700]), &mut hooks)
-            };
-            (out, samples, progress)
+            let mut s = sampler(64, 128, 200);
+            let mut watch = Watch::new(Some(&mut s));
+            let out = Engine::new()
+                .with_skip(skip)
+                .run_watched(&mut Sparse::at(&[5, 100, 700]), &mut watch);
+            let p = watch.progress().expect("progress reported");
+            let progress = (p.now.as_u64(), p.cycles, p.events);
+            (out, progress, sampled_cycles(&s))
         };
         let slow = run(false);
         let fast = run(true);
@@ -813,13 +656,10 @@ mod tests {
         // conversely must never invent one on a span the every-cycle
         // engine survives.
         let run = |skip: bool, events: &[u64]| {
-            let mut hooks = EngineHooks {
-                stall_window: 200,
-                ..EngineHooks::default()
-            };
+            let mut s = sampler(0, 0, 200);
             Engine::new()
                 .with_skip(skip)
-                .run_instrumented(&mut Sparse::at(events), &mut hooks)
+                .run_watched(&mut Sparse::at(events), &mut Watch::new(Some(&mut s)))
         };
         let slow = run(false, &[5, 100, 10_000]);
         let fast = run(true, &[5, 100, 10_000]);
@@ -834,25 +674,18 @@ mod tests {
 
     #[test]
     fn progress_reports_raw_and_effective_rates() {
-        let mut reports: Vec<(u64, u64)> = Vec::new();
-        {
-            let mut hooks = EngineHooks {
-                progress_every: 1_000,
-                on_progress: Some(Box::new(|p: &Progress| {
-                    reports.push((p.cycles, p.ticked));
-                })),
-                ..EngineHooks::default()
-            };
-            Engine::new().run_instrumented(&mut Sparse::at(&[5, 4_000]), &mut hooks);
-        }
-        assert!(!reports.is_empty());
-        for &(cycles, ticked) in &reports {
-            assert!(ticked <= cycles, "raw ticks cannot exceed effective span");
-        }
+        let mut s = sampler(0, 1_000, 0);
+        let mut watch = Watch::new(Some(&mut s));
+        Engine::new().run_watched(&mut Sparse::at(&[5, 4_000]), &mut watch);
+        let p = watch.progress().expect("progress reported");
+        assert_eq!((p.now, p.cycles), (Cycle::new(4_000), 4_000));
+        assert!(
+            p.ticked <= p.cycles,
+            "raw ticks cannot exceed effective span"
+        );
         // The dead span 6..4_000 is skipped (modulo progress-deadline
         // ticks), so far fewer raw ticks than effective cycles.
-        let &(cycles, ticked) = reports.last().unwrap();
-        assert!(ticked < cycles / 100);
+        assert!(p.ticked < p.cycles / 100);
     }
 
     /// Dense model: an event every cycle for `n` cycles; counts horizon

@@ -43,12 +43,12 @@ pub mod trace;
 pub mod prelude {
     pub use crate::component::{Probe, Tick};
     pub use crate::cycle::{Cycle, Duration};
-    pub use crate::engine::{Engine, EngineHooks, RunOptions};
+    pub use crate::engine::{Engine, RunOptions};
     pub use crate::faults::{FaultSchedule, FaultStream};
     pub use crate::horizon::{Backoff, HorizonCache};
     pub use crate::journey::{Attribution, JStamp, JourneyRecorder, LatencyHistogram, Phase};
     pub use crate::metrics::{MetricsSample, MetricsSeries};
-    pub use crate::observer::{ObsConfig, Observed, Observer, Sampler};
+    pub use crate::observer::{ObsConfig, Observed, Observer, Sampler, Watch};
     pub use crate::parallel::{EpochHub, EpochShard, ParallelEngine};
     pub use crate::queue::BoundedQueue;
     pub use crate::rng::SimRng;

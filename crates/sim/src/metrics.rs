@@ -1,8 +1,8 @@
 //! Metrics time-series sampling.
 //!
 //! A [`MetricsSeries`] accumulates [`MetricsSample`] snapshots — gauge
-//! name/value pairs taken every N cycles by the engine's sampling hook
-//! (see `Engine::run_instrumented`) — and exports them as JSON-lines or
+//! name/value pairs taken every N cycles by the run's watch (see
+//! [`crate::observer::Watch`]) — and exports them as JSON-lines or
 //! CSV for plotting queue depths, link occupancy, PE busyness and the
 //! like over the course of a run.
 

@@ -2,10 +2,11 @@
 //!
 //! [`ParallelEngine`] drives a set of [`EpochShard`]s — independent
 //! sub-models that only interact through a central [`EpochHub`] — in
-//! fixed-length epochs. Within an epoch every shard advances on its own
-//! worker thread; at the epoch barrier the hub collects each shard's
-//! outbound traffic and schedules deliveries in a fixed canonical
-//! order. Because shard-to-shard influence is bounded below by the
+//! epochs no longer than the lookahead. Within an epoch every shard
+//! advances on its own worker thread; at the epoch barrier the hub
+//! collects each shard's
+//! outbound traffic and schedules deliveries in a fixed
+//! canonical order. Because shard-to-shard influence is bounded below by the
 //! epoch length (the conservative lookahead), the result is
 //! *bit-identical* to single-threaded execution regardless of the
 //! thread count or OS scheduling.
@@ -13,10 +14,14 @@
 //! The run loop mirrors [`crate::engine::Engine::run`]'s contract: it
 //! returns [`RunOutcome::Drained`] at the first cycle every shard is
 //! quiescent, [`RunOutcome::LimitReached`] at the deadlock-guard limit
-//! and [`RunOutcome::Stalled`] when the summed progress counters stop
-//! moving for a whole stall window. Observer hooks fire at epoch
-//! barriers rather than exact cycles — coarser than the sequential
-//! engine's, but equally read-only.
+//! and [`RunOutcome::Stalled`] when the run's [`Watch`] finds no
+//! progress over a whole stall window.
+//!
+//! The watch is the sequential engine's: epochs end at its deadlines
+//! (an epoch shorter than the lookahead is always safe), and it reads
+//! the whole model through the hub's [`EpochHub::view`], so samples,
+//! progress lines and stall verdicts land on the same cycles, with the
+//! same values, as in a sequential run.
 //!
 //! Trace and journey records follow the work, not the thread: a shard
 //! advanced on a worker records into its own [`Observer::fork`], which
@@ -27,9 +32,10 @@
 
 use std::sync::mpsc;
 
+use crate::component::Probe;
 use crate::cycle::{Cycle, Duration};
-use crate::engine::{Engine, Progress, ProgressFn, RunOutcome, StallFn, StallReport};
-use crate::observer::Observer;
+use crate::engine::{Engine, RunOutcome};
+use crate::observer::{Observer, Watch};
 
 /// One independently advanceable partition of a model.
 ///
@@ -65,70 +71,28 @@ pub trait EpochShard: Send {
     /// point is final unless the hub delivers more traffic.
     fn quiescent(&self) -> bool;
 
-    /// Monotone count of useful work done, summed across shards for
-    /// stall detection (see [`crate::component::Probe`]).
-    fn progress(&self) -> u64;
-
-    /// Cycles this shard has actually ticked so far, fast-forwarded
-    /// spans excluded; summed across shards for the raw-rate field of
-    /// barrier progress reports. The default assumes every simulated
-    /// cycle was ticked (no skipping).
-    fn ticked(&self) -> u64 {
-        self.position().as_u64()
-    }
-
-    /// Human-readable state dump for stall reports.
-    fn snapshot(&self) -> String {
-        String::new()
-    }
+    /// Cycles this shard has ticked in this run, fast-forwarded spans
+    /// excluded; summed across shards for the raw rate of progress
+    /// reports.
+    fn ticked(&self) -> u64;
 }
 
 /// The single synchronization point between shards.
 pub trait EpochHub<S: EpochShard> {
-    /// Called at every epoch barrier *before* the epoch `[horizon -
-    /// epoch, horizon)` runs: collect each shard's outbound traffic in
-    /// canonical order and deliver everything due before `horizon` back
-    /// into the destination shards. Returns `true` while undelivered
+    /// Called at every epoch barrier before the next epoch runs: collect
+    /// each shard's outbound traffic in canonical order and deliver
+    /// everything due before `horizon` — the end of the longest epoch
+    /// the lookahead allows — back into the destination shards, which
+    /// hold a delivery until its cycle (the epoch that follows may end
+    /// earlier, at a watch deadline). Returns `true` while undelivered
     /// traffic remains inside the hub (so the run cannot finish yet).
     /// Runs on the coordinator, recording into the run's observer `obs`.
     fn exchange(&mut self, shards: &mut [S], horizon: Cycle, obs: &mut Observer) -> bool;
-}
 
-/// Boxed barrier-granular metrics callback (receives all shards).
-pub type ShardSampleFn<'a, S> = Box<dyn FnMut(Cycle, &[S]) + 'a>;
-
-/// Observer hooks for [`ParallelEngine::run_instrumented`], mirroring
-/// [`crate::engine::EngineHooks`] at epoch-barrier granularity.
-pub struct ParallelHooks<'a, S> {
-    /// Report progress at the first barrier past each multiple of this
-    /// many cycles (0 = never).
-    pub progress_every: u64,
-    /// Periodic progress callback.
-    pub on_progress: Option<ProgressFn<'a>>,
-    /// Sample at the first barrier past each multiple of this many
-    /// cycles (0 = never); also once at run start and once at the end.
-    pub sample_every: u64,
-    /// Metrics-sampling callback; reads the shards.
-    pub on_sample: Option<ShardSampleFn<'a, S>>,
-    /// Declare a stall after this many cycles without summed-progress
-    /// movement (0 = stall detection off).
-    pub stall_window: u64,
-    /// Stall callback, invoked right before returning
-    /// [`RunOutcome::Stalled`].
-    pub on_stall: Option<StallFn<'a>>,
-}
-
-impl<S> Default for ParallelHooks<'_, S> {
-    fn default() -> Self {
-        ParallelHooks {
-            progress_every: 0,
-            on_progress: None,
-            sample_every: 0,
-            on_sample: None,
-            stall_window: 0,
-            on_stall: None,
-        }
-    }
+    /// The whole model at a barrier — the hub and every shard — as the
+    /// run's [`Watch`] reads it: the same progress counter, gauges and
+    /// stall dump a sequential run of the model reports at that cycle.
+    fn view<'v>(&'v self, shards: &'v [S]) -> impl Probe + 'v;
 }
 
 /// Message from the coordinator to a worker: advance shard `1` (kept at
@@ -159,8 +123,9 @@ pub struct ParallelEngine {
 }
 
 impl ParallelEngine {
-    /// Creates an engine advancing `epoch_cycles` per barrier on up to
-    /// `threads` worker threads, with the default deadlock-guard limit.
+    /// Creates an engine advancing at most `epoch_cycles` per barrier on
+    /// up to `threads` worker threads, with the default deadlock-guard
+    /// limit.
     ///
     /// # Panics
     /// Panics when `epoch_cycles` or `threads` is zero.
@@ -190,34 +155,30 @@ impl ParallelEngine {
         self
     }
 
-    /// The configured epoch length in cycles.
-    pub fn epoch_cycles(&self) -> u64 {
-        self.epoch.as_u64()
-    }
-
-    /// Runs the shards to completion without hooks, recording into `obs`.
+    /// Runs the shards to completion with nothing watched, recording
+    /// into `obs`.
     pub fn run<S: EpochShard, H: EpochHub<S>>(
         &self,
         shards: &mut Vec<S>,
         hub: &mut H,
         obs: &mut Observer,
     ) -> RunOutcome {
-        self.run_instrumented(shards, hub, &mut ParallelHooks::default(), obs)
+        self.run_watched(shards, hub, &mut Watch::off(), obs)
     }
 
-    /// Runs the shards to completion, driving barrier-granular observer
-    /// hooks and recording into `obs`. With default hooks this behaves
-    /// exactly like [`ParallelEngine::run`].
-    pub fn run_instrumented<S: EpochShard, H: EpochHub<S>>(
+    /// Runs the shards to completion under `watch`, recording into
+    /// `obs`: epochs end at the watch's deadlines, where it fires on the
+    /// hub's view of the whole model.
+    pub fn run_watched<S: EpochShard, H: EpochHub<S>>(
         &self,
         shards: &mut Vec<S>,
         hub: &mut H,
-        hooks: &mut ParallelHooks<'_, S>,
+        watch: &mut Watch<'_>,
         obs: &mut Observer,
     ) -> RunOutcome {
         let workers = self.threads.min(shards.len());
         if workers <= 1 {
-            return self.drive(shards, hub, hooks, obs, None);
+            return self.drive(shards, hub, watch, obs, None);
         }
         std::thread::scope(|scope| {
             let (ret_tx, ret_rx) = mpsc::channel::<JobResult<S>>();
@@ -232,7 +193,7 @@ impl ParallelEngine {
             drop(ret_tx);
             let forks = shards.iter().map(|_| obs.fork()).collect();
             let mut pool = WorkerPool { txs, ret_rx, forks };
-            let outcome = self.drive(shards, hub, hooks, obs, Some(&mut pool));
+            let outcome = self.drive(shards, hub, watch, obs, Some(&mut pool));
             // The end-of-run merge. Dropping the pool then closes the job
             // channels, so every worker drains and exits.
             obs.absorb(std::mem::take(&mut pool.forks));
@@ -244,37 +205,15 @@ impl ParallelEngine {
         &self,
         shards: &mut Vec<S>,
         hub: &mut H,
-        hooks: &mut ParallelHooks<'_, S>,
+        watch: &mut Watch<'_>,
         obs: &mut Observer,
         mut pool: Option<&mut WorkerPool<S>>,
     ) -> RunOutcome {
-        let wall_start = std::time::Instant::now();
-        let progress_every = match hooks.on_progress {
-            Some(_) => hooks.progress_every,
-            None => 0,
-        };
-        let sample_every = match hooks.on_sample {
-            Some(_) => hooks.sample_every,
-            None => 0,
-        };
-        let stall_window = hooks.stall_window;
-
-        let mut next_progress = cadence_start(self.start, progress_every);
-        let mut next_sample = cadence_start(self.start, sample_every);
-        let mut next_stall_check = cadence_start(self.start, stall_window);
-
-        if sample_every > 0 {
-            if let Some(cb) = hooks.on_sample.as_mut() {
-                cb(self.start, shards);
-            }
-        }
-        let mut last_progress_count: u64 = shards.iter().map(EpochShard::progress).sum();
-        let mut last_progress_at = self.start;
-
         let mut t0 = self.start;
+        watch.begin(t0, &hub.view(shards));
         let outcome = loop {
-            let horizon = (t0 + self.epoch).min(self.limit);
-            let hub_busy = hub.exchange(shards, horizon, obs);
+            let hub_busy = hub.exchange(shards, (t0 + self.epoch).min(self.limit), obs);
+            let mut drained = None;
             if !hub_busy && shards.iter().all(EpochShard::quiescent) {
                 // Every shard is paused with nothing in flight: the run
                 // finished at the latest pause point (the first cycle a
@@ -285,6 +224,18 @@ impl ParallelEngine {
                 for shard in shards.iter_mut() {
                     shard.finish_to(finished_at, obs);
                 }
+                drained = Some(finished_at);
+            }
+            // The sequential loop fires at a deadline it reaches before it
+            // sees the model idle there, and never reaches one past the
+            // drain.
+            if t0 >= watch.deadline() && drained.is_none_or(|at| at == t0) {
+                let ticked = shards.iter().map(EpochShard::ticked).sum();
+                if let Some(stalled) = watch.fire(t0, ticked, &hub.view(shards)) {
+                    break stalled;
+                }
+            }
+            if let Some(finished_at) = drained {
                 break RunOutcome::Drained { finished_at };
             }
             if t0 >= self.limit {
@@ -293,92 +244,17 @@ impl ParallelEngine {
                 }
                 break RunOutcome::LimitReached { limit: self.limit };
             }
-
+            let horizon = (t0 + self.epoch).min(self.limit).min(watch.deadline());
             advance_epoch(shards, horizon, obs, pool.as_deref_mut());
             t0 = horizon;
-
-            if sample_every > 0 && t0 >= next_sample {
-                if let Some(cb) = hooks.on_sample.as_mut() {
-                    cb(t0, shards);
-                }
-                next_sample = t0 + Duration::new(sample_every);
-            }
-            if t0 >= next_progress {
-                let events: u64 = shards.iter().map(EpochShard::progress).sum();
-                let cycles = t0.as_u64();
-                let ticked: u64 = shards.iter().map(EpochShard::ticked).sum();
-                let wall_secs = wall_start.elapsed().as_secs_f64();
-                let per_sec = |n: u64| {
-                    if wall_secs > 0.0 {
-                        n as f64 / wall_secs
-                    } else {
-                        0.0
-                    }
-                };
-                let report = Progress {
-                    now: t0,
-                    cycles,
-                    ticked,
-                    events,
-                    wall_secs,
-                    cycles_per_sec: per_sec(cycles),
-                    ticked_per_sec: per_sec(ticked),
-                };
-                if let Some(cb) = hooks.on_progress.as_mut() {
-                    cb(&report);
-                }
-                next_progress = t0 + Duration::new(progress_every);
-            }
-            if t0 >= next_stall_check {
-                let count: u64 = shards.iter().map(EpochShard::progress).sum();
-                if count > last_progress_count {
-                    last_progress_count = count;
-                    last_progress_at = t0;
-                } else {
-                    let mut snapshot = String::new();
-                    for (i, shard) in shards.iter().enumerate() {
-                        let s = shard.snapshot();
-                        if !s.is_empty() {
-                            snapshot.push_str(&format!("shard {i}:\n{s}"));
-                        }
-                    }
-                    let report = StallReport {
-                        at: t0,
-                        last_progress_at,
-                        events: count,
-                        snapshot,
-                    };
-                    if let Some(cb) = hooks.on_stall.as_mut() {
-                        cb(&report);
-                    }
-                    break RunOutcome::Stalled {
-                        at: t0,
-                        last_progress_at,
-                    };
-                }
-                next_stall_check = t0 + Duration::new(stall_window);
-            }
         };
-
-        if sample_every > 0 {
-            if let Some(cb) = hooks.on_sample.as_mut() {
-                let now = match outcome {
-                    RunOutcome::Drained { finished_at } => finished_at,
-                    RunOutcome::LimitReached { limit } => limit,
-                    RunOutcome::Stalled { at, .. } => at,
-                };
-                cb(now, shards);
-            }
-        }
+        let end = match outcome {
+            RunOutcome::Drained { finished_at } => finished_at,
+            RunOutcome::LimitReached { limit } => limit,
+            RunOutcome::Stalled { at, .. } => at,
+        };
+        watch.end(end, &hub.view(shards));
         outcome
-    }
-}
-
-fn cadence_start(from: Cycle, every: u64) -> Cycle {
-    if every > 0 {
-        from + Duration::new(every)
-    } else {
-        Cycle::NEVER
     }
 }
 
@@ -468,6 +344,7 @@ fn worker_loop<S: EpochShard>(rx: mpsc::Receiver<Job<S>>, ret: mpsc::Sender<JobR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::{ObsConfig, Sampler};
 
     /// Toy model: each shard burns `work` cycles, sending one message to
     /// the next shard every `send_every` cycles; messages arrive
@@ -542,12 +419,17 @@ mod tests {
             self.pos >= self.work_until
         }
 
-        fn progress(&self) -> u64 {
-            self.done_work
-        }
-
         fn ticked(&self) -> u64 {
             self.ticked
+        }
+    }
+
+    /// The toy pool as the watch reads it: work done is its progress.
+    struct ToyView<'v>(&'v [ToyShard]);
+
+    impl Probe for ToyView<'_> {
+        fn progress_counter(&self) -> u64 {
+            self.0.iter().map(|s| s.done_work).sum()
         }
     }
 
@@ -584,6 +466,57 @@ mod tests {
             self.pending = rest;
             !self.pending.is_empty()
         }
+
+        fn view<'v>(&'v self, shards: &'v [ToyShard]) -> impl Probe + 'v {
+            ToyView(shards)
+        }
+    }
+
+    /// A shard that never moves and never idles.
+    struct Wedged;
+
+    impl EpochShard for Wedged {
+        fn advance(&mut self, _to: Cycle, _obs: &mut Observer) {}
+        fn finish_to(&mut self, _to: Cycle, _obs: &mut Observer) {}
+        fn position(&self) -> Cycle {
+            Cycle::ZERO
+        }
+        fn quiescent(&self) -> bool {
+            false
+        }
+        fn ticked(&self) -> u64 {
+            0
+        }
+    }
+
+    /// A hub that carries no traffic and reads the model as [`Stuck`].
+    struct NullHub;
+
+    impl<S: EpochShard> EpochHub<S> for NullHub {
+        fn exchange(&mut self, _shards: &mut [S], _horizon: Cycle, _obs: &mut Observer) -> bool {
+            false
+        }
+
+        fn view<'v>(&'v self, _shards: &'v [S]) -> impl Probe + 'v {
+            Stuck
+        }
+    }
+
+    /// A model without progress.
+    struct Stuck;
+
+    impl Probe for Stuck {
+        fn state_snapshot(&self) -> String {
+            "wedged\n".to_owned()
+        }
+    }
+
+    fn sampler(metrics_every: u64, progress_every: u64, stall_window: u64) -> Sampler {
+        Sampler::new(ObsConfig {
+            metrics_every,
+            progress_every,
+            stall_window,
+        })
     }
 
     fn build(n: usize) -> (Vec<ToyShard>, ToyHub) {
@@ -655,86 +588,95 @@ mod tests {
 
     #[test]
     fn stall_detection_fires_on_wedged_shards() {
-        struct Wedged;
-        impl EpochShard for Wedged {
-            fn advance(&mut self, _to: Cycle, _obs: &mut Observer) {}
-            fn finish_to(&mut self, _to: Cycle, _obs: &mut Observer) {}
-            fn position(&self) -> Cycle {
-                Cycle::ZERO
-            }
-            fn quiescent(&self) -> bool {
-                false
-            }
-            fn progress(&self) -> u64 {
-                0
-            }
-            fn snapshot(&self) -> String {
-                "wedged\n".to_owned()
-            }
-        }
-        struct NullHub;
-        impl EpochHub<Wedged> for NullHub {
-            fn exchange(
-                &mut self,
-                _shards: &mut [Wedged],
-                _horizon: Cycle,
-                _obs: &mut Observer,
-            ) -> bool {
-                false
-            }
-        }
-        let mut shards = vec![Wedged];
-        let mut reports = Vec::new();
-        let mut hooks = ParallelHooks {
-            stall_window: 64,
-            on_stall: Some(Box::new(|r: &StallReport| {
-                reports.push(r.snapshot.clone());
-            })),
-            ..ParallelHooks::default()
-        };
+        let mut s = sampler(0, 0, 64);
+        let mut watch = Watch::new(Some(&mut s));
         let engine = ParallelEngine::new(16, 1);
-        let outcome = engine.run_instrumented(
-            &mut shards,
+        let outcome = engine.run_watched(
+            &mut vec![Wedged],
             &mut NullHub,
-            &mut hooks,
+            &mut watch,
             &mut Observer::default(),
         );
-        drop(hooks);
         assert!(matches!(outcome, RunOutcome::Stalled { .. }));
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].contains("wedged"));
+        let report = watch.stall().expect("the stall was reported");
+        assert!(report.snapshot.contains("wedged"));
+    }
+
+    #[test]
+    fn stall_verdict_matches_the_sequential_engine() {
+        /// The sequential twin of a wedged pool.
+        struct Spinning;
+        impl crate::component::Tick for Spinning {
+            fn tick(&mut self, _now: Cycle) {}
+            fn is_idle(&self) -> bool {
+                false
+            }
+        }
+        impl Probe for Spinning {}
+
+        // A window that is not a multiple of the epoch.
+        let mut s = sampler(0, 0, 50);
+        let parallel = ParallelEngine::new(16, 1).run_watched(
+            &mut vec![Wedged],
+            &mut NullHub,
+            &mut Watch::new(Some(&mut s)),
+            &mut Observer::default(),
+        );
+        let sequential = Engine::new().run_watched(&mut Spinning, &mut Watch::new(Some(&mut s)));
+        assert_eq!(parallel, sequential);
+        assert_eq!(
+            parallel,
+            RunOutcome::Stalled {
+                at: Cycle::new(50),
+                last_progress_at: Cycle::ZERO,
+            }
+        );
     }
 
     #[test]
     fn barrier_hooks_sample_and_report() {
-        let mut sampled: Vec<u64> = Vec::new();
-        let mut progressed = 0usize;
-        {
-            let mut hooks = ParallelHooks {
-                sample_every: 16,
-                on_sample: Some(Box::new(|now: Cycle, _shards: &[ToyShard]| {
-                    sampled.push(now.as_u64());
-                })),
-                progress_every: 16,
-                on_progress: Some(Box::new(|_p: &Progress| {
-                    progressed += 1;
-                })),
-                ..ParallelHooks::default()
-            };
-            let (mut shards, mut hub) = build(3);
-            let engine = ParallelEngine::new(LATENCY, 2);
-            let outcome = engine.run_instrumented(
-                &mut shards,
-                &mut hub,
-                &mut hooks,
-                &mut Observer::default(),
-            );
-            assert!(outcome.drained());
-        }
-        assert!(sampled.len() >= 2, "start and end samples at minimum");
-        assert_eq!(sampled[0], 0);
-        assert!(sampled.windows(2).all(|w| w[0] <= w[1]));
-        assert!(progressed >= 1);
+        let mut s = sampler(16, 16, 0);
+        let mut watch = Watch::new(Some(&mut s));
+        let (mut shards, mut hub) = build(3);
+        let engine = ParallelEngine::new(LATENCY, 2);
+        let outcome =
+            engine.run_watched(&mut shards, &mut hub, &mut watch, &mut Observer::default());
+        assert!(outcome.drained());
+        assert!(watch.progress().is_some());
+        // Samples land on the cadence, as in a sequential run, not on
+        // epoch barriers: at the start, every 16 cycles up to and
+        // including the drain cycle, and at the end.
+        let sampled: Vec<u64> = s.series.samples().iter().map(|x| x.cycle).collect();
+        let fin = outcome.finished_at().as_u64();
+        let expected: Vec<u64> = (0..=fin).step_by(16).chain([fin]).collect();
+        assert_eq!(sampled, expected);
+    }
+
+    #[test]
+    fn progress_counts_cycles_from_the_run_start() {
+        let start = Cycle::new(1_000);
+        let mut shards: Vec<ToyShard> = (0..2)
+            .map(|i| {
+                let mut shard = ToyShard::new(i, 0, 0);
+                shard.pos = start;
+                shard.work_until = start + Duration::new(100);
+                shard
+            })
+            .collect();
+        let mut s = sampler(0, 32, 0);
+        let mut watch = Watch::new(Some(&mut s));
+        let engine = ParallelEngine::new(LATENCY, 2).starting_at(start);
+        let outcome = engine.run_watched(
+            &mut shards,
+            &mut ToyHub::default(),
+            &mut watch,
+            &mut Observer::default(),
+        );
+        assert_eq!(outcome.finished_at(), Cycle::new(1_100));
+        let p = watch.progress().expect("progress reported");
+        assert_eq!(p.now, Cycle::new(1_096));
+        assert_eq!(p.cycles, 96, "cycles count from the run's start");
+        assert_eq!(p.ticked, 2 * 96);
     }
 
     #[test]
@@ -772,19 +714,8 @@ mod tests {
             fn quiescent(&self) -> bool {
                 self.0.quiescent()
             }
-            fn progress(&self) -> u64 {
-                self.0.progress()
-            }
-        }
-        struct NullHub;
-        impl EpochHub<Tracing> for NullHub {
-            fn exchange(
-                &mut self,
-                _shards: &mut [Tracing],
-                _horizon: Cycle,
-                _obs: &mut Observer,
-            ) -> bool {
-                false
+            fn ticked(&self) -> u64 {
+                self.0.ticked()
             }
         }
 

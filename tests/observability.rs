@@ -1,6 +1,8 @@
 //! End-to-end observability: tracing, metrics sampling and determinism
 //! of a full BEACON-D run.
 
+mod common;
+
 use beacon_core::config::{BeaconConfig, BeaconVariant, Optimizations};
 use beacon_core::mmf::{build_layout, LayoutSpec};
 use beacon_core::system::BeaconSystem;
@@ -9,6 +11,7 @@ use beacon_genomics::prelude::FmIndex;
 use beacon_genomics::reads::ReadSampler;
 use beacon_genomics::trace::{AppKind, Region, TaskTrace};
 use beacon_sim::engine::RunOptions;
+use beacon_sim::metrics::MetricsSample;
 use beacon_sim::observer::{ObsConfig, Observer, Sampler, DEFAULT_STALL_WINDOW};
 use beacon_sim::trace::{TraceBuffer, TraceCategory, TraceLevel};
 
@@ -23,16 +26,28 @@ fn workload(n: usize) -> (Vec<TaskTrace>, u64) {
 }
 
 fn run_d(traces: &[TaskTrace], index_bytes: u64, obs: &mut Observer) -> u64 {
+    let opts = Optimizations::full(BeaconVariant::D, AppKind::FmSeeding);
+    run_d_on(traces, index_bytes, opts, RunOptions::default(), obs)
+}
+
+/// A 2-switch FM-seeding cell on BEACON-D with `opts`, run under `run`.
+fn run_d_on(
+    traces: &[TaskTrace],
+    index_bytes: u64,
+    opts: Optimizations,
+    run: RunOptions,
+    obs: &mut Observer,
+) -> u64 {
     let app = AppKind::FmSeeding;
-    let mut cfg = BeaconConfig::paper(BeaconVariant::D, app)
-        .with_opts(Optimizations::full(BeaconVariant::D, app));
+    let mut cfg = BeaconConfig::paper(BeaconVariant::D, app).with_opts(opts);
     cfg.pes_per_module = 8;
+    cfg.switches = 2;
     cfg.refresh_enabled = false;
     let specs = [LayoutSpec::shared_random(Region::FmIndex, index_bytes)];
     let layout = build_layout(&cfg, &specs);
     let mut sys = BeaconSystem::new(cfg, layout);
     sys.submit_observed(traces.iter().cloned(), obs);
-    sys.run_with(RunOptions::default(), obs).cycles
+    sys.run_with(run, obs).cycles
 }
 
 #[test]
@@ -129,6 +144,48 @@ fn metrics_series_samples_the_run() {
         beacon_sim::json::JsonValue::parse(line).expect("every JSONL line must be valid JSON");
     }
     assert!(series.to_csv().starts_with("run,cycle,"));
+}
+
+#[test]
+fn metrics_series_is_identical_across_thread_counts() {
+    let (traces, bytes) = workload(12);
+    let series = |run: RunOptions| {
+        let mut obs = Observer {
+            metrics: Some(Sampler::new(ObsConfig {
+                // Not a multiple of the 60-cycle host latency (the epoch),
+                // so samples fall inside epochs.
+                metrics_every: 257,
+                progress_every: 0,
+                stall_window: DEFAULT_STALL_WINDOW,
+            })),
+            ..Observer::default()
+        };
+        // The vanilla rung forwards traffic between the switches, so the
+        // host stage (split over the hub and the shards in parallel runs)
+        // fills.
+        run_d_on(&traces, bytes, Optimizations::vanilla(), run, &mut obs);
+        obs.metrics.expect("sampler present").series
+    };
+    let reference = series(RunOptions::default());
+    assert!(reference.len() > 4, "the run spans several samples");
+    let staged = |s: &MetricsSample| {
+        s.values
+            .iter()
+            .find(|(k, _)| k == "host.staged")
+            .map(|&(_, v)| v)
+    };
+    assert!(
+        reference.samples().iter().any(|s| staged(s) > Some(0.0)),
+        "some sample sees traffic staged at the host"
+    );
+    let reference = reference.to_jsonl();
+    for run in common::run_matrix() {
+        assert_eq!(
+            series(run).to_jsonl(),
+            reference,
+            "metrics diverged under {run:?}"
+        );
+    }
 }
 
 #[test]
