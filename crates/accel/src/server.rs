@@ -283,6 +283,19 @@ impl DimmServer {
     /// or before "now" means immediately; [`Cycle::NEVER`] means nothing
     /// is scheduled and only a new [`DimmServer::request`] can wake it.
     pub fn next_event(&self) -> Cycle {
+        self.fold_horizon(|| Dimm::next_event(&self.dimm))
+    }
+
+    /// [`DimmServer::next_event`] over the DIMM's from-scratch horizon
+    /// ([`Dimm::reference_next_event`]), past every memo: the oracle its
+    /// owner's gates are checked against.
+    #[doc(hidden)]
+    pub fn reference_next_event(&self) -> Cycle {
+        self.fold_horizon(|| self.dimm.reference_next_event())
+    }
+
+    /// The server's horizon terms over the DIMM horizon `dimm_h`.
+    fn fold_horizon(&self, dimm_h: impl FnOnce() -> Cycle) -> Cycle {
         if !self.done.is_empty() {
             // The owner still has completions to collect.
             return Cycle::ZERO;
@@ -290,7 +303,7 @@ impl DimmServer {
         if !self.backlog.is_empty() && self.dimm.queue_free() > 0 {
             return Cycle::ZERO;
         }
-        let mut h = Dimm::next_event(&self.dimm);
+        let mut h = dimm_h();
         if let Some(&(ready, _)) = self.rmw_stage.front() {
             if self.dimm.queue_free() > 0 {
                 // Queue-full stalls are covered by the DIMM horizon (a

@@ -9,6 +9,8 @@
 //! rank-lock-step devices with a standard CXL.mem interface) carry no
 //! compute part, and their read responses round up to whole 64 B lines.
 
+#[cfg(test)]
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 use std::fmt::Write as _;
@@ -16,6 +18,7 @@ use std::fmt::Write as _;
 use beacon_sim::component::{Probe, Tick};
 use beacon_sim::cycle::{Cycle, Duration};
 use beacon_sim::faults::{stream, FaultSchedule};
+use beacon_sim::horizon::HorizonCache;
 use beacon_sim::journey::{JGate, JStamp, Phase, QueueAcc};
 use beacon_sim::observer::Observer;
 use beacon_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
@@ -194,6 +197,17 @@ impl Egress {
             .unwrap_or(Cycle::NEVER)
     }
 
+    /// [`Egress::next_event`] from scratch, past the packer's memo.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_next_event(&self) -> Cycle {
+        if !self.queue.is_empty() {
+            return Cycle::ZERO;
+        }
+        self.packer
+            .as_ref()
+            .map_or(Cycle::NEVER, DataPacker::compute_next_event)
+    }
+
     pub(crate) fn stats(&self) -> Option<&Stats> {
         self.packer.as_ref().map(DataPacker::stats)
     }
@@ -250,11 +264,28 @@ impl Slot {
     /// The slot's horizon apart from its server: the egress and, on a
     /// CXLG-DIMM, the task engine.
     fn local_horizon(&self) -> Cycle {
-        let h = self.egress.next_event();
-        match &self.compute {
-            Some(c) => c.engine.next_event().min(h),
-            None => h,
-        }
+        self.egress.next_event().min(self.engine_horizon())
+    }
+
+    /// The task engine's horizon; [`Cycle::NEVER`] on an unmodified DIMM.
+    fn engine_horizon(&self) -> Cycle {
+        self.compute
+            .as_ref()
+            .map_or(Cycle::NEVER, |c| c.engine.next_event())
+    }
+
+    /// The slot's endpoint horizon: engine, server and egress.
+    fn horizon(&self) -> Cycle {
+        self.local_horizon().min(self.server.next_event())
+    }
+
+    /// [`Slot::horizon`] from scratch, read past every memo.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_horizon(&self) -> Cycle {
+        self.egress
+            .reference_next_event()
+            .min(self.server.reference_next_event())
+            .min(self.engine_horizon())
     }
 
     /// Folds the backlog depth into its integral when the run records
@@ -300,6 +331,20 @@ pub(crate) struct LogicNode {
 }
 
 impl LogicNode {
+    /// The logic's own horizon over its egress term `egress`: an
+    /// ALU-stage writeback or engine progress. The inbox term belongs
+    /// to the fabric.
+    fn horizon(&self, egress: Cycle) -> Cycle {
+        let mut h = egress;
+        if let Some(&(ready, _)) = self.alu_stage.front() {
+            h = h.min(ready);
+        }
+        if let Some(e) = &self.engine {
+            h = h.min(e.next_event());
+        }
+        h
+    }
+
     /// Closes one segment of the logic's own access `pid` (see
     /// [`Compute::complete`]).
     fn complete(&mut self, pid: u64, stamp: Option<&JStamp>, now: Cycle, obs: &mut Observer) {
@@ -346,16 +391,24 @@ pub(crate) struct SwitchNode {
     /// stays exact. Plain fields, never digested.
     pub(crate) q_staged: QueueAcc,
     pub(crate) q_inbox: QueueAcc,
-    /// Memoized endpoint term of [`SwitchNode::slot_due`] per slot
-    /// (engine ∧ server ∧ egress next-event), filled whenever a probe
-    /// finds nothing due. A slot's endpoints mutate only inside
-    /// [`SwitchNode::drive_slot`] (which clears the flag), at task
-    /// submission and on injected DIMM failure — every other cycle the
-    /// cached value is exact, so the slot-gate probe pays one indexed
-    /// load plus the live port-arrival term instead of three component
-    /// probes (DESIGN.md §15.5).
-    slot_h: Vec<Cycle>,
-    slot_h_valid: Vec<bool>,
+    /// Memoized endpoint horizon per slot (engine ∧ server ∧ egress;
+    /// the port-arrival term is the fabric's). [`SwitchNode::slot_due`]
+    /// and [`SwitchNode::subtree_next_event`] both fill it, so the slot
+    /// gate and the engine's probe share one fold per change. A slot's
+    /// endpoints mutate only in [`SwitchNode::drive_slot`], at task
+    /// submission and on the injected DIMM failure, and each clears it
+    /// (DESIGN.md §11.1).
+    slot_h: Vec<HorizonCache>,
+    /// Memoized non-fabric horizon of the subtree: the logic's egress,
+    /// ALU stage and engine, plus the min over `slot_h`. Cleared
+    /// wherever a slot memo is, and by a drive of or a submission to
+    /// the logic. The fabric and pending-death terms stay live (the
+    /// fabric memoizes its own), so host traffic through the uplink
+    /// needs no hook here.
+    local_h: HorizonCache,
+    /// Work counts the deterministic work pin reads.
+    #[cfg(test)]
+    work: WorkCounts,
     /// Run-local sampling gate: armed from the run's journey recorder at
     /// run entry ([`crate::system::BeaconSystem`]'s `arm`), consulted on
     /// every access this subtree issues, summed into the report at
@@ -365,6 +418,18 @@ pub(crate) struct SwitchNode {
     /// failure is a time-driven fault: `subtree_next_event` surfaces it
     /// so fast-forwarding cannot jump over the death.
     ras_fail: Option<SlotFault>,
+}
+
+/// Horizon work one switch did, counted for the deterministic work pin.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct WorkCounts {
+    /// Slot memos a probe refolded.
+    probe_folds: Cell<u64>,
+    /// Slot memo clears: slot drives, task submissions and failures.
+    slot_changes: Cell<u64>,
+    /// Ticks the switch gate skipped.
+    quiet_ticks: Cell<u64>,
 }
 
 /// Read-only system context threaded through the per-switch drivers so
@@ -482,8 +547,10 @@ impl SwitchNode {
             jny_scratch: Vec::new(),
             q_staged: QueueAcc::default(),
             q_inbox: QueueAcc::default(),
-            slot_h: vec![Cycle::ZERO; slots],
-            slot_h_valid: vec![false; slots],
+            slot_h: vec![HorizonCache::new(); slots],
+            local_h: HorizonCache::new(),
+            #[cfg(test)]
+            work: WorkCounts::default(),
             jgate: None,
             ras_fail: None,
         };
@@ -560,7 +627,26 @@ impl SwitchNode {
         // Multi-purpose PEs: pick the engine (and its latency) from the
         // task's application.
         c.engine.submit_for_app(trace, obs);
-        self.slot_h_valid[slot] = false;
+        self.slot_changed(slot);
+    }
+
+    /// Submits a task to the in-switch logic's compute engine
+    /// (BEACON-S), tracing the submission into `obs`.
+    pub(crate) fn submit_to_logic(&mut self, trace: TaskTrace, obs: &mut Observer) {
+        self.logic
+            .engine
+            .as_mut()
+            .expect("S has logic engines")
+            .submit_for_app(trace, obs);
+        self.local_h.invalidate();
+    }
+
+    /// Clears the horizon memos a mutation of `slot` stales.
+    fn slot_changed(&self, slot: usize) {
+        self.slot_h[slot].invalidate();
+        self.local_h.invalidate();
+        #[cfg(test)]
+        self.work.slot_changes.set(self.work.slot_changes.get() + 1);
     }
 
     /// Terminal attribution for a tracked request: record the residency
@@ -769,6 +855,7 @@ impl SwitchNode {
         while let Some(bundle) = self.logic.egress.queue.pop_front() {
             self.fabric.logic_send(bundle, now, obs);
         }
+        self.local_h.invalidate();
     }
 
     fn handle_logic_message(
@@ -1031,9 +1118,8 @@ impl SwitchNode {
         Self::pump_port(&mut self.fabric, port, &mut d.egress, now, obs);
         d.observe_depth(now, obs);
         // The drive above is the only steady-state mutator of this
-        // slot's endpoints; recompute the memoized horizon lazily on
-        // the next probe.
-        self.slot_h_valid[slot] = false;
+        // slot's endpoints; refold the memos lazily on the next probe.
+        self.slot_changed(slot);
     }
 
     fn pump_port(
@@ -1268,7 +1354,7 @@ impl SwitchNode {
         }
         self.logic.stats.incr("ras.dimm_killed");
         self.logic.stats.add("ras.naks", lost.len() as u64);
-        self.slot_h_valid[slot] = false;
+        self.slot_changed(slot);
         self.dimms[slot].observe_depth(now, obs);
     }
 
@@ -1277,6 +1363,18 @@ impl SwitchNode {
     /// sequential [`beacon_sim::component::Tick::tick`] loop. Trace
     /// events and journey records go to `obs`.
     pub(crate) fn tick_cycle(&mut self, ctx: SysCtx<'_>, now: Cycle, obs: &mut Observer) {
+        // Switch gate: a clean subtree memo means nothing under this
+        // switch changed since the last probe, so when no term is due by
+        // `now` every step below is a no-op. A dirty memo is not refolded
+        // here — a dense phase dirties it every cycle — and the per-part
+        // gates below decide instead.
+        if self.quiet(now) {
+            #[cfg(debug_assertions)]
+            self.assert_skip("switch", self.reference_next_event(), now);
+            #[cfg(test)]
+            self.work.quiet_ticks.set(self.work.quiet_ticks.get() + 1);
+            return;
+        }
         self.apply_dimm_failure(now, obs);
         self.fabric.tick_observed(now, obs);
         // Drive only the endpoints that can act this cycle. Each gate is
@@ -1286,10 +1384,16 @@ impl SwitchNode {
         // step below is a no-op.
         if self.logic_horizon() <= now {
             self.drive_logic(ctx, now, obs);
+        } else {
+            #[cfg(debug_assertions)]
+            self.assert_skip("logic", self.reference_logic_horizon(), now);
         }
         for slot in 0..self.dimms.len() {
             if self.slot_due(slot, now) {
                 self.drive_slot(ctx, slot, now, obs);
+            } else {
+                #[cfg(debug_assertions)]
+                self.assert_skip("slot", self.dimms[slot].reference_horizon(), now);
             }
         }
         self.observe_switch_queues(now, obs);
@@ -1323,47 +1427,54 @@ impl SwitchNode {
         }
     }
 
+    /// True when the switch gate may skip the tick at `now`: the subtree
+    /// memo is clean and neither it, the fabric nor a pending DIMM death
+    /// is due.
+    fn quiet(&self, now: Cycle) -> bool {
+        self.local_h.clean().is_some_and(|h| h > now)
+            && self.death_horizon() > now
+            && self.fabric.next_event() > now
+    }
+
+    /// The cycle of a pending DIMM death. It is a time-driven fault:
+    /// fast-forwarding must stop at (or before) it, or the kill cycle
+    /// would depend on the skip pattern.
+    fn death_horizon(&self) -> Cycle {
+        match &self.ras_fail {
+            Some(f) if !f.done => f.at,
+            _ => Cycle::NEVER,
+        }
+    }
+
     /// The in-switch logic's event horizon: the earliest cycle at which
     /// [`SwitchNode::drive_logic`] can do anything — inbox delivery, an
-    /// ALU-stage writeback, engine progress, or an egress pump. The same
-    /// per-component horizons [`SwitchNode::subtree_next_event`] sums,
-    /// restricted to the logic.
+    /// ALU-stage writeback, engine progress, or an egress pump.
     fn logic_horizon(&self) -> Cycle {
         if self.fabric.logic_inbox_len() > 0 {
             return Cycle::ZERO;
         }
-        let mut h = self.logic.egress.next_event();
-        if let Some(&(ready, _)) = self.logic.alu_stage.front() {
-            h = h.min(ready);
-        }
-        if let Some(e) = &self.logic.engine {
-            h = h.min(e.next_event());
-        }
-        h
+        self.logic.horizon(self.logic.egress.next_event())
     }
 
     /// True when [`SwitchNode::drive_slot`] can do anything at `now` — a
     /// bundle landing on the slot's port, engine or server progress, or
     /// an egress pump. The server term is [`DimmServer::due`], which
-    /// stops at the first due term; when nothing is due, it has left the
-    /// server's horizon exact and cached, and the minimum of the terms
-    /// fills the slot's memo.
-    fn slot_due(&mut self, slot: usize, now: Cycle) -> bool {
+    /// stops at the first due term; a probe that finds none has folded
+    /// the exact endpoint horizon into the slot's memo.
+    fn slot_due(&self, slot: usize, now: Cycle) -> bool {
         let port = self.fabric.dimm_port(slot as u32);
         if self.fabric.port_arrival(port) <= now {
             return true;
         }
-        if self.slot_h_valid[slot] {
-            return self.slot_h[slot] <= now;
-        }
         let d = &self.dimms[slot];
-        let local = d.local_horizon();
-        if local <= now || d.server.due(now) {
-            return true;
-        }
-        self.slot_h[slot] = local.min(d.server.next_event());
-        self.slot_h_valid[slot] = true;
-        false
+        self.slot_h[slot].due(now, |_| {
+            let local = d.local_horizon();
+            if local <= now || d.server.due(now) {
+                // A due term bounds the horizon; the drive clears it.
+                return local.min(now);
+            }
+            local.min(d.server.next_event())
+        })
     }
 
     /// True when nothing under this switch has queued or in-flight work
@@ -1383,44 +1494,66 @@ impl SwitchNode {
     }
 
     /// This subtree's event horizon as an absolute cycle: the minimum of
-    /// every component's own horizon — fabric (staged bundles, link
-    /// arrivals, logic inbox), in-switch logic (ALU stage, compute
-    /// engine, egress) and each DIMM slot (engine, server, egress). A
-    /// cycle at or before "now" means the subtree must be ticked next
-    /// cycle; [`Cycle::NEVER`] means it is fully quiescent.
+    /// the fabric's (staged bundles, link arrivals, logic inbox), a
+    /// pending DIMM death and the memoized rest of the subtree
+    /// ([`SwitchNode::local_horizon`]). A cycle at or before "now" means
+    /// the subtree must be ticked next cycle; [`Cycle::NEVER`] means it
+    /// is fully quiescent.
     pub(crate) fn subtree_next_event(&self) -> Cycle {
-        // `Cycle::ZERO` means "actionable immediately" — nothing can
-        // lower the min further, so stop sweeping the moment any
-        // contributor reports it. In a dense phase (the only time the
-        // sweep is hot) some component is almost always immediately
-        // actionable, so the common case touches a fraction of the
-        // subtree.
-        let mut h = self.fabric.next_event();
-        // A pending DIMM death is a time-driven fault: fast-forwarding
-        // must stop at (or before) it, or the kill cycle would depend on
-        // the skip pattern.
-        if let Some(f) = &self.ras_fail {
-            if !f.done {
-                h = h.min(f.at);
-            }
-        }
+        let h = self.fabric.next_event().min(self.death_horizon());
         if h == Cycle::ZERO {
             return h;
         }
-        h = h.min(self.logic.egress.next_event());
-        if let Some(&(ready, _)) = self.logic.alu_stage.front() {
-            h = h.min(ready);
-        }
-        if let Some(e) = &self.logic.engine {
-            h = h.min(e.next_event());
-        }
-        for d in &self.dimms {
+        h.min(self.local_h.get_or(|| self.local_horizon()))
+    }
+
+    /// The subtree's non-fabric horizon, folded over the slot memos:
+    /// only a slot whose memo a mutation cleared is refolded.
+    fn local_horizon(&self) -> Cycle {
+        let mut h = self.logic.horizon(self.logic.egress.next_event());
+        for (d, memo) in self.dimms.iter().zip(&self.slot_h) {
+            // `Cycle::ZERO` cannot be lowered: stop sweeping.
             if h == Cycle::ZERO {
                 return h;
             }
-            h = h.min(d.local_horizon()).min(d.server.next_event());
+            h = h.min(memo.get_or(|| {
+                #[cfg(test)]
+                self.work.probe_folds.set(self.work.probe_folds.get() + 1);
+                d.horizon()
+            }));
         }
         h
+    }
+
+    /// [`SwitchNode::subtree_next_event`] folded from scratch over every
+    /// component's reference horizon, reading none of the memos: the
+    /// oracle the memos and the gates are checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_next_event(&self) -> Cycle {
+        self.dimms.iter().map(Slot::reference_horizon).fold(
+            self.fabric
+                .compute_next_event()
+                .min(self.death_horizon())
+                .min(self.reference_logic_horizon()),
+            Cycle::min,
+        )
+    }
+
+    /// The logic's own horizon from scratch.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_logic_horizon(&self) -> Cycle {
+        self.logic.horizon(self.logic.egress.reference_next_event())
+    }
+
+    /// Debug builds check every gate decision to skip `part` at `now`
+    /// against the part's from-scratch horizon `h` (DESIGN.md §15.3).
+    #[cfg(debug_assertions)]
+    fn assert_skip(&self, part: &str, h: Cycle, now: Cycle) {
+        assert!(
+            h > now,
+            "switch {} skipped its {part} at {now:?}, but an event is due at {h:?}",
+            self.index
+        );
     }
 
     /// This subtree's share of [`beacon_sim::component::Probe::progress_counter`].
@@ -1972,9 +2105,10 @@ impl Restore for SwitchNode {
         for d in &mut self.dimms {
             d.q_backlog = QueueAcc::default();
         }
-        for v in &mut self.slot_h_valid {
-            *v = false;
+        for h in &self.slot_h {
+            h.invalidate();
         }
+        self.local_h.invalidate();
         self.jgate = None;
         Ok(())
     }
@@ -2003,6 +2137,17 @@ mod tests {
             reads: 4 * t.reads,
             kmer_reads: 4 * t.kmer_reads,
             ..t
+        }
+    }
+
+    /// Seed-sparse's shape at test scale: four exact long reads, so
+    /// the pool is latency-bound and its switches often go quiet.
+    fn sparse_scale() -> WorkloadScale {
+        WorkloadScale {
+            reads: 4,
+            read_len: 1_000,
+            error_rate: 0.0,
+            ..WorkloadScale::test()
         }
     }
 
@@ -2036,6 +2181,9 @@ mod tests {
         }
         let layout = build_layout(&cfg, &w.layout);
         let mut sys = BeaconSystem::new(cfg, layout);
+        // Probe the empty pool first: it fills every horizon memo, so
+        // the submissions below must clear what they stale.
+        let _ = sys.next_event(Cycle::ZERO);
         sys.submit_round_robin(w.traces.iter().cloned());
         sys
     }
@@ -2057,12 +2205,15 @@ mod tests {
 
     /// Advances the production (gated) tick and the ungated reference
     /// on two identical systems in lockstep, one cycle at a time, until
-    /// the workload drains. After every cycle both must have made the
-    /// same progress and agree on idleness; at the drain both runs must
-    /// digest alike. With `resume_at`, the gated side is snapshotted and
-    /// replaced by its resumed image at that cycle. Each side records
-    /// into its own observer from `observer`. Returns the two collected
-    /// results.
+    /// the workload drains. The gated side is probed after every tick,
+    /// as the engine probes with skip on, so its switch gates act on
+    /// filled memos; every switch's memoized horizon must equal the
+    /// from-scratch sweep. After every cycle both sides must have made
+    /// the same progress and agree on idleness; at the drain both runs
+    /// must digest alike. With `resume_at`, the gated side is
+    /// snapshotted and replaced by its resumed image at that cycle. Each
+    /// side records into its own observer from `observer`. Returns the
+    /// two collected results.
     fn assert_lockstep(
         build_sys: impl Fn() -> BeaconSystem,
         resume_at: Option<u64>,
@@ -2080,6 +2231,15 @@ mod tests {
                 gated.arm(&g_obs);
             }
             gated.tick_observed(now, &mut g_obs);
+            let _ = gated.next_event(now);
+            for sw in &gated.switches {
+                assert_eq!(
+                    sw.subtree_next_event(),
+                    sw.reference_next_event(),
+                    "switch {} memoized horizon diverged from the sweep at cycle {now:?}",
+                    sw.index
+                );
+            }
             tick_ungated(&mut reference, now, &mut r_obs);
             assert_eq!(
                 gated.progress_counter(),
@@ -2169,6 +2329,40 @@ mod tests {
         );
     }
 
+    /// A DIMM death scheduled on a cycle the switch gate would skip: the
+    /// pending death must wake its switch all the same.
+    #[test]
+    fn gates_match_ungated_reference_when_a_dimm_dies_on_a_quiet_switch() {
+        let w = fm_workload(GenomeId::Pt, &sparse_scale());
+        let dies_at = |at| FaultsConfig {
+            dimm_fail_at: at,
+            dimm_fail_switch: 1,
+            dimm_fail_slot: 2,
+            ..FaultsConfig::quiet(1)
+        };
+        // Find the first quiet cycle of switch 1 past cycle 20 000 on a
+        // run whose death never comes, probing every switch after each
+        // tick as the lockstep harness does.
+        let mut sys = build(BeaconVariant::D, &w, 2, Some(dies_at(1 << 40)));
+        let mut obs = Observer::default();
+        let mut now = Cycle::ZERO;
+        while now.as_u64() <= 20_000 || !sys.switches[1].quiet(now) {
+            sys.tick_observed(now, &mut obs);
+            for sw in &sys.switches {
+                sw.subtree_next_event();
+            }
+            now = now.next();
+            assert!(!sys.is_idle(), "switch 1 never went quiet");
+        }
+        let (g, _) = assert_lockstep(
+            || build(BeaconVariant::D, &w, 2, Some(dies_at(now.as_u64()))),
+            None,
+            Observer::default,
+        );
+        let d = g.degraded.expect("armed run carries a RAS report");
+        assert_eq!(d.failed_dimms, 1, "the scheduled kill must have fired");
+    }
+
     #[test]
     fn gates_match_ungated_reference_across_snapshot_resume() {
         let w = prealign_workload(GenomeId::Pg, &scale());
@@ -2194,6 +2388,31 @@ mod tests {
         let (ga, ra) = (g.attribution.expect("on"), r.attribution.expect("on"));
         assert!(ga.queues.iter().any(|q| q.peak_depth > 0));
         assert_eq!(ga.queues, ra.queues);
+    }
+
+    /// Deterministic work pin on seed-sparse's shape: four exact long
+    /// reads FM-seeded on BEACON-D over two switches, run through the
+    /// engine with skip on. Probes refold a slot memo at most once per
+    /// change of the slot, and the switch gate skips quiet ticks.
+    #[test]
+    fn probes_refold_only_changed_slots_and_quiet_switches_skip() {
+        let w = fm_workload(GenomeId::Pt, &sparse_scale());
+        let mut sys = build(BeaconVariant::D, &w, 2, None);
+        let r = sys.run();
+        assert_eq!(r.tasks, 4);
+        let sum = |f: fn(&WorkCounts) -> u64| sys.switches.iter().map(|sw| f(&sw.work)).sum();
+        let folds: u64 = sum(|c| c.probe_folds.get());
+        let changes: u64 = sum(|c| c.slot_changes.get());
+        let quiet: u64 = sum(|c| c.quiet_ticks.get());
+        println!(
+            "{} cycles: {folds} probe folds, {changes} slot changes, {quiet} quiet switch ticks",
+            r.cycles
+        );
+        assert!(
+            folds <= changes,
+            "probes refolded {folds} slot memos over {changes} changes"
+        );
+        assert!(quiet > 0, "the switch gate never skipped a tick");
     }
 
     proptest! {

@@ -150,14 +150,7 @@ impl BeaconSystem {
                 let per_switch = self.cfg.cxlg_per_switch as usize;
                 self.switches[module / per_switch].submit_to_slot(module % per_switch, trace, obs);
             }
-            BeaconVariant::S => {
-                self.switches[module]
-                    .logic
-                    .engine
-                    .as_mut()
-                    .expect("S has logic engines")
-                    .submit_for_app(trace, obs);
-            }
+            BeaconVariant::S => self.switches[module].submit_to_logic(trace, obs),
         }
     }
 

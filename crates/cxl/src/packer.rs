@@ -232,17 +232,22 @@ impl DataPacker {
     /// The value is memoized: it depends only on internal state, every
     /// mutating operation invalidates the cache, and a clean hit is O(1).
     pub fn next_event(&self) -> Cycle {
-        self.horizon.get_or(|| {
-            if !self.ready.is_empty() {
-                return Cycle::ZERO;
-            }
-            self.slots
-                .iter()
-                .filter(|(_, s)| !s.msgs.is_empty())
-                .map(|(_, s)| s.oldest + self.flush_age)
-                .min()
-                .unwrap_or(Cycle::NEVER)
-        })
+        self.horizon.get_or(|| self.compute_next_event())
+    }
+
+    /// [`DataPacker::next_event`] from scratch, past its memo: the
+    /// oracle its owners' gates are checked against.
+    #[doc(hidden)]
+    pub fn compute_next_event(&self) -> Cycle {
+        if !self.ready.is_empty() {
+            return Cycle::ZERO;
+        }
+        self.slots
+            .iter()
+            .filter(|(_, s)| !s.msgs.is_empty())
+            .map(|(_, s)| s.oldest + self.flush_age)
+            .min()
+            .unwrap_or(Cycle::NEVER)
     }
 
     /// Packer statistics.

@@ -452,7 +452,11 @@ impl Switch {
         self.horizon.get_or(|| self.compute_next_event())
     }
 
-    fn compute_next_event(&self) -> Cycle {
+    /// [`Switch::next_event`] from scratch, past its memo: what the
+    /// cache holds when clean, and the oracle its gates are checked
+    /// against.
+    #[doc(hidden)]
+    pub fn compute_next_event(&self) -> Cycle {
         let mut h = Cycle::NEVER;
         if !self.logic_inbox.is_empty() {
             return Cycle::ZERO;
@@ -472,6 +476,25 @@ impl Switch {
             }
         }
         h
+    }
+
+    /// The tick without its gate: what the gated tick runs once the gate
+    /// lets it through, and the reference the gate is tested against.
+    fn tick_ungated(&mut self, now: Cycle, obs: &mut Observer) {
+        // Open any flap windows due this cycle before moving traffic.
+        let mut changed = self.apply_flaps(now);
+        // Ingest arrived bundles from every port and route them.
+        for port in 0..self.ingress.len() {
+            while let Some(bundle) = self.ingress[port].deliver(now, obs) {
+                let target = self.route(&bundle);
+                self.stage(target, bundle, now, obs);
+                changed = true;
+            }
+        }
+        changed |= self.pump_staged(now, obs);
+        if changed {
+            self.horizon.invalidate();
+        }
     }
 
     fn pump_staged(&mut self, now: Cycle, obs: &mut Observer) -> bool {
@@ -641,20 +664,7 @@ impl Tick for Switch {
         {
             return;
         }
-        // Open any flap windows due this cycle before moving traffic.
-        let mut changed = self.apply_flaps(now);
-        // Ingest arrived bundles from every port and route them.
-        for port in 0..self.ingress.len() {
-            while let Some(bundle) = self.ingress[port].deliver(now, obs) {
-                let target = self.route(&bundle);
-                self.stage(target, bundle, now, obs);
-                changed = true;
-            }
-        }
-        changed |= self.pump_staged(now, obs);
-        if changed {
-            self.horizon.invalidate();
-        }
+        self.tick_ungated(now, obs);
     }
 
     fn is_idle(&self) -> bool {
@@ -678,6 +688,7 @@ impl Tick for Switch {
 mod tests {
     use super::*;
     use crate::message::Message;
+    use beacon_sim::rng::SimRng;
 
     fn run_until<F: FnMut(&mut Switch, Cycle) -> bool>(
         sw: &mut Switch,
@@ -945,5 +956,101 @@ mod tests {
         let stats = sw.merged_stats();
         assert!(stats.get("cxl.wire_bytes") > 0);
         assert!(stats.get("switch.forwarded") > 0);
+    }
+
+    /// The fabric's tick gate against an ungated reference. Two identical
+    /// switches see the same random traffic on every port and from the
+    /// logic, the same flap schedule, and endpoints that drain their
+    /// ports in random stalls, so shallow links back-pressure the
+    /// switch-bus. One ticks through the gate, the other runs the tick
+    /// body every cycle; every send result, delivered bundle and counter
+    /// must agree every cycle.
+    #[test]
+    fn gate_matches_ungated_reference_under_traffic_flaps_and_backpressure() {
+        const CYCLES: u64 = 30_000;
+        for seed in 0..4 {
+            let mut rng = SimRng::from_seed(seed);
+            let shallow = LinkParams {
+                queue_depth: 2,
+                ..LinkParams::cxl_x8()
+            };
+            let cfg = SwitchConfig {
+                dimm_link: shallow,
+                uplink: shallow,
+                ..SwitchConfig::paper(0, 3)
+            };
+            let (mut gated, mut reference) = (Switch::new(cfg), Switch::new(cfg));
+            let ports = 1 + cfg.dimm_slots as usize;
+            for port in 0..ports {
+                let at = (0..8).map(|_| Cycle::new(rng.below(CYCLES))).collect();
+                let flaps = FaultStream::from_cycles(at);
+                gated.install_port_flaps(port, flaps.clone(), 300);
+                reference.install_port_flaps(port, flaps, 300);
+            }
+            let dsts = [
+                NodeId::dimm(0, 0),
+                NodeId::dimm(0, 1),
+                NodeId::dimm(0, 2),
+                NodeId::SwitchLogic(0),
+                NodeId::dimm(1, 0),
+            ];
+            let mut obs = Observer::default();
+            let (mut tag, mut skippable) = (0, 0);
+            for t in 0..CYCLES {
+                let now = Cycle::new(t);
+                // Bursts of traffic between quiet stretches.
+                let rate = if (t / 2_000) % 2 == 0 { 0.05 } else { 0.002 };
+                for port in 0..ports {
+                    if rng.chance(rate) {
+                        tag += 1;
+                        let dst = dsts[rng.index(dsts.len())];
+                        let msg = Message::read_req(NodeId::dimm(0, 0), dst, 32, tag);
+                        let g = gated.endpoint_send(port, Bundle::single(msg), now, &mut obs);
+                        let r = reference.endpoint_send(port, Bundle::single(msg), now, &mut obs);
+                        assert_eq!(g.is_ok(), r.is_ok(), "send on port {port} at {now:?}");
+                    }
+                }
+                if rng.chance(rate) {
+                    tag += 1;
+                    let msg = Message::read_req(NodeId::SwitchLogic(0), dsts[0], 32, tag);
+                    gated.logic_send(Bundle::single(msg), now, &mut obs);
+                    reference.logic_send(Bundle::single(msg), now, &mut obs);
+                }
+                if gated.horizon.clean().is_some_and(|h| h > now) {
+                    skippable += 1;
+                }
+                gated.tick_observed(now, &mut obs);
+                reference.tick_ungated(now, &mut obs);
+                for port in 0..ports {
+                    if rng.chance(0.3) {
+                        loop {
+                            let g = gated.endpoint_recv(port, now, &mut obs);
+                            let r = reference.endpoint_recv(port, now, &mut obs);
+                            assert_eq!(
+                                g.as_ref().map(|b| &b.messages),
+                                r.as_ref().map(|b| &b.messages),
+                                "delivery on port {port} at {now:?}"
+                            );
+                            if g.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    gated.logic_recv().map(|b| b.messages),
+                    reference.logic_recv().map(|b| b.messages),
+                    "logic delivery at {now:?}"
+                );
+                let (g, r) = (gated.merged_stats(), reference.merged_stats());
+                assert!(
+                    g.iter().eq(r.iter()),
+                    "stats diverged at {now:?}:\n{g:?}\n{r:?}"
+                );
+            }
+            assert!(skippable > CYCLES / 4, "the gate must skip: {skippable}");
+            assert!(gated.stats().get("ras.port_flaps") > 0);
+            assert!(gated.merged_stats().get("cxl.backpressure") > 0);
+        }
     }
 }

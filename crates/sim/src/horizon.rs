@@ -73,6 +73,13 @@ impl HorizonCache {
         self.dirty.get()
     }
 
+    /// The cached horizon when clean, without recomputing; `None` when
+    /// dirty. For gates that must not pay a recompute.
+    #[inline]
+    pub fn clean(&self) -> Option<Cycle> {
+        (!self.dirty.get()).then_some(self.cached.get())
+    }
+
     /// Returns the cached horizon, recomputing it via `recompute` first
     /// when dirty.
     #[inline]
@@ -223,6 +230,7 @@ mod tests {
     fn starts_dirty_and_caches_after_first_query() {
         let c = HorizonCache::new();
         assert!(c.is_dirty());
+        assert_eq!(c.clean(), None);
         let mut calls = 0;
         let h = c.get_or(|| {
             calls += 1;
@@ -231,6 +239,7 @@ mod tests {
         assert_eq!(h, Cycle::new(42));
         assert_eq!(calls, 1);
         assert!(!c.is_dirty());
+        assert_eq!(c.clean(), Some(Cycle::new(42)));
         // Clean: fallback must not run again.
         let h = c.get_or(|| unreachable!("cache is clean"));
         assert_eq!(h, Cycle::new(42));
